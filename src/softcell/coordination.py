@@ -19,14 +19,10 @@ import numpy as np
 
 from . import conic_solver as cs
 from .conic_problem import PSD, Block, ConicProblem
-from .evaluation import evaluate
+from .evaluation import SERVING_SHARE, evaluate, link_powers, serving_sets
 from .exceptions import InfeasibleProblemError, InvalidInputError, NumericalFailureError
-from .power import HardwareProfile, check_power_constraints, dynamic_power, static_power
+from .power import HardwareProfile, check_power_constraints, circuit_power, dynamic_power
 from .scenario import ChannelSet
-
-# A transmitter serves a user when it carries more than this share of the
-# user's total emitted power (interior-point solutions are never exactly zero).
-SERVING_SHARE = 1e-6
 
 BS_ONLY = "bs_only"
 SINGLE_SCA = "single_sca"
@@ -60,16 +56,31 @@ class CoordinationProblem:
 
 @dataclass
 class BeamformingSolution:
-    W: list                         # W[k][j] Hermitian PSD (mW) or None
+    """Beamformers w[k][j] and the numbers reported for them.  The per-link
+    matrices W, powers p and serving sets are derived from w on access."""
+
     w: list                         # w[k][j] complex vector (sqrt mW)
-    p: np.ndarray                   # (K, T) emitted power per link, mW
     objective_dynamic: float        # mW
     objective_static: float         # mW
     objective_total: float          # mW
-    serving: list                   # tuple of transmitter indices per user
     repair_needed: bool = False
     exchanged_scalars: dict | None = None   # per-SCA backhaul scalar counts
     objective_relaxation: float = float("nan")  # pre-repair relaxed optimum (dynamic, mW)
+
+    @property
+    def W(self) -> list:
+        """W[k][j] = w w^H, Hermitian PSD (mW)."""
+        return [[np.outer(v, v.conj()) for v in row] for row in self.w]
+
+    @property
+    def p(self) -> np.ndarray:
+        """(K, T) emitted power per link, mW."""
+        return link_powers(self.w)
+
+    @property
+    def serving(self) -> list:
+        """Tuple of serving transmitter indices per user."""
+        return serving_sets(self.p)
 
 
 @dataclass
@@ -157,19 +168,20 @@ def build_relaxation(problem: CoordinationProblem) -> Relaxation:
     return Relaxation(conic, block_of, qos_row, power_row)
 
 
-def _dominant_rank_one(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dominant eigenpair as (rank-one matrix, vector with a fixed phase)."""
+def _dominant_rank_one(W: np.ndarray) -> np.ndarray:
+    """Vector w with a fixed phase such that w w^H is W's dominant eigenpair."""
     vals, vecs = np.linalg.eigh(W)
     lam1 = max(vals[-1], 0.0)
     v = vecs[:, -1]
     anchor = np.argmax(np.abs(v))
     phase = v[anchor] / abs(v[anchor]) if abs(v[anchor]) > 0 else 1.0
-    w = np.sqrt(lam1) * (v / phase)
-    return np.outer(w, w.conj()), w
+    return np.sqrt(lam1) * (v / phase)
 
 
 def repair_rank(W: list, problem: CoordinationProblem, tol: float = 1e-6) -> tuple[list, bool]:
-    """Force every block rank-one while preserving objective and feasibility.
+    """Beam vectors w[k][j] whose rank-one blocks w w^H preserve objective and
+    feasibility of the relaxed blocks W[k][j], and whether any block needed the
+    replacement program below.
 
     Blocks carrying a negligible share of their user's power are zeroed; blocks
     with eigenvalue ratio lam2/lam1 <= tol are truncated to the dominant pair.
@@ -184,21 +196,15 @@ def repair_rank(W: list, problem: CoordinationProblem, tol: float = 1e-6) -> tup
     """
     ch, hw, gt = problem.channels, problem.hw, problem.gtilde
     users = set(problem.qos_users())
-    repaired = [list(row) if row is not None else None for row in W]
+    w = [[np.zeros(Wkj.shape[0], dtype=complex) for Wkj in row] for row in W]
     obj_scale = 1.0 + sum(hw.rho[j] * np.real(np.trace(Wkj))
-                          for row in W if row is not None
-                          for j, Wkj in enumerate(row) if Wkj is not None and Wkj.size)
+                          for row in W for j, Wkj in enumerate(row) if Wkj.size)
     needed = False
-    for k, row in enumerate(repaired):
-        if row is None:
-            continue
-        traces = [np.real(np.trace(Wkj)) if Wkj is not None and Wkj.size else 0.0 for Wkj in row]
+    for k, row in enumerate(W):
+        traces = [np.real(np.trace(Wkj)) if Wkj.size else 0.0 for Wkj in row]
         total = sum(traces)
         for j, Wkj in enumerate(row):
-            if Wkj is None or Wkj.size == 0:
-                continue
-            if traces[j] <= SERVING_SHARE * total or total == 0.0:
-                repaired[k][j] = np.zeros_like(Wkj)
+            if Wkj.size == 0 or traces[j] <= SERVING_SHARE * total or total == 0.0:
                 continue
             # Interior-point noise: a block whose cost and own QoS-row
             # contribution are both below 1e-8 of their row scales cannot be
@@ -209,18 +215,16 @@ def repair_rank(W: list, problem: CoordinationProblem, tol: float = 1e-6) -> tup
                 h = ch.h[k][j]
                 own_row = float(np.real(h.conj() @ Wkj @ h)) / (gt[k] * float(ch.sigma2[k]))
                 if own_row <= 1e-8:
-                    repaired[k][j] = np.zeros_like(Wkj)
                     continue
             vals = np.linalg.eigvalsh(Wkj)
             if vals[-1] <= 0:
-                repaired[k][j] = np.zeros_like(Wkj)
                 continue
             if len(vals) == 1 or max(vals[-2], 0.0) / vals[-1] <= tol:
-                repaired[k][j], _ = _dominant_rank_one(Wkj)
+                w[k][j] = _dominant_rank_one(Wkj)
                 continue
             needed = True
-            repaired[k][j] = _replace_block(Wkj, k, j, users, ch)
-    return repaired, needed
+            w[k][j] = _replace_block(Wkj, k, j, users, ch)
+    return w, needed
 
 
 def _replace_block(Wkj: np.ndarray, k: int, j: int, users: set, ch: ChannelSet) -> np.ndarray:
@@ -251,8 +255,7 @@ def _replace_block(Wkj: np.ndarray, k: int, j: int, users: set, ch: ChannelSet) 
         raise NumericalFailureError(
             f"rank repair of block ({k}, {j}) failed with status {sol.status}",
             {"primal": sol.residual_primal, "dual": sol.residual_dual, "gap": sol.residual_gap})
-    rank_one, _ = _dominant_rank_one(tr * sol.block_values[0])
-    return rank_one
+    return _dominant_rank_one(tr * sol.block_values[0])
 
 
 def solve_optimal(problem: CoordinationProblem,
@@ -264,19 +267,15 @@ def solve_optimal(problem: CoordinationProblem,
     problem) is infeasible and NumericalFailureError when the solve or the
     repaired solution cannot be certified.
     """
-    ch, hw = problem.channels, problem.hw
+    ch = problem.channels
     K, T = ch.num_users, ch.num_transmitters
-    p_static = static_power(hw, ch.antennas(0), ch.antennas(1) if T > 1 else 0, T - 1)
     users = problem.qos_users()
 
     if not users:
-        W = [[np.zeros((ch.antennas(j),) * 2, dtype=complex) for j in range(T)] for _ in range(K)]
         w = [[np.zeros(ch.antennas(j), dtype=complex) for j in range(T)] for _ in range(K)]
-        sol = BeamformingSolution(W, w, np.zeros((K, T)), 0.0, p_static, p_static,
-                                  [() for _ in range(K)])
         cert = DualCertificate(np.zeros(K), [np.zeros(ch.antennas(j)) for j in range(T)],
                                [None] * K, [None] * K)
-        return sol, cert
+        return _finish(w, problem), cert
 
     relax = build_relaxation(problem)
     conic_sol = cs.solve(relax.conic, options)
@@ -290,36 +289,16 @@ def solve_optimal(problem: CoordinationProblem,
             {"primal": conic_sol.residual_primal, "dual": conic_sol.residual_dual,
              "gap": conic_sol.residual_gap})
 
-    W = [[None] * T for _ in range(K)]
-    for k in range(K):
-        for j in range(T):
-            n = ch.antennas(j)
-            if (k, j) in relax.block_of:
-                W[k][j] = conic_sol.block_values[relax.block_of[(k, j)]]
-            else:
-                W[k][j] = np.zeros((n, n), dtype=complex)
-
-    repaired, needed = repair_rank(W, problem, tol=repair_tol)
-    w = [[None] * T for _ in range(K)]
-    for k in range(K):
-        for j in range(T):
-            if repaired[k][j] is None or repaired[k][j].size == 0:
-                w[k][j] = np.zeros(ch.antennas(j), dtype=complex)
-            else:
-                _, w[k][j] = _dominant_rank_one(repaired[k][j])
-    p = np.array([[float(np.real(np.vdot(w[k][j], w[k][j]))) for j in range(T)] for k in range(K)])
-
-    p_dyn = dynamic_power(w, hw)
+    W = [[conic_sol.block_values[relax.block_of[(k, j)]] if (k, j) in relax.block_of
+          else np.zeros((ch.antennas(j),) * 2, dtype=complex) for j in range(T)]
+         for k in range(K)]
+    w, needed = repair_rank(W, problem, tol=repair_tol)
     sdp_dyn = conic_sol.primal_objective
-    if abs(p_dyn - sdp_dyn) > 1e-4 * (1.0 + abs(sdp_dyn)):
+    solution = _finish(w, problem, repair_needed=needed, objective_relaxation=sdp_dyn)
+    if abs(solution.objective_dynamic - sdp_dyn) > 1e-4 * (1.0 + abs(sdp_dyn)):
         raise NumericalFailureError(
             "rank repair moved the objective beyond tolerance",
-            {"repaired": p_dyn, "relaxation": sdp_dyn})
-    solution = BeamformingSolution(
-        repaired, w, p, p_dyn, p_static, p_dyn + p_static,
-        [_serving_set(p[k]) for k in range(K)], repair_needed=needed,
-        objective_relaxation=sdp_dyn)
-    _verify_feasible(solution, problem)
+            {"repaired": solution.objective_dynamic, "relaxation": sdp_dyn})
 
     lam = np.zeros(K)
     for k in users:
@@ -332,11 +311,14 @@ def solve_optimal(problem: CoordinationProblem,
     return solution, DualCertificate(lam, mu, A, B)
 
 
-def _serving_set(p_row: np.ndarray) -> tuple:
-    total = p_row.sum()
-    if total <= 0:
-        return ()
-    return tuple(int(j) for j in np.nonzero(p_row > SERVING_SHARE * total)[0])
+def _finish(w: list, problem: CoordinationProblem, **meta) -> BeamformingSolution:
+    """Solution for beamformers w: dynamic power, the topology's static power,
+    and an independent check that w meets every target and cap."""
+    p_dyn = dynamic_power(w, problem.hw)
+    p_stat = circuit_power(problem.hw, problem.channels.antenna_counts)
+    solution = BeamformingSolution(w, p_dyn, p_stat, p_dyn + p_stat, **meta)
+    _verify_feasible(solution, problem)
+    return solution
 
 
 def _verify_feasible(solution: BeamformingSolution, problem: CoordinationProblem,
@@ -346,12 +328,12 @@ def _verify_feasible(solution: BeamformingSolution, problem: CoordinationProblem
     for k in problem.qos_users():
         if report.sinr[k] < gt[k] * (1.0 - tol):
             raise NumericalFailureError(
-                f"repaired solution misses the SINR target of user {k}",
+                f"solution misses the SINR target of user {k}",
                 {"sinr": report.sinr[k], "target": gt[k]})
     for slack in check_power_constraints(solution, problem.hw, tol=tol):
         if slack.violated:
             raise NumericalFailureError(
-                f"repaired solution violates the cap of antenna {slack.antenna} "
+                f"solution violates the cap of antenna {slack.antenna} "
                 f"at transmitter {slack.transmitter}",
                 {"used": slack.used_mw, "limit": slack.limit_mw})
 
@@ -432,6 +414,15 @@ def verify_duality(solution: BeamformingSolution, certificate: DualCertificate,
     return DualityReport(residual, float(finite.max()) if finite.size else 0.0, tuple(skipped))
 
 
+def serving_case(serving: tuple) -> str:
+    """Case of a user served by the transmitters in `serving` (0 is the BS)."""
+    if not serving:
+        return UNSERVED
+    if len(serving) > 1:
+        return MULTIFLOW
+    return BS_ONLY if serving[0] == 0 else SINGLE_SCA
+
+
 def classify_assignment(solution: BeamformingSolution, certificate: DualCertificate | None,
                         hw: HardwareProfile, tol: float = 1e-6) -> AssignmentReport:
     """Per-user serving case with the active power constraints licensing multiflow.
@@ -444,11 +435,8 @@ def classify_assignment(solution: BeamformingSolution, certificate: DualCertific
     active = {(s.transmitter, s.antenna) for s in slacks if s.active or s.violated}
     assignments, diagnostics = [], []
     for k, serving in enumerate(solution.serving):
-        if not serving:
-            assignments.append(UserAssignment(k, UNSERVED, ()))
-            continue
-        if len(serving) == 1:
-            case = BS_ONLY if serving[0] == 0 else SINGLE_SCA
+        case = serving_case(serving)
+        if case != MULTIFLOW:
             assignments.append(UserAssignment(k, case, serving))
             continue
         licensed = tuple(sorted((j, l) for (j, l) in active if j in serving))
@@ -462,10 +450,11 @@ def classify_assignment(solution: BeamformingSolution, certificate: DualCertific
 def export_user_csv(solution: BeamformingSolution, report, assignments: AssignmentReport) -> str:
     """Per-link rows `user,transmitter,emitted_mw,sinr,case` (aggregate SINR per user)."""
     lines = ["user,transmitter,emitted_mw,sinr,case"]
+    p = solution.p
     for a in assignments.assignments:
         sinr = float(report.sinr[a.user])
         if not a.serving:
             lines.append(f"{a.user},,0.0,{sinr!r},{a.case}")
         for j in a.serving:
-            lines.append(f"{a.user},{j},{float(solution.p[a.user, j])!r},{sinr!r},{a.case}")
+            lines.append(f"{a.user},{j},{float(p[a.user, j])!r},{sinr!r},{a.case}")
     return "\n".join(lines) + "\n"

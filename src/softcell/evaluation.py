@@ -17,11 +17,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .power import (HardwareProfile, check_power_constraints, dynamic_power,
-                    mw_to_dbm, static_power)
+from .power import (HardwareProfile, check_power_constraints, circuit_power,
+                    dynamic_power, mw_to_dbm)
 from .scenario import ChannelSet
 
+# A transmitter serves a user when it carries more than this share of the
+# user's total emitted power (interior-point solutions are never exactly zero).
 SERVING_SHARE = 1e-6
+
+
+def link_powers(beams) -> np.ndarray:
+    """(K, T) emitted power ||w_{k,j}||^2 per link, mW."""
+    return np.array([[float(np.real(np.vdot(w, w))) for w in row] for row in beams])
+
+
+def serving_sets(p: np.ndarray) -> list:
+    """Transmitters serving each user: those above SERVING_SHARE of its power."""
+    serving = []
+    for row in p:
+        total = row.sum()
+        serving.append(tuple(int(j) for j in np.nonzero(row > SERVING_SHARE * total)[0])
+                       if total > 0 else ())
+    return serving
 
 
 @dataclass
@@ -54,20 +71,19 @@ def evaluate(solution, channels: ChannelSet, hw: HardwareProfile,
             if len(beams[k][j]) != channels.antennas(j):
                 raise InvalidInputError(f"beamformer ({k}, {j}) has the wrong length")
 
-    # |h^H w|^2 for every (receiving user, beam owner, transmitter).
+    # gains[k, i, j] = |h_{k,j}^H w_{i,j}|^2 (receiving user, beam owner,
+    # transmitter), and the same through tr(h h^H w w^H) as a cross-check.
     gains = np.zeros((K, K, T))
     gains_mat = np.zeros((K, K, T))
     for j in range(T):
         if channels.antennas(j) == 0:
             continue
-        for k in range(K):
-            h = channels.h[k][j]
-            hh = np.outer(h, h.conj())
-            for i in range(K):
-                amp = np.vdot(channels.h[k][j], beams[i][j])
-                gains[k, i, j] = float(np.real(amp * np.conj(amp)))
-                Wij = np.outer(beams[i][j], np.conj(beams[i][j]))
-                gains_mat[k, i, j] = float(np.real(np.trace(hh @ Wij)))
+        H = channels.stacked(j)
+        U = np.array([row[j] for row in beams], dtype=complex).T
+        amp = H.conj().T @ U
+        gains[:, :, j] = amp.real ** 2 + amp.imag ** 2
+        Ws = U.T[:, :, None] * U.T.conj()[:, None, :]          # (K, n, n): w_i w_i^H
+        gains_mat[:, :, j] = np.einsum("ak,iak->ki", H.conj(), Ws @ H).real
 
     crosscheck = float(np.max(np.abs(gains - gains_mat) / (1.0 + np.abs(gains))))
     own = gains[np.arange(K), np.arange(K), :].sum(axis=1)
@@ -76,16 +92,11 @@ def evaluate(solution, channels: ChannelSet, hw: HardwareProfile,
     sinr = own / (interference + np.asarray(channels.sigma2))
     rate = np.log2(1.0 + sinr)
 
-    p = np.array([[float(np.real(np.vdot(beams[k][j], beams[k][j]))) for j in range(T)]
-                  for k in range(K)])
-    serving = []
-    for k in range(K):
-        tot = p[k].sum()
-        serving.append(tuple(int(j) for j in np.nonzero(p[k] > SERVING_SHARE * tot)[0]) if tot > 0 else ())
+    serving = serving_sets(link_powers(beams))
     multiflow = np.array([len(s) > 1 for s in serving])
 
     p_dyn = dynamic_power(beams, hw)
-    p_stat = static_power(hw, channels.antennas(0), channels.antennas(1) if T > 1 else 0, T - 1)
+    p_stat = circuit_power(hw, channels.antenna_counts)
     total = p_dyn + p_stat
     return EvaluationReport(
         sinr=sinr, rate=rate, qos_margin=rate - np.asarray(gamma, dtype=float),

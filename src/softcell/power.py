@@ -104,14 +104,19 @@ def dynamic_power(solution_or_beams, hw: HardwareProfile) -> float:
 
 def static_power(hw: HardwareProfile, n_bs: int, n_sca: int, num_sca_sites: int) -> float:
     """Circuit consumption (eta_0 N_BS + sum_j eta_j N_SCA) / C in mW."""
-    if n_bs < 0 or n_sca < 0 or num_sca_sites < 0:
+    if num_sca_sites < 0:
         raise InvalidInputError("antenna and site counts must be >= 0")
-    if num_sca_sites >= len(hw.eta):
+    return circuit_power(hw, (n_bs,) + (n_sca,) * num_sca_sites)
+
+
+def circuit_power(hw: HardwareProfile, antennas) -> float:
+    """Circuit consumption sum_j eta_j N_j / C in mW for the antenna counts
+    N_j of transmitters 0, 1, ... (macro BS first)."""
+    if any(n < 0 for n in antennas):
+        raise InvalidInputError("antenna and site counts must be >= 0")
+    if len(antennas) > len(hw.eta):
         raise InvalidInputError("hardware profile does not cover all SCA sites")
-    total = hw.eta[0] * n_bs
-    for j in range(1, num_sca_sites + 1):
-        total += hw.eta[j] * n_sca
-    return total / hw.subcarriers
+    return sum(eta * n for eta, n in zip(hw.eta, antennas)) / hw.subcarriers
 
 
 def check_power_constraints(solution_or_beams, hw: HardwareProfile, tol: float = 1e-6) -> list[ConstraintSlack]:

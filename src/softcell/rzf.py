@@ -8,7 +8,9 @@ Each transmitter j forms, independently and from local channel knowledge only,
 with the regularizer depending on the target user's SINR requirement gt_k and
 the per-antenna cap q_j.  Only the scalar couplings |h_{i,j}^H u_{k,j}|^2 and
 |u_{k,j}[l]|^2 travel over the backhaul; the power split across transmitters
-then solves a small LP in the per-link powers p_{k,j}.
+then solves a small LP in the per-link powers p_{k,j}.  A coupling is left out
+(exchanged as zero) only when even the full power n_j q_j of transmitter j
+along u_{k,j} would deliver less than GAIN_FLOOR of user i's noise power.
 """
 
 from __future__ import annotations
@@ -19,14 +21,17 @@ import numpy as np
 
 from . import conic_solver as cs
 from .conic_problem import NONNEG, Block, ConicProblem
-from .coordination import BeamformingSolution, CoordinationProblem, _verify_feasible
+from .coordination import BeamformingSolution, CoordinationProblem, _finish
 from .exceptions import InvalidInputError, NumericalFailureError, RzfInfeasibleError
-from .power import dynamic_power, static_power
 from .scenario import ChannelSet
 
-# Couplings this far below the strongest gain at a transmitter are treated as
-# exactly zero and never exchanged.
-GAIN_FLOOR = 1e-12
+# A coupling g[i, k, j] whose worst-case received power g * n_j * q_j is below
+# this share of sigma_i^2 is treated as exactly zero and never exchanged.  The
+# floor is relative to the noise, not to the peak gain at the transmitter: the
+# couplings left out then shift a delivered SINR by far less than the 1e-6
+# relative miss that the verification allows, while a peak-relative floor can
+# drop interference worth more than that at paper scale.
+GAIN_FLOOR = 1e-10
 
 
 @dataclass
@@ -40,45 +45,38 @@ class RzfIntermediate:
 def rzf_directions(channels: ChannelSet, hw, gtilde) -> RzfIntermediate:
     K, T = channels.num_users, channels.num_transmitters
     gtilde = np.asarray(gtilde, dtype=float)
+    sigma2 = np.asarray(channels.sigma2, dtype=float)
     u = [[np.zeros(channels.antennas(j), dtype=complex) for j in range(T)] for _ in range(K)]
+    g = np.zeros((K, K, T))
+    qscal = [np.zeros((channels.antennas(j), K)) for j in range(T)]
+    exchanged = {}
     for j in range(T):
         n = channels.antennas(j)
         if n == 0:
+            exchanged[j] = 0
             continue
         q_j = hw.per_antenna_limit[j]
         if q_j <= 0:
             raise InvalidInputError(f"transmitter {j} has antennas but a zero power cap")
-        gram = np.zeros((n, n), dtype=complex)
-        for i in range(K):
-            gram += np.outer(channels.h[i][j], channels.h[i][j].conj()) / float(channels.sigma2[i])
+        H = channels.stacked(j)
+        gram = (H / sigma2) @ H.conj().T
+        U = np.zeros((n, K), dtype=complex)
         for k in range(K):
             if gtilde[k] <= 0:
                 continue
             reg = K / (gtilde[k] * q_j)
-            direction = np.linalg.solve(gram + reg * np.eye(n), channels.h[k][j])
+            direction = np.linalg.solve(gram + reg * np.eye(n), H[:, k])
             norm = np.linalg.norm(direction)
             if norm > 0:
-                u[k][j] = direction / norm
+                U[:, k] = u[k][j] = direction / norm
 
-    g = np.zeros((K, K, T))
-    qscal = [np.zeros((channels.antennas(j), K)) for j in range(T)]
-    for j in range(T):
-        if channels.antennas(j) == 0:
-            continue
-        for k in range(K):
-            qscal[j][:, k] = np.abs(u[k][j]) ** 2
-            for i in range(K):
-                amp = np.vdot(channels.h[i][j], u[k][j])
-                g[i, k, j] = float(np.real(amp * np.conj(amp)))
-        peak = g[:, :, j].max()
-        if peak > 0:
-            g[:, :, j][g[:, :, j] < GAIN_FLOOR * peak] = 0.0
-
-    exchanged = {}
-    for j in range(T):
-        has_direction = np.array([np.linalg.norm(u[k][j]) > 0 for k in range(K)])
-        exchanged[j] = int(np.count_nonzero(g[:, :, j])
-                           + np.count_nonzero(qscal[j][:, has_direction]))
+        amp = H.conj().T @ U
+        g_j = amp.real ** 2 + amp.imag ** 2
+        g_j[g_j * (n * q_j) < GAIN_FLOOR * sigma2[:, None]] = 0.0
+        g[:, :, j] = g_j
+        qscal[j] = np.abs(U) ** 2
+        has_direction = np.linalg.norm(U, axis=0) > 0
+        exchanged[j] = int(np.count_nonzero(g_j) + np.count_nonzero(qscal[j][:, has_direction]))
     return RzfIntermediate(u, g, qscal, exchanged)
 
 
@@ -145,21 +143,9 @@ def exchange_report_csv(solution: BeamformingSolution) -> str:
 
 def rzf_solve(problem: CoordinationProblem) -> BeamformingSolution:
     """Full heuristic: directions, power LP, beamformers w = sqrt(p) u."""
-    ch, hw = problem.channels, problem.hw
-    K, T = ch.num_users, ch.num_transmitters
+    ch = problem.channels
     gt = problem.gtilde
-    inter = rzf_directions(ch, hw, gt)
-    p = allocate_power(inter, hw, gt, ch.sigma2)
-
-    w = [[np.sqrt(p[k, j]) * inter.u[k][j] for j in range(T)] for k in range(K)]
-    W = [[np.outer(w[k][j], w[k][j].conj()) for j in range(T)] for k in range(K)]
-    p_dyn = dynamic_power(w, hw)
-    p_stat = static_power(hw, ch.antennas(0), ch.antennas(1) if T > 1 else 0, T - 1)
-    serving = []
-    for k in range(K):
-        tot = p[k].sum()
-        serving.append(tuple(int(j) for j in np.nonzero(p[k] > 1e-6 * tot)[0]) if tot > 0 else ())
-    solution = BeamformingSolution(W, w, p, p_dyn, p_stat, p_dyn + p_stat, serving,
-                                   exchanged_scalars=dict(inter.exchanged))
-    _verify_feasible(solution, problem)
-    return solution
+    inter = rzf_directions(ch, problem.hw, gt)
+    p = allocate_power(inter, problem.hw, gt, ch.sigma2)
+    w = [[np.sqrt(p[k, j]) * u_kj for j, u_kj in enumerate(row)] for k, row in enumerate(inter.u)]
+    return _finish(w, problem, exchanged_scalars=dict(inter.exchanged))

@@ -119,6 +119,14 @@ class ChannelSet:
     def antennas(self, j: int) -> int:
         return len(self.h[0][j]) if self.h else 0
 
+    @property
+    def antenna_counts(self) -> tuple[int, ...]:
+        return tuple(self.antennas(j) for j in range(self.num_transmitters))
+
+    def stacked(self, j: int) -> np.ndarray:
+        """H_j (antennas(j) x K): column k is h[k][j]."""
+        return np.array([row[j] for row in self.h], dtype=complex).T
+
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Named, splittable substream of the root seed."""

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coordination import (BS_ONLY, MULTIFLOW, SINGLE_SCA, CoordinationProblem,
-                           classify_assignment, solve_optimal)
+                           classify_assignment, serving_case, solve_optimal)
 from .exceptions import (InfeasibleProblemError, InvalidInputError,
                          NumericalFailureError, RzfInfeasibleError)
-from .power import mw_to_dbm, static_power
+from .power import circuit_power, mw_to_dbm
 from .rzf import rzf_solve
 from .scenario import ScenarioConfig, realize_scenario, with_axis_value
 
@@ -93,20 +93,6 @@ def _num(v) -> str:
     return repr(int(v)) if float(v) == int(v) else repr(float(v))
 
 
-def _serving_cases(serving, num_users):
-    """Case counts from the serving sets alone (no dual certificate)."""
-    n_bs, n_sca, n_multi = 0, 0, 0
-    for k in range(num_users):
-        s = serving[k]
-        if len(s) > 1:
-            n_multi += 1
-        elif s == (0,):
-            n_bs += 1
-        elif len(s) == 1:
-            n_sca += 1
-    return n_bs, n_sca, n_multi
-
-
 def _sca_multiuser(serving, num_transmitters) -> int:
     count = 0
     for j in range(1, num_transmitters):
@@ -131,21 +117,18 @@ def run_trial(base: ScenarioConfig, axis: str, value, algorithm: str, trial: int
         cfg = with_axis_value(cfg, "n_sca", 0)
     channels = realize_scenario(cfg, trial=trial)
     problem = CoordinationProblem(channels, cfg.hardware, cfg.qos_targets)
-    p_stat = static_power(cfg.hardware, channels.antennas(0),
-                          cfg.n_sca if algorithm != "bs_only" else 0, cfg.num_sca)
+    p_stat = circuit_power(cfg.hardware, channels.antenna_counts)
 
     t0 = time.perf_counter()
     status = "optimal"
     try:
         if algorithm == "rzf":
             solution = rzf_solve(problem)
-            n_bs, n_sca, n_multi = _serving_cases(solution.serving, channels.num_users)
+            cases = [serving_case(s) for s in solution.serving]
         else:
             solution, certificate = solve_optimal(problem)
             report = classify_assignment(solution, certificate, cfg.hardware)
-            n_bs = report.count(BS_ONLY)
-            n_sca = report.count(SINGLE_SCA)
-            n_multi = report.count(MULTIFLOW)
+            cases = [a.case for a in report.assignments]
     except InfeasibleProblemError:
         status, solution = "infeasible", None
     except RzfInfeasibleError:
@@ -165,7 +148,7 @@ def run_trial(base: ScenarioConfig, axis: str, value, algorithm: str, trial: int
     return TrialRecord(value, algorithm, trial, status,
                        float(solution.objective_dynamic), float(solution.objective_static),
                        float(solution.objective_total), float(mw_to_dbm(solution.objective_total)),
-                       n_multi, n_bs, n_sca,
+                       cases.count(MULTIFLOW), cases.count(BS_ONLY), cases.count(SINGLE_SCA),
                        _sca_multiuser(solution.serving, channels.num_transmitters),
                        False, wall_ms, exchanged)
 

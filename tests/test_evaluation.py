@@ -94,6 +94,33 @@ def test_report_csv_layout():
     assert user0[5] == "0"
 
 
+def test_sinrs_match_a_per_link_loop():
+    # A transmitter without antennas and users with zero beams included.
+    rng = np.random.default_rng(12)
+    antennas, K = [4, 0, 2, 3], 5
+
+    def cn(n):
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    ch = make_channels([[cn(n) for n in antennas] for _ in range(K)], rng.uniform(0.5, 2.0, K))
+    beams = [[cn(n) if k != 3 else np.zeros(n, dtype=complex) for n in antennas]
+             for k in range(K)]
+    expected = np.zeros(K)
+    for k in range(K):
+        own = interference = 0.0
+        for i in range(K):
+            for j in range(len(antennas)):
+                gain = abs(np.vdot(ch.h[k][j], beams[i][j])) ** 2
+                if i == k:
+                    own += gain
+                else:
+                    interference += gain
+        expected[k] = own / (interference + ch.sigma2[k])
+    report = evaluate(beams, ch, loose_hardware(len(antennas)), (1.0,) * K)
+    assert np.allclose(report.sinr, expected, rtol=1e-12, atol=0.0)
+    assert report.crosscheck_residual <= 1e-12
+
+
 def test_dimension_mismatches_are_rejected():
     ch = make_channels([[np.array([1.0, 0.5j])]], [1.0])
     hw = loose_hardware(1)

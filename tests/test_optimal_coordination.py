@@ -10,8 +10,10 @@ from softcell.coordination import (BS_ONLY, MULTIFLOW, SINGLE_SCA,
                                    classify_assignment, export_user_csv,
                                    repair_rank, solve_optimal, verify_duality)
 from softcell.evaluation import evaluate
-from softcell.exceptions import InfeasibleProblemError, InvalidInputError
+from softcell.exceptions import (InfeasibleProblemError, InvalidInputError,
+                                 RzfInfeasibleError)
 from softcell.power import HardwareProfile, static_power
+from softcell.rzf import rzf_solve
 from softcell.scenario import ScenarioConfig, realize_scenario
 
 
@@ -58,6 +60,18 @@ def test_zero_targets_cost_only_static_power():
     assert sol.objective_total == sol.objective_static
     assert all(s == () for s in sol.serving)
     assert np.all(cert.lam == 0.0)
+
+
+def test_static_power_counts_each_small_cells_antennas():
+    # Small cells with 1 and 3 antennas: (10*2 + 20*1 + 30*3) / 1 = 130 mW.
+    rng = np.random.default_rng(11)
+    hw = HardwareProfile(rho=(2.0, 2.0, 2.0), eta=(10.0, 20.0, 30.0),
+                         per_antenna_limit=(1e6, 1e6, 1e6), subcarriers=1)
+    prob = rand_instance(rng, 2, [2, 1, 3], (1.0, 1.0), hw=hw)
+    sol, _ = solve_optimal(prob)
+    assert sol.objective_static == pytest.approx(130.0, rel=1e-12)
+    assert evaluate(sol, prob.channels, hw, prob.gamma).p_static_mw == pytest.approx(130.0, rel=1e-12)
+    assert rzf_solve(prob).objective_static == pytest.approx(130.0, rel=1e-12)
 
 
 def test_static_power_term_matches_the_topology():
@@ -132,11 +146,12 @@ def test_repair_is_identity_on_rank_one_blocks():
     v = [[(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(2)]
          for _ in range(2)]
     W = [[np.outer(v[k][j], v[k][j].conj()) for j in range(2)] for k in range(2)]
-    repaired, needed = repair_rank(W, prob)
+    w, needed = repair_rank(W, prob)
     assert not needed
     for k in range(2):
         for j in range(2):
-            assert np.abs(repaired[k][j] - W[k][j]).max() <= 1e-10 * np.abs(W[k][j]).max()
+            rank_one = np.outer(w[k][j], w[k][j].conj())
+            assert np.abs(rank_one - W[k][j]).max() <= 1e-10 * np.abs(W[k][j]).max()
 
 
 def test_repair_zeroes_negligible_blocks():
@@ -144,8 +159,8 @@ def test_repair_zeroes_negligible_blocks():
     prob = rand_instance(rng, 1, [2, 2], (1.0,))
     big = np.eye(2, dtype=complex)
     tiny = 1e-9 * np.eye(2, dtype=complex)
-    repaired, _ = repair_rank([[big, tiny]], prob)
-    assert np.all(repaired[0][1] == 0.0)
+    w, _ = repair_rank([[big, tiny]], prob)
+    assert np.all(w[0][1] == 0.0)
 
 
 def test_gain_maximization_under_trace_budget_concentrates_power():
@@ -162,8 +177,18 @@ def test_gain_maximization_under_trace_budget_concentrates_power():
     assert np.abs(sol.block_values[0] - np.diag([2.0, 0.0])).max() < 1e-6
 
 
+def _assert_fields_derive_from_beams(sol, prob):
+    report = evaluate(sol, prob.channels, prob.hw, prob.gamma)
+    assert sol.serving == report.serving
+    for k, row in enumerate(sol.w):
+        for j, w in enumerate(row):
+            assert sol.p[k, j] == pytest.approx(np.linalg.norm(w) ** 2, rel=1e-12, abs=0.0)
+            assert np.allclose(sol.W[k][j], np.outer(w, w.conj()), rtol=1e-12, atol=0.0)
+
+
 def test_solutions_are_rank_one_and_objective_preserving():
     rng = np.random.default_rng(5)
+    heuristic_solved = 0
     for _ in range(6):
         K = int(rng.integers(1, 3))
         prob = rand_instance(rng, K, [3, 2], tuple(rng.uniform(0.5, 2.5, size=K)))
@@ -177,6 +202,14 @@ def test_solutions_are_rank_one_and_objective_preserving():
                 W = sol.W[k][j]
                 vals = np.linalg.eigvalsh(W)
                 assert vals[-2] <= 1e-6 * max(vals[-1], 1e-30) + 1e-15
+        _assert_fields_derive_from_beams(sol, prob)
+        try:
+            heuristic = rzf_solve(prob)
+        except RzfInfeasibleError:
+            continue
+        _assert_fields_derive_from_beams(heuristic, prob)
+        heuristic_solved += 1
+    assert heuristic_solved
 
 
 # ---------------------------------------------------------------------------
