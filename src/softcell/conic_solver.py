@@ -31,6 +31,7 @@ row relative to the summed coefficient magnitudes, determinism for a fixed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as la
@@ -44,6 +45,14 @@ SQRT2 = np.sqrt(2.0)
 # scaled residuals clear these, regardless of the (tighter) target tolerances.
 CERT_FEAS = 1e-8
 CERT_GAP = 1e-6
+
+# Targets, tighter than the certification bounds.  A solve that stalls short
+# of them stops once its best iterate meets the bounds and returns that
+# iterate ("reduced precision" in the message).
+TOL_FEAS = 1e-9         # target primal/dual residual on scaled data
+TOL_GAP = 1e-8          # target relative complementarity gap
+TOL_INFEAS = 1e-9       # certificate quality for infeasible/unbounded
+STEP_FRACTION = 0.99    # fraction-to-boundary
 
 # End-game of the interior-point loop (see the module docstring): refinement
 # starts after the first step shorter than _ENDGAME_STEP and makes up to
@@ -62,13 +71,6 @@ NUMERICAL_FAILURE = "numerical_failure"
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 200
-    # Targets, tighter than the certification bounds CERT_FEAS/CERT_GAP.  A
-    # solve that stalls short of them stops once its best iterate meets the
-    # bounds and returns that iterate ("reduced precision" in the message).
-    tol_feas: float = 1e-9          # target primal/dual residual on scaled data
-    tol_gap: float = 1e-8           # target relative complementarity gap
-    tol_infeas: float = 1e-9        # certificate quality for infeasible/unbounded
-    step_fraction: float = 0.99     # fraction-to-boundary
     start_perturbation: float = 0.0  # relative perturbation of the unit start
     track_progress: bool = False    # record per-iteration objective/residual trace
 
@@ -95,50 +97,38 @@ class ConicSolution:
 # (row-major) sqrt(2)*Re and sqrt(2)*Im.
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _triu(d: int) -> tuple:
+    """Row and column indices of the strict upper triangle of a d x d matrix,
+    computed once per d and shared read-only by every call."""
+    iu = np.triu_indices(d, 1)
+    for idx in iu:
+        idx.flags.writeable = False
+    return iu
+
+
 def svec(X: np.ndarray) -> np.ndarray:
-    d = X.shape[0]
-    out = np.empty(d * d)
-    out[:d] = np.real(np.diagonal(X))
+    """Vectorize a Hermitian matrix (d, d), or a stack (..., d, d), to (..., d^2)."""
+    d = X.shape[-1]
+    out = np.empty(X.shape[:-2] + (d * d,))
+    out[..., :d] = np.real(np.diagonal(X, axis1=-2, axis2=-1))
     if d > 1:
-        iu = np.triu_indices(d, 1)
-        off = X[iu]
-        out[d::2] = SQRT2 * off.real
-        out[d + 1::2] = SQRT2 * off.imag
+        iu, ju = _triu(d)
+        off = X[..., iu, ju]
+        out[..., d::2] = SQRT2 * off.real
+        out[..., d + 1::2] = SQRT2 * off.imag
     return out
 
 
 def smat(v: np.ndarray, d: int) -> np.ndarray:
-    X = np.zeros((d, d), dtype=complex)
+    """Inverse of svec: (..., d^2) -> (..., d, d)."""
+    X = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
     if d > 1:
-        iu = np.triu_indices(d, 1)
-        X[iu] = (v[d::2] + 1j * v[d + 1::2]) / SQRT2
-        X += X.conj().T
-    X[np.diag_indices(d)] = v[:d]
-    return X
-
-
-def _svec_batch(U: np.ndarray) -> np.ndarray:
-    """Vectorize a stack (m, d, d) of Hermitian matrices to (m, d^2)."""
-    m, d, _ = U.shape
-    out = np.empty((m, d * d))
-    out[:, :d] = np.real(np.diagonal(U, axis1=1, axis2=2))
-    if d > 1:
-        iu = np.triu_indices(d, 1)
-        off = U[:, iu[0], iu[1]]
-        out[:, d::2] = SQRT2 * off.real
-        out[:, d + 1::2] = SQRT2 * off.imag
-    return out
-
-
-def _smat_batch(V: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of _svec_batch: (m, d^2) -> (m, d, d)."""
-    m = V.shape[0]
-    X = np.zeros((m, d, d), dtype=complex)
-    if d > 1:
-        iu = np.triu_indices(d, 1)
-        X[:, iu[0], iu[1]] = (V[:, d::2] + 1j * V[:, d + 1::2]) / SQRT2
-        X += np.conj(np.transpose(X, (0, 2, 1)))
-    X[:, np.arange(d), np.arange(d)] = V[:, :d]
+        iu, ju = _triu(d)
+        X[..., iu, ju] = (v[..., d::2] + 1j * v[..., d + 1::2]) / SQRT2
+        X += np.conj(np.swapaxes(X, -1, -2))
+    diag = np.arange(d)
+    X[..., diag, diag] = v[..., :d]
     return X
 
 
@@ -165,10 +155,9 @@ def _standard_form(problem: ConicProblem) -> _StandardForm:
     m = len(problem.constraints)
     n_ineq = sum(1 for c in problem.constraints if c.sense != "==")
 
-    offsets, nn_idx, psd_blocks, block_slices = [], [], [], []
+    nn_idx, psd_blocks, block_slices = [], [], []
     pos = 0
     for blk in problem.blocks:
-        offsets.append(pos)
         block_slices.append(slice(pos, pos + blk.svec_dim))
         if blk.kind == NONNEG:
             nn_idx.extend(range(pos, pos + blk.dim))
@@ -277,18 +266,14 @@ class _Scaling:
             self.psd.append((sl, d) + _nt_scaling(smat(x[sl], d), smat(z[sl], d)))
 
     def apply_H(self, v: np.ndarray) -> np.ndarray:
-        out = v.copy()
-        out[self.sf.nn_idx] *= self.w_nn ** 2
-        for sl, d, _G, _Gi, _lam, W in self.psd:
-            out[sl] = svec(W @ smat(v[sl], d) @ W)
-        return out
+        return self.apply_H_rows(v[None])[0]
 
     def apply_H_rows(self, R: np.ndarray) -> np.ndarray:
         """Apply H to each row of R (m, n); returns (m, n)."""
         out = R.copy()
         out[:, self.sf.nn_idx] *= self.w_nn ** 2
         for sl, d, _G, _Gi, _lam, W in self.psd:
-            out[:, sl] = _svec_batch(W @ _smat_batch(R[:, sl], d) @ W)
+            out[:, sl] = svec(W @ smat(R[:, sl], d) @ W)
         return out
 
     def scaled_steps(self, dv: np.ndarray, side: str) -> list:
@@ -436,7 +421,7 @@ def _ip_hsd(sf: _StandardForm, opts: SolverOptions):
                     x.copy(), y.copy(), z.copy(), tau, kappa)
         best_history.append(best[0])
 
-        if pres <= opts.tol_feas and dres <= opts.tol_feas and relgap <= opts.tol_gap:
+        if pres <= TOL_FEAS and dres <= TOL_FEAS and relgap <= TOL_GAP:
             status, message = OPTIMAL, ""
             break
         if mu <= 0:
@@ -456,7 +441,7 @@ def _ip_hsd(sf: _StandardForm, opts: SolverOptions):
                 return UNBOUNDED, "primal improving ray found"
             return None
 
-        cert = ray_certificate(opts.tol_infeas)
+        cert = ray_certificate(TOL_INFEAS)
         if cert:
             status, message = cert
             break
@@ -531,9 +516,9 @@ def _ip_hsd(sf: _StandardForm, opts: SolverOptions):
                 dkappa = (t - kappa * dtau) / tau
                 e_p = p - (A @ dx - b * dtau)
                 e_g = g - (b @ dy - c @ dx - dkappa)
-                err = max(_relres(e_p, den_p) / max(pres, opts.tol_feas),
+                err = max(_relres(e_p, den_p) / max(pres, TOL_FEAS),
                           abs(e_g) / (tau * max(1.0, abs(pobj), abs(dobj)))
-                          / max(relgap, opts.tol_gap))
+                          / max(relgap, TOL_GAP))
                 return err, (dx, dy, dz, dtau, dkappa), e_p, e_g
 
             err, step, e_p, e_g = complete(dy, dtau)
@@ -596,7 +581,7 @@ def _ip_hsd(sf: _StandardForm, opts: SolverOptions):
         dx, dy, dz, dtau, dkappa = full
         Dx = sc.scaled_steps(dx, "x")
         Dz = sc.scaled_steps(dz, "z")
-        alpha = min(1.0, opts.step_fraction * _max_step(sc, x, z, tau, kappa, dx, dz, dtau, dkappa, Dx, Dz))
+        alpha = min(1.0, STEP_FRACTION * _max_step(sc, x, z, tau, kappa, dx, dz, dtau, dkappa, Dx, Dz))
         if not np.isfinite(alpha) or alpha <= 1e-13:
             status, message = NUMERICAL_FAILURE, "step length collapsed"
             break

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 
 from . import conic_solver as cs
 from .conic_problem import PSD, Block, ConicProblem
@@ -28,6 +29,13 @@ BS_ONLY = "bs_only"
 SINGLE_SCA = "single_sca"
 MULTIFLOW = "multiflow"
 UNSERVED = "unserved"
+
+# A relaxed block whose eigenvalue ratio lam2/lam1 is at most RANK_TOL counts
+# as rank-one and is truncated to its dominant pair by repair_rank.
+RANK_TOL = 1e-6
+# Relative tolerance of the check that a solution meets its SINR targets (its
+# caps are checked at check_power_constraints' default, also 1e-6).
+FEASIBILITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -178,13 +186,13 @@ def _dominant_rank_one(W: np.ndarray) -> np.ndarray:
     return np.sqrt(lam1) * (v / phase)
 
 
-def repair_rank(W: list, problem: CoordinationProblem, tol: float = 1e-6) -> tuple[list, bool]:
+def repair_rank(W: list, problem: CoordinationProblem) -> tuple[list, bool]:
     """Beam vectors w[k][j] whose rank-one blocks w w^H preserve objective and
     feasibility of the relaxed blocks W[k][j], and whether any block needed the
     replacement program below.
 
     Blocks carrying a negligible share of their user's power are zeroed; blocks
-    with eigenvalue ratio lam2/lam1 <= tol are truncated to the dominant pair.
+    with eigenvalue ratio lam2/lam1 <= RANK_TOL are truncated to the dominant pair.
     Any remaining block (k, j) is replaced by the optimum of
 
         max  h_{k,j}^H V h_{k,j}
@@ -219,7 +227,7 @@ def repair_rank(W: list, problem: CoordinationProblem, tol: float = 1e-6) -> tup
             vals = np.linalg.eigvalsh(Wkj)
             if vals[-1] <= 0:
                 continue
-            if len(vals) == 1 or max(vals[-2], 0.0) / vals[-1] <= tol:
+            if len(vals) == 1 or max(vals[-2], 0.0) / vals[-1] <= RANK_TOL:
                 w[k][j] = _dominant_rank_one(Wkj)
                 continue
             needed = True
@@ -259,8 +267,7 @@ def _replace_block(Wkj: np.ndarray, k: int, j: int, users: set, ch: ChannelSet) 
 
 
 def solve_optimal(problem: CoordinationProblem,
-                  options: cs.SolverOptions | None = None,
-                  repair_tol: float = 1e-6) -> tuple[BeamformingSolution, DualCertificate]:
+                  options: cs.SolverOptions | None = None) -> tuple[BeamformingSolution, DualCertificate]:
     """Exact minimum-power coordination with dual certificates.
 
     Raises InfeasibleProblemError when the relaxation (hence the original
@@ -292,7 +299,7 @@ def solve_optimal(problem: CoordinationProblem,
     W = [[conic_sol.block_values[relax.block_of[(k, j)]] if (k, j) in relax.block_of
           else np.zeros((ch.antennas(j),) * 2, dtype=complex) for j in range(T)]
          for k in range(K)]
-    w, needed = repair_rank(W, problem, tol=repair_tol)
+    w, needed = repair_rank(W, problem)
     sdp_dyn = conic_sol.primal_objective
     solution = _finish(w, problem, repair_needed=needed, objective_relaxation=sdp_dyn)
     if abs(solution.objective_dynamic - sdp_dyn) > 1e-4 * (1.0 + abs(sdp_dyn)):
@@ -321,16 +328,16 @@ def _finish(w: list, problem: CoordinationProblem, **meta) -> BeamformingSolutio
     return solution
 
 
-def _verify_feasible(solution: BeamformingSolution, problem: CoordinationProblem,
-                     tol: float = 1e-6) -> None:
+def _verify_feasible(solution: BeamformingSolution, problem: CoordinationProblem) -> None:
+    """Raise unless the solution meets every SINR target and per-antenna cap."""
     report = evaluate(solution, problem.channels, problem.hw, problem.gamma)
     gt = problem.gtilde
     for k in problem.qos_users():
-        if report.sinr[k] < gt[k] * (1.0 - tol):
+        if report.sinr[k] < gt[k] * (1.0 - FEASIBILITY_TOL):
             raise NumericalFailureError(
                 f"solution misses the SINR target of user {k}",
                 {"sinr": report.sinr[k], "target": gt[k]})
-    for slack in check_power_constraints(solution, problem.hw, tol=tol):
+    for slack in report.power_slacks:
         if slack.violated:
             raise NumericalFailureError(
                 f"solution violates the cap of antenna {slack.antenna} "
@@ -343,7 +350,7 @@ def _duality_A(problem: CoordinationProblem, k: int) -> np.ndarray:
     ch, hw = problem.channels, problem.hw
     txs = problem.active_transmitters()
     mats = [np.outer(ch.h[k][j], ch.h[k][j].conj()) / hw.rho[j] for j in txs]
-    return _blockdiag(mats) / float(ch.sigma2[k])
+    return la.block_diag(*mats) / float(ch.sigma2[k])
 
 
 def _duality_B(problem: CoordinationProblem, k: int, lam: np.ndarray, mu: list,
@@ -364,17 +371,6 @@ def _duality_B(problem: CoordinationProblem, k: int, lam: np.ndarray, mu: list,
     return B
 
 
-def _blockdiag(mats: list) -> np.ndarray:
-    dim = sum(m.shape[0] for m in mats)
-    out = np.zeros((dim, dim), dtype=complex)
-    off = 0
-    for m in mats:
-        n = m.shape[0]
-        out[off:off + n, off:off + n] = m
-        off += n
-    return out
-
-
 @dataclass
 class DualityReport:
     residual: np.ndarray            # per-user relative residual (nan if skipped)
@@ -386,7 +382,7 @@ class DualityReport:
 
 
 def verify_duality(solution: BeamformingSolution, certificate: DualCertificate,
-                   problem: CoordinationProblem, tol: float = 1e-4) -> DualityReport:
+                   problem: CoordinationProblem) -> DualityReport:
     """Check the uplink-downlink duality: for every actively served QoS user,
     lambda_k (u_k^H A_k u_k) / (u_k^H B_k u_k) must equal the SINR target,
     where u_k stacks sqrt(rho_j) w_{k,j} and is normalized."""

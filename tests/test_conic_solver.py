@@ -24,13 +24,19 @@ def _rand_psd(rng, d, jitter=0.0):
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
-def test_svec_isometry_and_roundtrip(seed, d):
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 4))
+def test_svec_isometry_and_roundtrip(seed, d, B):
     rng = np.random.default_rng(seed)
     X, Y = _rand_psd(rng, d), _rand_psd(rng, d)
     assert np.abs(cs.smat(cs.svec(X), d) - X).max() < 1e-12
     inner = float(np.real(np.trace(X @ Y)))
     assert abs(cs.svec(X) @ cs.svec(Y) - inner) < 1e-10 * (1 + abs(inner))
+    # A stack (B, d, d) maps to the rows of its matrices' vectors, and back.
+    S = np.stack([_rand_psd(rng, d) for _ in range(B)])
+    V = cs.svec(S)
+    assert np.array_equal(V, np.stack([cs.svec(M) for M in S]))
+    assert np.array_equal(cs.smat(V, d), np.stack([cs.smat(v, d) for v in V]))
+    assert np.abs(cs.smat(V, d) - S).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

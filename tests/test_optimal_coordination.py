@@ -6,12 +6,12 @@ import pytest
 from conftest import loose_hardware, make_channels
 from softcell import conic_solver as cs
 from softcell.coordination import (BS_ONLY, MULTIFLOW, SINGLE_SCA,
-                                   CoordinationProblem, build_relaxation,
+                                   CoordinationProblem, _finish, build_relaxation,
                                    classify_assignment, export_user_csv,
                                    repair_rank, solve_optimal, verify_duality)
 from softcell.evaluation import evaluate
 from softcell.exceptions import (InfeasibleProblemError, InvalidInputError,
-                                 RzfInfeasibleError)
+                                 NumericalFailureError, RzfInfeasibleError)
 from softcell.power import HardwareProfile, static_power
 from softcell.rzf import rzf_solve
 from softcell.scenario import ScenarioConfig, realize_scenario
@@ -134,6 +134,15 @@ def test_unreachable_target_raises_with_certificate():
     with pytest.raises(InfeasibleProblemError) as exc:
         solve_optimal(prob)
     assert exc.value.certificate is not None
+
+
+def test_a_beam_over_a_per_antenna_cap_is_refused():
+    # Antenna 1 of transmitter 1 emits 2 mW through a 1 mW cap.
+    hw = HardwareProfile(rho=(2.0, 2.0), eta=(0.0, 0.0), per_antenna_limit=(1e6, 1.0))
+    prob = rand_instance(np.random.default_rng(12), 1, [2, 2], (0.0,), hw=hw)
+    w = [[np.zeros(2, dtype=complex), np.array([0.5, np.sqrt(2.0)], dtype=complex)]]
+    with pytest.raises(NumericalFailureError, match="cap of antenna 1 at transmitter 1"):
+        _finish(w, prob)
 
 
 # ---------------------------------------------------------------------------
