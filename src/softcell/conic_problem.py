@@ -105,45 +105,3 @@ class ConicProblem:
     def num_constraints(self) -> int:
         return len(self.constraints)
 
-
-def dump_problem(problem: ConicProblem) -> str:
-    """Serialize a problem to a plain-text triplet format for external cross-checks.
-
-    Grammar (one record per line, whitespace separated)::
-
-        conicproblem 1
-        block <index> {nonneg_scalar|psd_matrix} <dim>
-        objective
-        s <block> <pos> <value>            # scalar-block entry
-        m <block> <row> <col> <re> <im>    # upper-triangle Hermitian entry
-        constraint <index> {<=|>=|==} <rhs> [<name>]
-        s/m triplets as above
-
-    Matrix entries are emitted for row <= col only; the conjugate transpose
-    entry is implied.
-    """
-    lines = ["conicproblem 1"]
-    for i, blk in enumerate(problem.blocks):
-        lines.append(f"block {i} {blk.kind} {blk.dim}")
-
-    def emit(coeffs: dict[int, np.ndarray]) -> None:
-        for b in sorted(coeffs):
-            entry = coeffs[b]
-            if problem.blocks[b].kind == NONNEG:
-                for pos, val in enumerate(entry):
-                    if val != 0.0:
-                        lines.append(f"s {b} {pos} {float(val)!r}")
-            else:
-                for r in range(entry.shape[0]):
-                    for c in range(r, entry.shape[1]):
-                        val = entry[r, c]
-                        if val != 0.0:
-                            lines.append(f"m {b} {r} {c} {float(val.real)!r} {float(val.imag)!r}")
-
-    lines.append("objective")
-    emit(problem.objective)
-    for i, con in enumerate(problem.constraints):
-        tail = f" {con.name}" if con.name else ""
-        lines.append(f"constraint {i} {con.sense} {con.rhs!r}{tail}")
-        emit(con.coeffs)
-    return "\n".join(lines) + "\n"

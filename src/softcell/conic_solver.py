@@ -25,18 +25,18 @@ does not meet the bounds is never returned as optimal.
 
 Design targets: dense block sizes up to a few hundred, residuals certified per
 row relative to the summed coefficient magnitudes, determinism for a fixed
-(problem, options) pair.
+problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as la
 
-from .conic_problem import NONNEG, PSD, ConicProblem
+from .conic_problem import NONNEG, ConicProblem
 from .exceptions import InvalidInputError, StateError
 
 SQRT2 = np.sqrt(2.0)
@@ -53,6 +53,7 @@ TOL_FEAS = 1e-9         # target primal/dual residual on scaled data
 TOL_GAP = 1e-8          # target relative complementarity gap
 TOL_INFEAS = 1e-9       # certificate quality for infeasible/unbounded
 STEP_FRACTION = 0.99    # fraction-to-boundary
+MAX_ITERS = 200         # a solve that reaches it ends as a numerical failure
 
 # End-game of the interior-point loop (see the module docstring): refinement
 # starts after the first step shorter than _ENDGAME_STEP and makes up to
@@ -68,13 +69,6 @@ UNBOUNDED = "unbounded"
 NUMERICAL_FAILURE = "numerical_failure"
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    max_iters: int = 200
-    start_perturbation: float = 0.0  # relative perturbation of the unit start
-    track_progress: bool = False    # record per-iteration objective/residual trace
-
-
 @dataclass
 class ConicSolution:
     status: str
@@ -86,9 +80,8 @@ class ConicSolution:
     residual_primal: float          # on unit-scaled data
     residual_dual: float
     residual_gap: float             # relative
-    constraint_values: np.ndarray | None = None  # lhs of each constraint at the solution
-    message: str = ""
-    trace: list = field(default_factory=list)
+    message: str
+    trace: list                     # per-iteration objectives and residuals
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +192,14 @@ def _standard_form(problem: ConicProblem) -> _StandardForm:
     row_scale = np.ones(m)
     nn_arr = np.asarray(nn_idx, dtype=int)
     for _ in range(6):
-        if m and nn_arr.size:
+        if nn_arr.size:
             nb = np.abs(A[:, nn_arr]).max(axis=0)
             d = np.where(nb > 0, 1.0 / np.sqrt(np.where(nb > 0, nb, 1.0)), 1.0)
             A[:, nn_arr] *= d
             col_scale[nn_arr] *= d
         for off, dim in psd_blocks:
             sl = slice(off, off + dim * dim)
-            nb = np.abs(A[:, sl]).max() if m else 0.0
+            nb = np.abs(A[:, sl]).max()
             if nb > 0:
                 d = 1.0 / np.sqrt(nb)
                 A[:, sl] *= d
@@ -219,7 +212,7 @@ def _standard_form(problem: ConicProblem) -> _StandardForm:
                 b[i] *= d
                 row_scale[i] *= d
     c = c * col_scale
-    obj_scale = max(1.0, np.abs(c).max() if n else 1.0)
+    obj_scale = max(1.0, np.abs(c).max())
     c = c / obj_scale
 
     nu = len(nn_idx) + sum(d for _, d in psd_blocks)
@@ -321,7 +314,7 @@ class _NormalEquations:
         M = A @ HAT
         M = 0.5 * (M + M.T)
         self.M = M
-        base = max(np.trace(M) / max(M.shape[0], 1), 1e-300)
+        base = max(np.trace(M) / M.shape[0], 1e-300)
         self.fac = None
         for reg in (0.0, 1e-14, 1e-11, 1e-8):
             try:
@@ -342,7 +335,7 @@ class _NormalEquations:
         return u
 
 
-def _ip_hsd(sf: _StandardForm, opts: SolverOptions):
+def _ip_hsd(sf: _StandardForm):
     A, b, c = sf.A, sf.b, sf.c
     m, n = A.shape
 
@@ -357,19 +350,6 @@ def _ip_hsd(sf: _StandardForm, opts: SolverOptions):
         z[sl] = ident
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
-    if opts.start_perturbation > 0:
-        rng = np.random.default_rng(0xC0FFEE)
-        p = opts.start_perturbation
-
-        def bump():
-            return 1.0 + p * rng.uniform(0.0, 1.0)
-
-        x[sf.nn_idx] *= rng.uniform(1.0, 1.0 + p, size=len(sf.nn_idx))
-        z[sf.nn_idx] *= rng.uniform(1.0, 1.0 + p, size=len(sf.nn_idx))
-        for off, d in sf.psd_blocks:
-            x[off:off + d] *= rng.uniform(1.0, 1.0 + p, size=d)
-            z[off:off + d] *= rng.uniform(1.0, 1.0 + p, size=d)
-        tau, kappa = bump(), bump()
 
     trace = []
     status, message = NUMERICAL_FAILURE, "iteration limit reached"
@@ -389,16 +369,13 @@ def _ip_hsd(sf: _StandardForm, opts: SolverOptions):
     babs, cabs = np.abs(b), np.abs(c)
 
     def _relres(r, den):
-        floor = max(1e-5 * den.max(), 1e-300) if den.size else 1e-300
+        floor = max(1e-5 * den.max(), 1e-300)
         return float((np.abs(r) / np.maximum(den, floor)).max())
 
     def indicators():
-        if m:
-            rp = A @ x - b * tau
-            den_p = Aabs @ np.abs(x) + babs * tau
-            pres = _relres(rp, den_p)
-        else:
-            pres = 0.0
+        rp = A @ x - b * tau
+        den_p = Aabs @ np.abs(x) + babs * tau
+        pres = _relres(rp, den_p)
         rd = A.T @ y + z - c * tau
         den_d = Aabs.T @ np.abs(y) + np.abs(z) + cabs * tau
         dres = _relres(rd, den_d)
@@ -408,14 +385,13 @@ def _ip_hsd(sf: _StandardForm, opts: SolverOptions):
         relgap = max(cgap, abs(pobj - dobj)) / max(1.0, abs(pobj), abs(dobj))
         return pres, dres, relgap, pobj, dobj, cgap
 
-    for it in range(opts.max_iters + 1):
+    for it in range(MAX_ITERS + 1):
         mu = (x @ z + tau * kappa) / (sf.nu + 1)
         pres, dres, relgap, pobj, dobj, cgap = indicators()
-        if opts.track_progress:
-            trace.append({"iter": it, "pres": pres, "dres": dres, "relgap": relgap,
-                          "pobj": pobj, "dobj": dobj, "cgap": cgap, "tau": tau,
-                          "kappa": kappa, "mu": mu,
-                          "x_norm1": np.abs(x).sum() / tau, "y_norm1": np.abs(y).sum() / tau})
+        trace.append({"iter": it, "pres": pres, "dres": dres, "relgap": relgap,
+                      "pobj": pobj, "dobj": dobj, "cgap": cgap, "tau": tau,
+                      "kappa": kappa, "mu": mu,
+                      "x_norm1": np.abs(x).sum() / tau, "y_norm1": np.abs(y).sum() / tau})
         if best is None or max(pres, dres, relgap) < best[0]:
             best = (max(pres, dres, relgap), pres, dres, relgap,
                     x.copy(), y.copy(), z.copy(), tau, kappa)
@@ -437,9 +413,13 @@ def _ip_hsd(sf: _StandardForm, opts: SolverOptions):
         def ray_certificate(quality):
             if bty > 0 and np.abs(A.T @ y + z).max() <= quality * bty:
                 return INFEASIBLE, "dual improving ray found"
-            if ctx < 0 and np.abs(A @ x).max() <= quality * (-ctx) and m:
+            if ctx < 0 and np.abs(A @ x).max() <= quality * (-ctx):
                 return UNBOUNDED, "primal improving ray found"
             return None
+
+        def failure(reason):
+            # A ray of reasonable quality still certifies; otherwise give up.
+            return ray_certificate(1e-6) or (NUMERICAL_FAILURE, reason)
 
         cert = ray_certificate(TOL_INFEAS)
         if cert:
@@ -451,10 +431,9 @@ def _ip_hsd(sf: _StandardForm, opts: SolverOptions):
             # numerical artifact and must not be reported as a certificate.
             # The threshold is a last-resort failsafe: tiny but stable tau is
             # handled fine by the relative residual measures above.
-            cert = ray_certificate(1e-6)
-            status, message = cert or (NUMERICAL_FAILURE, "tau collapsed without a certificate")
+            status, message = failure("tau collapsed without a certificate")
             break
-        if it == opts.max_iters:
+        if it == MAX_ITERS:
             break
         if (best[1] <= CERT_FEAS and best[2] <= CERT_FEAS and best[3] <= CERT_GAP
                 and len(best_history) > _STALL_WINDOW
@@ -474,13 +453,12 @@ def _ip_hsd(sf: _StandardForm, opts: SolverOptions):
             HAT = sc.apply_H_rows(A)            # rows: H applied to each a_i
             neq = _NormalEquations(A, HAT.T)
             Hc = sc.apply_H(c)
-            y1 = neq.solve(b + A @ Hc) if m else np.zeros(0)
+            y1 = neq.solve(b + A @ Hc)
         except (la.LinAlgError, ValueError):
-            cert = ray_certificate(1e-6)
-            status, message = cert or (NUMERICAL_FAILURE, "singular normal equations")
+            status, message = failure("singular normal equations")
             break
-        x1 = (HAT.T @ y1 if m else 0.0) - Hc
-        denom_tau = (b @ y1 if m else 0.0) - c @ x1 + kappa / tau
+        x1 = HAT.T @ y1 - Hc
+        denom_tau = b @ y1 - c @ x1 + kappa / tau
         if abs(denom_tau) < 1e-300 or not np.isfinite(denom_tau):
             status, message = NUMERICAL_FAILURE, "degenerate tau step"
             break
@@ -490,12 +468,12 @@ def _ip_hsd(sf: _StandardForm, opts: SolverOptions):
             A dx - b dtau = p,  A'dy + dz - c dtau = d,  b'dy - c'dx - dkappa = g,
             dx + H dz = v,  kappa dtau + tau dkappa = t."""
             Hd = sc.apply_H(d)
-            y0 = neq.solve(p - A @ (v - Hd)) if m else np.zeros(0)
-            x0 = (HAT.T @ y0 if m else 0.0) + v - Hd
-            dtau = (g + c @ x0 - (b @ y0 if m else 0.0) + t / tau) / denom_tau
+            y0 = neq.solve(p - A @ (v - Hd))
+            x0 = HAT.T @ y0 + v - Hd
+            dtau = (g + c @ x0 - b @ y0 + t / tau) / denom_tau
             dx = x0 + dtau * x1
             dy = y0 + dtau * y1
-            dz = d + c * dtau - (A.T @ dy if m else 0.0)
+            dz = d + c * dtau - A.T @ dy
             dkappa = (t - kappa * dtau) / tau
             return dx, dy, dz, dtau, dkappa
 
@@ -547,8 +525,7 @@ def _ip_hsd(sf: _StandardForm, opts: SolverOptions):
         # Predictor (affine scaling).
         pred = direction(0.0, -x, -tau * kappa)
         if pred is None:
-            cert = ray_certificate(1e-6)
-            status, message = cert or (NUMERICAL_FAILURE, "non-finite search direction")
+            status, message = failure("non-finite search direction")
             break
         dxa, dya, dza, dtaua, dkappaa = pred
         Dxa = sc.scaled_steps(dxa, "x")
@@ -569,14 +546,12 @@ def _ip_hsd(sf: _StandardForm, opts: SolverOptions):
             v[sl] = svec(G @ R @ G.conj().T)
         t_rhs = sigma * mu - tau * kappa - dtaua * dkappaa
         if not (np.isfinite(v).all() and np.isfinite(t_rhs)):
-            cert = ray_certificate(1e-6)
-            status, message = cert or (NUMERICAL_FAILURE, "non-finite search direction")
+            status, message = failure("non-finite search direction")
             break
 
         full = direction(sigma, v, t_rhs)
         if full is None:
-            cert = ray_certificate(1e-6)
-            status, message = cert or (NUMERICAL_FAILURE, "non-finite search direction")
+            status, message = failure("non-finite search direction")
             break
         dx, dy, dz, dtau, dkappa = full
         Dx = sc.scaled_steps(dx, "x")
@@ -610,7 +585,7 @@ def _ip_hsd(sf: _StandardForm, opts: SolverOptions):
 # Public interface
 # ---------------------------------------------------------------------------
 
-def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicSolution:
+def solve(problem: ConicProblem) -> ConicSolution:
     """Solve a ConicProblem; the returned status is always certified.
 
     status=optimal guarantees primal/dual residuals <= 1e-8 measured per row
@@ -618,18 +593,16 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
     infeasible/unbounded come with improving-ray certificates; anything else
     is numerical_failure with residuals attached.
     """
-    opts = options or SolverOptions()
     if not problem.blocks:
         raise InvalidInputError("problem has no variable blocks")
+    if not problem.constraints:
+        raise InvalidInputError("problem has no constraints")
     sf = _standard_form(problem)
-
-    if sf.A.shape[0] == 0:
-        return _solve_unconstrained(problem, sf, opts)
 
     # Divergent iterates on infeasible or unbounded data may overflow before a
     # certificate is extracted; the finite guards inside handle that case.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        status, message, x, y, z, tau, kappa, iters, res, trace = _ip_hsd(sf, opts)
+        status, message, x, y, z, tau, kappa, iters, res, trace = _ip_hsd(sf)
     pres, dres, relgap = res
 
     if status == OPTIMAL:
@@ -641,40 +614,22 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
         for blk, sl in zip(problem.blocks, sf.block_slices):
             block_values.append(xhat[sl].copy() if blk.kind == NONNEG else smat(xhat[sl], blk.dim))
         duals = _signed_duals(yhat, sf.senses)
-        lhs = _constraint_values(problem, block_values)
-        pobj = _objective_value(problem, block_values)
+        pobj = _functional(problem, problem.objective, block_values)
         # b'y of the internal standard form equals the Lagrangian dual value of
         # the original mixed-sense problem.
         dobj = sf.obj_scale * float(sf.b @ (y / tau))
         return ConicSolution(OPTIMAL, block_values, duals, pobj, dobj, iters,
-                             pres, dres, relgap, lhs, message, trace)
+                             pres, dres, relgap, message, trace)
 
     if status in (INFEASIBLE, UNBOUNDED):
         yhat = y * sf.obj_scale * sf.row_scale
-        scale = np.abs(yhat).max() if status == INFEASIBLE and yhat.size else 1.0
+        scale = np.abs(yhat).max() if status == INFEASIBLE else 1.0
         duals = _signed_duals(yhat / max(scale, 1e-300), sf.senses)
         return ConicSolution(status, None, duals, np.nan, np.nan, iters,
-                             pres, dres, relgap, None, message, trace)
+                             pres, dres, relgap, message, trace)
 
     return ConicSolution(NUMERICAL_FAILURE, None, None, np.nan, np.nan, iters,
-                         pres, dres, relgap, None, message, trace)
-
-
-def _solve_unconstrained(problem: ConicProblem, sf: _StandardForm, opts: SolverOptions) -> ConicSolution:
-    """No constraints: the optimum is x = 0 iff the objective lies in the dual cone."""
-    for bidx, entry in problem.objective.items():
-        blk = problem.blocks[bidx]
-        if blk.kind == NONNEG:
-            if np.any(entry < 0):
-                return ConicSolution(UNBOUNDED, None, None, np.nan, np.nan, 0, 0.0, 0.0, 0.0,
-                                     None, "negative objective on an unconstrained cone")
-        elif np.linalg.eigvalsh(entry)[0] < 0:
-            return ConicSolution(UNBOUNDED, None, None, np.nan, np.nan, 0, 0.0, 0.0, 0.0,
-                                 None, "indefinite objective on an unconstrained cone")
-    block_values = [np.zeros(b.dim) if b.kind == NONNEG else np.zeros((b.dim, b.dim), dtype=complex)
-                    for b in problem.blocks]
-    return ConicSolution(OPTIMAL, block_values, np.zeros(0), 0.0, 0.0, 0,
-                         0.0, 0.0, 0.0, np.zeros(0), "")
+                         pres, dres, relgap, message, trace)
 
 
 def _signed_duals(yhat: np.ndarray, senses: list) -> np.ndarray:
@@ -688,17 +643,6 @@ def _signed_duals(yhat: np.ndarray, senses: list) -> np.ndarray:
     for i, sense in enumerate(senses):
         duals[i] = yhat[i] if sense == "==" else -yhat[i]
     return duals
-
-
-def _constraint_values(problem: ConicProblem, block_values: list) -> np.ndarray:
-    lhs = np.zeros(len(problem.constraints))
-    for i, con in enumerate(problem.constraints):
-        lhs[i] = _functional(problem, con.coeffs, block_values)
-    return lhs
-
-
-def _objective_value(problem: ConicProblem, block_values: list) -> float:
-    return _functional(problem, problem.objective, block_values)
 
 
 def _functional(problem: ConicProblem, coeffs: dict, block_values: list) -> float:

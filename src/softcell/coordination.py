@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
 from . import conic_solver as cs
 from .conic_problem import PSD, Block, ConicProblem
@@ -93,13 +92,12 @@ class BeamformingSolution:
 
 @dataclass
 class DualCertificate:
-    """QoS multipliers lambda_k, per-antenna multipliers mu[j][l], and the
-    uplink-duality matrices A_k / B_k on the stacked per-user direction space."""
+    """QoS multipliers lambda_k and per-antenna multipliers mu[j][l].  The
+    uplink-duality matrices A_k / B_k they define are block-diagonal per
+    transmitter; verify_duality forms their quadratic forms block by block."""
 
     lam: np.ndarray                 # (K,)
     mu: list                        # mu[j]: array over antennas of transmitter j
-    A: list                         # A[k] block-diagonal, or None for excluded users
-    B: list
 
 
 @dataclass
@@ -266,8 +264,7 @@ def _replace_block(Wkj: np.ndarray, k: int, j: int, users: set, ch: ChannelSet) 
     return _dominant_rank_one(tr * sol.block_values[0])
 
 
-def solve_optimal(problem: CoordinationProblem,
-                  options: cs.SolverOptions | None = None) -> tuple[BeamformingSolution, DualCertificate]:
+def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, DualCertificate]:
     """Exact minimum-power coordination with dual certificates.
 
     Raises InfeasibleProblemError when the relaxation (hence the original
@@ -280,12 +277,11 @@ def solve_optimal(problem: CoordinationProblem,
 
     if not users:
         w = [[np.zeros(ch.antennas(j), dtype=complex) for j in range(T)] for _ in range(K)]
-        cert = DualCertificate(np.zeros(K), [np.zeros(ch.antennas(j)) for j in range(T)],
-                               [None] * K, [None] * K)
+        cert = DualCertificate(np.zeros(K), [np.zeros(ch.antennas(j)) for j in range(T)])
         return _finish(w, problem), cert
 
     relax = build_relaxation(problem)
-    conic_sol = cs.solve(relax.conic, options)
+    conic_sol = cs.solve(relax.conic)
     if conic_sol.status == cs.INFEASIBLE:
         raise InfeasibleProblemError(
             "QoS targets unattainable under the power constraints (exact relaxation infeasible)",
@@ -313,9 +309,7 @@ def solve_optimal(problem: CoordinationProblem,
     mu = [np.zeros(ch.antennas(j)) for j in range(T)]
     for (j, l), row in relax.power_row.items():
         mu[j][l] = max(cs.extract_duals(conic_sol, row), 0.0)
-    A = [_duality_A(problem, k) if k in set(users) else None for k in range(K)]
-    B = [_duality_B(problem, k, lam, mu, A) if k in set(users) else None for k in range(K)]
-    return solution, DualCertificate(lam, mu, A, B)
+    return solution, DualCertificate(lam, mu)
 
 
 def _finish(w: list, problem: CoordinationProblem, **meta) -> BeamformingSolution:
@@ -345,32 +339,6 @@ def _verify_feasible(solution: BeamformingSolution, problem: CoordinationProblem
                 {"used": slack.used_mw, "limit": slack.limit_mw})
 
 
-def _duality_A(problem: CoordinationProblem, k: int) -> np.ndarray:
-    """A_k = (1/sigma_k^2) blockdiag_j (1/rho_j) h_{k,j} h_{k,j}^H."""
-    ch, hw = problem.channels, problem.hw
-    txs = problem.active_transmitters()
-    mats = [np.outer(ch.h[k][j], ch.h[k][j].conj()) / hw.rho[j] for j in txs]
-    return la.block_diag(*mats) / float(ch.sigma2[k])
-
-
-def _duality_B(problem: CoordinationProblem, k: int, lam: np.ndarray, mu: list,
-               A: list) -> np.ndarray:
-    """B_k = sum_{i != k} lambda_i A_i + sum_{j,l} mu_{j,l} Q~_{j,l} + I."""
-    ch, hw = problem.channels, problem.hw
-    txs = problem.active_transmitters()
-    dim = sum(ch.antennas(j) for j in txs)
-    B = np.eye(dim, dtype=complex)
-    for i in problem.qos_users():
-        if i != k:
-            B += lam[i] * A[i]
-    off = 0
-    for j in txs:
-        n = ch.antennas(j)
-        B[off:off + n, off:off + n] += np.diag(mu[j] / hw.rho[j])
-        off += n
-    return B
-
-
 @dataclass
 class DualityReport:
     residual: np.ndarray            # per-user relative residual (nan if skipped)
@@ -385,26 +353,32 @@ def verify_duality(solution: BeamformingSolution, certificate: DualCertificate,
                    problem: CoordinationProblem) -> DualityReport:
     """Check the uplink-downlink duality: for every actively served QoS user,
     lambda_k (u_k^H A_k u_k) / (u_k^H B_k u_k) must equal the SINR target,
-    where u_k stacks sqrt(rho_j) w_{k,j} and is normalized."""
+    where u_k stacks u_{k,j} = sqrt(rho_j) w_{k,j} over the transmitters and
+
+        A_i = (1/sigma_i^2) blockdiag_j (1/rho_j) h_{i,j} h_{i,j}^H,
+        B_k = I + sum_{i != k} lambda_i A_i + blockdiag_j diag(mu_j / rho_j).
+
+    Both are block-diagonal per transmitter, so with u unnormalized
+    u^H A_i u = sum_j |h_{i,j}^H w_{k,j}|^2 / sigma_i^2 and the cap term of
+    u^H B_k u is sum_{j,l} mu_{j,l} |w_{k,j}[l]|^2."""
     if certificate is None:
         raise InvalidInputError("verify_duality requires a dual certificate")
     ch, hw = problem.channels, problem.hw
-    gt = problem.gtilde
-    txs = problem.active_transmitters()
+    gt, lam, mu = problem.gtilde, certificate.lam, certificate.mu
+    users, txs = problem.qos_users(), problem.active_transmitters()
     residual = np.full(ch.num_users, np.nan)
     skipped = []
     for k in range(ch.num_users):
-        if problem.gamma[k] <= 0 or certificate.A[k] is None:
+        w = solution.w[k]
+        uu = sum(hw.rho[j] * np.vdot(w[j], w[j]).real for j in txs)
+        if problem.gamma[k] <= 0 or uu <= 0:
             skipped.append(k)
             continue
-        u = np.concatenate([np.sqrt(hw.rho[j]) * solution.w[k][j] for j in txs])
-        norm = np.linalg.norm(u)
-        if norm <= 0:
-            skipped.append(k)
-            continue
-        u = u / norm
-        up = certificate.lam[k] * np.real(u.conj() @ certificate.A[k] @ u) \
-            / np.real(u.conj() @ certificate.B[k] @ u)
+        uAu = {i: sum(abs(np.vdot(ch.h[i][j], w[j])) ** 2 for j in txs) / float(ch.sigma2[i])
+               for i in users}
+        uBu = (uu + sum(lam[i] * uAu[i] for i in users if i != k)
+               + sum(mu[j] @ np.abs(w[j]) ** 2 for j in txs))
+        up = lam[k] * uAu[k] / uBu
         residual[k] = abs(up - gt[k]) / gt[k]
     finite = residual[np.isfinite(residual)]
     return DualityReport(residual, float(finite.max()) if finite.size else 0.0, tuple(skipped))
@@ -419,15 +393,15 @@ def serving_case(serving: tuple) -> str:
     return BS_ONLY if serving[0] == 0 else SINGLE_SCA
 
 
-def classify_assignment(solution: BeamformingSolution, certificate: DualCertificate | None,
-                        hw: HardwareProfile, tol: float = 1e-6) -> AssignmentReport:
+def classify_assignment(solution: BeamformingSolution, hw: HardwareProfile) -> AssignmentReport:
     """Per-user serving case with the active power constraints licensing multiflow.
 
-    A multiflow user without any active constraint at a serving transmitter is
+    A cap is active within check_power_constraints' default tolerance.  A
+    multiflow user without any active constraint at a serving transmitter is
     reported as a consistency diagnostic (it signals solver inaccuracy or an
     eigenvalue-multiplicity corner), never as an error.
     """
-    slacks = check_power_constraints(solution, hw, tol=tol)
+    slacks = check_power_constraints(solution, hw)
     active = {(s.transmitter, s.antenna) for s in slacks if s.active or s.violated}
     assignments, diagnostics = [], []
     for k, serving in enumerate(solution.serving):

@@ -101,10 +101,9 @@ class ScenarioConfig:
 
 @dataclass
 class ChannelSet:
-    """One realization: channel vectors, their covariances, noise and geometry."""
+    """One realization: channel vectors, noise and geometry."""
 
     h: list            # h[k][j], complex vector of length antennas(j)
-    R: list            # R[k][j], Hermitian PSD covariance of h[k][j]
     sigma2: np.ndarray  # per-user noise power, mW
     user_positions: np.ndarray  # (K, 2) km
 
@@ -238,7 +237,7 @@ def draw_channels(config: ScenarioConfig, R: list, positions: np.ndarray,
             row.append(root @ z)
         h.append(row)
     sigma2 = np.full(K, config.noise_variance_mw)
-    return ChannelSet(h=h, R=R, sigma2=sigma2, user_positions=np.asarray(positions))
+    return ChannelSet(h=h, sigma2=sigma2, user_positions=np.asarray(positions))
 
 
 def realize_scenario(config: ScenarioConfig, trial: int = 0) -> ChannelSet:

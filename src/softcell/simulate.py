@@ -126,8 +126,8 @@ def run_trial(base: ScenarioConfig, axis: str, value, algorithm: str, trial: int
             solution = rzf_solve(problem)
             cases = [serving_case(s) for s in solution.serving]
         else:
-            solution, certificate = solve_optimal(problem)
-            report = classify_assignment(solution, certificate, cfg.hardware)
+            solution, _ = solve_optimal(problem)
+            report = classify_assignment(solution, cfg.hardware)
             cases = [a.case for a in report.assignments]
     except InfeasibleProblemError:
         status, solution = "infeasible", None

@@ -10,9 +10,8 @@ from softcell.scenario import ChannelSet
 def make_channels(h_rows, sigma2):
     """ChannelSet from explicit per-(user, transmitter) channel vectors."""
     h = [[np.asarray(v, dtype=complex) for v in row] for row in h_rows]
-    R = [[np.outer(v, v.conj()) for v in row] for row in h]
     K = len(h)
-    return ChannelSet(h=h, R=R, sigma2=np.asarray(sigma2, dtype=float),
+    return ChannelSet(h=h, sigma2=np.asarray(sigma2, dtype=float),
                       user_positions=np.zeros((K, 2)))
 
 

@@ -6,9 +6,10 @@ import pytest
 from conftest import loose_hardware, make_channels
 from softcell import conic_solver as cs
 from softcell.coordination import (BS_ONLY, MULTIFLOW, SINGLE_SCA,
-                                   CoordinationProblem, _finish, build_relaxation,
-                                   classify_assignment, export_user_csv,
-                                   repair_rank, solve_optimal, verify_duality)
+                                   CoordinationProblem, DualCertificate, _finish,
+                                   build_relaxation, classify_assignment,
+                                   export_user_csv, repair_rank, solve_optimal,
+                                   verify_duality)
 from softcell.evaluation import evaluate
 from softcell.exceptions import (InfeasibleProblemError, InvalidInputError,
                                  NumericalFailureError, RzfInfeasibleError)
@@ -227,8 +228,8 @@ def test_solutions_are_rank_one_and_objective_preserving():
 
 def test_lone_macro_user_is_bs_only(single_user_unit_channel):
     prob = CoordinationProblem(single_user_unit_channel, loose_hardware(1), (2.0,))
-    sol, cert = solve_optimal(prob)
-    report = classify_assignment(sol, cert, prob.hw)
+    sol, _ = solve_optimal(prob)
+    report = classify_assignment(sol, prob.hw)
     assert report.assignments[0].case == BS_ONLY
     assert report.count(BS_ONLY) == 1
     assert not report.diagnostics
@@ -239,9 +240,9 @@ def test_hotspot_user_prefers_its_small_cell():
     strong_sca = np.array([1.0, 1.0j])
     ch = make_channels([[weak_bs, strong_sca]], [1.0])
     prob = CoordinationProblem(ch, loose_hardware(2), (1.0,))
-    sol, cert = solve_optimal(prob)
+    sol, _ = solve_optimal(prob)
     assert sol.serving[0] == (1,)
-    report = classify_assignment(sol, cert, prob.hw)
+    report = classify_assignment(sol, prob.hw)
     assert report.assignments[0].case == SINGLE_SCA
 
 
@@ -252,20 +253,20 @@ def test_multiflow_requires_an_active_cap_and_vanishes_without_it():
     ch = make_channels([[np.array([1.0 + 0j]), np.array([1.0 + 0j])]], [1.0])
     tight = HardwareProfile(rho=(2.0, 4.0), eta=(0.0, 0.0), per_antenna_limit=(2.0, 50.0))
     prob = CoordinationProblem(ch, tight, (2.0,))
-    sol, cert = solve_optimal(prob)
+    sol, _ = solve_optimal(prob)
     assert sol.serving[0] == (0, 1)
     assert sol.p[0, 0] == pytest.approx(2.0, rel=1e-5)
     assert sol.p[0, 1] == pytest.approx(1.0, rel=1e-5)
-    report = classify_assignment(sol, cert, prob.hw)
+    report = classify_assignment(sol, prob.hw)
     assert report.assignments[0].case == MULTIFLOW
     assert (0, 0) in report.assignments[0].licensed_by
     assert not report.diagnostics
 
     # With the cap lifted the split disappears in favour of the cheap link.
     loose = HardwareProfile(rho=(2.0, 4.0), eta=(0.0, 0.0), per_antenna_limit=(200.0, 5000.0))
-    sol2, cert2 = solve_optimal(CoordinationProblem(ch, loose, (2.0,)))
+    sol2, _ = solve_optimal(CoordinationProblem(ch, loose, (2.0,)))
     assert sol2.serving[0] == (0,)
-    report2 = classify_assignment(sol2, cert2, loose)
+    report2 = classify_assignment(sol2, loose)
     assert report2.count(MULTIFLOW) == 0
 
 
@@ -307,6 +308,28 @@ def test_duality_identity_on_random_instances():
         sol, cert = solve_optimal(prob)
         report = verify_duality(sol, cert, prob)
         assert report.max_residual <= 1e-4
+
+
+def test_duality_check_flags_a_wrong_certificate():
+    rng = np.random.default_rng(9)
+    prob = rand_instance(rng, 2, [3, 2], (1.5, 1.0))
+    sol, cert = solve_optimal(prob)
+    assert verify_duality(sol, cert, prob).max_residual <= 1e-4
+    for k in range(2):
+        lam = cert.lam.copy()
+        lam[k] *= 2.0
+        report = verify_duality(sol, DualCertificate(lam, cert.mu), prob)
+        assert report.residual[k] > 1e-4
+
+    # A binding cap: doubling its multiplier must show too.
+    ch = make_channels([[np.array([1.0 + 0j]), np.array([1.0 + 0j])]], [1.0])
+    tight = HardwareProfile(rho=(2.0, 4.0), eta=(0.0, 0.0), per_antenna_limit=(2.0, 50.0))
+    prob = CoordinationProblem(ch, tight, (2.0,))
+    sol, cert = solve_optimal(prob)
+    assert cert.mu[0][0] > 0
+    assert verify_duality(sol, cert, prob).max_residual <= 1e-4
+    mu = [2.0 * m for m in cert.mu]
+    assert verify_duality(sol, DualCertificate(cert.lam, mu), prob).max_residual > 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +374,8 @@ def test_stall_without_a_certified_iterate_is_a_numerical_failure(monkeypatch):
     # Bounds no iterate can meet: the stall exit must not fire, and the solve
     # runs into its iteration limit instead of returning an optimum.
     monkeypatch.setattr(cs, "CERT_FEAS", 1e-15)
-    sol = cs.solve(_pool_relaxation(*STALLING_POOL_INSTANCES[0]),
-                   cs.SolverOptions(max_iters=40))
+    monkeypatch.setattr(cs, "MAX_ITERS", 40)
+    sol = cs.solve(_pool_relaxation(*STALLING_POOL_INSTANCES[0]))
     assert sol.status == cs.NUMERICAL_FAILURE
     assert "iteration limit" in sol.message
     assert sol.block_values is None
@@ -365,9 +388,9 @@ def test_stall_without_a_certified_iterate_is_a_numerical_failure(monkeypatch):
 def test_user_csv_lists_every_served_link():
     rng = np.random.default_rng(10)
     prob = rand_instance(rng, 2, [2, 2], (1.0, 0.0))
-    sol, cert = solve_optimal(prob)
+    sol, _ = solve_optimal(prob)
     report = evaluate(sol, prob.channels, prob.hw, prob.gamma)
-    assignments = classify_assignment(sol, cert, prob.hw)
+    assignments = classify_assignment(sol, prob.hw)
     text = export_user_csv(sol, report, assignments)
     lines = text.strip().split("\n")
     assert lines[0] == "user,transmitter,emitted_mw,sinr,case"
