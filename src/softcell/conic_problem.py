@@ -4,14 +4,15 @@ A :class:`ConicProblem` is the standard form shared by every optimization in
 this package:
 
     minimize    sum_B <c_B, x_B>
-    subject to  sum_B <a_B, x_B>  (<= | >= | ==)  rhs,   per constraint
+    subject to  sum_B <a_B, x_B>  (<= | >=)  rhs,   per constraint
                 x_B in K_B for every block B
 
 where each block is either a vector of nonnegative scalars or a complex
 Hermitian positive-semidefinite matrix, and <., .> is the real dot product
 for scalar blocks and the trace inner product Re tr(A^H X) for matrix blocks.
 Coefficients on PSD blocks must be Hermitian, which keeps the inner product
-real-valued.
+real-valued.  Coefficients are stored as given, not copied, so one array may
+serve several blocks or rows; the caller must not modify it afterwards.
 """
 
 from __future__ import annotations
@@ -53,9 +54,8 @@ class LinearConstraint:
     """One scalar constraint: sum over blocks of <coeff_B, x_B>  sense  rhs."""
 
     coeffs: dict[int, np.ndarray]
-    sense: str  # "<=", ">=" or "=="
+    sense: str  # "<=" or ">="
     rhs: float
-    name: str = ""
 
 
 @dataclass
@@ -67,20 +67,14 @@ class ConicProblem:
     def set_objective(self, coeffs: dict[int, np.ndarray]) -> None:
         self.objective = {b: self._check_coeff(b, m, "objective") for b, m in coeffs.items()}
 
-    def add_constraint(
-        self,
-        coeffs: dict[int, np.ndarray],
-        sense: str,
-        rhs: float,
-        name: str = "",
-    ) -> int:
+    def add_constraint(self, coeffs: dict[int, np.ndarray], sense: str, rhs: float) -> int:
         """Append a constraint and return its index."""
-        if sense not in ("<=", ">=", "=="):
+        if sense not in ("<=", ">="):
             raise InvalidInputError(f"unknown constraint sense {sense!r}")
         if not np.isfinite(rhs):
             raise InvalidInputError("constraint right-hand side must be finite")
         clean = {b: self._check_coeff(b, m, f"constraint {len(self.constraints)}") for b, m in coeffs.items()}
-        self.constraints.append(LinearConstraint(clean, sense, float(rhs), name))
+        self.constraints.append(LinearConstraint(clean, sense, float(rhs)))
         return len(self.constraints) - 1
 
     def _check_coeff(self, block_index: int, coeff, context: str) -> np.ndarray:
@@ -95,10 +89,12 @@ class ConicProblem:
         mat = np.asarray(coeff, dtype=complex)
         if mat.shape != (blk.dim, blk.dim):
             raise InvalidInputError(f"{context}: expected {blk.dim}x{blk.dim} matrix on block {block_index}")
-        scale = max(1.0, float(np.abs(mat).max()))
-        if np.abs(mat - mat.conj().T).max() > HERM_TOL * scale:
+        asym = np.abs(mat - mat.conj().T).max()
+        if asym == 0:
+            return mat
+        if asym > HERM_TOL * max(1.0, float(np.abs(mat).max())):
             raise InvalidInputError(f"{context}: coefficient on PSD block {block_index} is not Hermitian")
-        # Symmetrize exactly so downstream vectorization sees a clean Hermitian matrix.
+        # Symmetrize so downstream vectorization sees an exactly Hermitian matrix.
         return 0.5 * (mat + mat.conj().T)
 
     @property

@@ -4,9 +4,11 @@ The engine solves the standard form of :mod:`softcell.conic_problem` via a
 homogeneous self-dual embedding with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step.  Complex Hermitian PSD blocks are handled natively
 in complex arithmetic; a d x d Hermitian block occupies d^2 real coordinates
-under the isometric vectorization below.  Infeasible and unbounded problems
-are certified through the embedding (tau -> 0) rather than guessed from
-divergence.
+under the isometric vectorization below.  Every row is an inequality and
+gets its own slack coordinate.  Infeasible problems are certified through the
+embedding (tau -> 0) by a dual improving ray rather than guessed from
+divergence; the programs this package builds are bounded below on their
+feasible sets, so an unbounded problem ends as a numerical failure.
 
 End-game.  Near the optimum the Schur complement M = A H A^T can reach a
 condition number near 1e15, and directions computed through it miss their own
@@ -37,7 +39,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .conic_problem import NONNEG, ConicProblem
-from .exceptions import InvalidInputError, StateError
+from .exceptions import InvalidInputError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -51,7 +53,7 @@ CERT_GAP = 1e-6
 # iterate ("reduced precision" in the message).
 TOL_FEAS = 1e-9         # target primal/dual residual on scaled data
 TOL_GAP = 1e-8          # target relative complementarity gap
-TOL_INFEAS = 1e-9       # certificate quality for infeasible/unbounded
+TOL_INFEAS = 1e-9       # certificate quality for infeasible
 STEP_FRACTION = 0.99    # fraction-to-boundary
 MAX_ITERS = 200         # a solve that reaches it ends as a numerical failure
 
@@ -65,7 +67,6 @@ _STALL_WINDOW = 5
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 NUMERICAL_FAILURE = "numerical_failure"
 
 
@@ -73,7 +74,7 @@ NUMERICAL_FAILURE = "numerical_failure"
 class ConicSolution:
     status: str
     block_values: list | None       # per-block primal values (None unless optimal)
-    duals: np.ndarray | None        # per-constraint multipliers (certificate if infeasible)
+    duals: np.ndarray | None        # per-row multipliers, >= 0 (certificate if infeasible)
     primal_objective: float
     dual_objective: float
     iterations: int
@@ -81,7 +82,6 @@ class ConicSolution:
     residual_dual: float
     residual_gap: float             # relative
     message: str
-    trace: list                     # per-iteration objectives and residuals
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +131,12 @@ def smat(v: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass
 class _StandardForm:
-    A: np.ndarray                  # (m, n) scaled equality matrix
+    A: np.ndarray                  # (m, n) scaled equality matrix, slacks included
     b: np.ndarray                  # (m,) scaled rhs
     c: np.ndarray                  # (n,) scaled objective
     nn_idx: np.ndarray             # orthant coordinate indices
     psd_blocks: list               # (offset, dim) per PSD block
     block_slices: list             # slice per user block into the coordinate vector
-    senses: list                   # original constraint senses
     row_scale: np.ndarray          # y_orig = obj_scale * row_scale * y_scaled
     col_scale: np.ndarray          # x_orig = col_scale * x_scaled
     obj_scale: float
@@ -146,7 +145,6 @@ class _StandardForm:
 
 def _standard_form(problem: ConicProblem) -> _StandardForm:
     m = len(problem.constraints)
-    n_ineq = sum(1 for c in problem.constraints if c.sense != "==")
 
     nn_idx, psd_blocks, block_slices = [], [], []
     pos = 0
@@ -158,8 +156,8 @@ def _standard_form(problem: ConicProblem) -> _StandardForm:
             psd_blocks.append((pos, blk.dim))
         pos += blk.svec_dim
     slack_off = pos
-    nn_idx.extend(range(pos, pos + n_ineq))
-    n = pos + n_ineq
+    nn_idx.extend(range(pos, pos + m))
+    n = pos + m
 
     def vectorize(coeffs: dict[int, np.ndarray]) -> np.ndarray:
         row = np.zeros(n)
@@ -171,17 +169,12 @@ def _standard_form(problem: ConicProblem) -> _StandardForm:
     c = vectorize(problem.objective)
     A = np.zeros((m, n))
     b = np.zeros(m)
-    senses = []
-    slack_pos = slack_off
     for i, con in enumerate(problem.constraints):
         row, rhs = vectorize(con.coeffs), con.rhs
         if con.sense == ">=":
             row, rhs = -row, -rhs
         A[i], b[i] = row, rhs
-        senses.append(con.sense)
-        if con.sense != "==":
-            A[i, slack_pos] = 1.0
-            slack_pos += 1
+        A[i, slack_off + i] = 1.0
 
     # Ruiz equilibration.  Orthant coordinates scale independently (the cone is
     # invariant per coordinate); each PSD block gets a single scalar so the
@@ -204,20 +197,18 @@ def _standard_form(problem: ConicProblem) -> _StandardForm:
                 d = 1.0 / np.sqrt(nb)
                 A[:, sl] *= d
                 col_scale[sl] *= d
-        for i in range(m):
-            nr = max(np.abs(A[i]).max(), abs(b[i]))
-            if nr > 0:
-                d = 1.0 / np.sqrt(nr)
-                A[i] *= d
-                b[i] *= d
-                row_scale[i] *= d
+        nr = np.maximum(np.abs(A).max(axis=1), np.abs(b))
+        d = np.where(nr > 0, 1.0 / np.sqrt(np.where(nr > 0, nr, 1.0)), 1.0)
+        A *= d[:, None]
+        b *= d
+        row_scale *= d
     c = c * col_scale
     obj_scale = max(1.0, np.abs(c).max())
     c = c / obj_scale
 
     nu = len(nn_idx) + sum(d for _, d in psd_blocks)
     return _StandardForm(A, b, c, np.asarray(nn_idx, dtype=int), psd_blocks,
-                         block_slices, senses, row_scale, col_scale, obj_scale, nu)
+                         block_slices, row_scale, col_scale, obj_scale, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +342,6 @@ def _ip_hsd(sf: _StandardForm):
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
-    trace = []
     status, message = NUMERICAL_FAILURE, "iteration limit reached"
     it = 0
     best = None
@@ -383,15 +373,11 @@ def _ip_hsd(sf: _StandardForm):
         dobj = (b @ y) / tau
         cgap = (x @ z) / tau ** 2
         relgap = max(cgap, abs(pobj - dobj)) / max(1.0, abs(pobj), abs(dobj))
-        return pres, dres, relgap, pobj, dobj, cgap
+        return pres, dres, relgap, pobj, dobj
 
     for it in range(MAX_ITERS + 1):
         mu = (x @ z + tau * kappa) / (sf.nu + 1)
-        pres, dres, relgap, pobj, dobj, cgap = indicators()
-        trace.append({"iter": it, "pres": pres, "dres": dres, "relgap": relgap,
-                      "pobj": pobj, "dobj": dobj, "cgap": cgap, "tau": tau,
-                      "kappa": kappa, "mu": mu,
-                      "x_norm1": np.abs(x).sum() / tau, "y_norm1": np.abs(y).sum() / tau})
+        pres, dres, relgap, pobj, dobj = indicators()
         if best is None or max(pres, dres, relgap) < best[0]:
             best = (max(pres, dres, relgap), pres, dres, relgap,
                     x.copy(), y.copy(), z.copy(), tau, kappa)
@@ -406,15 +392,12 @@ def _ip_hsd(sf: _StandardForm):
             status, message = NUMERICAL_FAILURE, "complementarity at noise floor"
             break
 
-        # Farkas-type certificates through the embedding.
+        # Farkas-type certificate through the embedding.
         bty = b @ y
-        ctx = c @ x
 
         def ray_certificate(quality):
             if bty > 0 and np.abs(A.T @ y + z).max() <= quality * bty:
                 return INFEASIBLE, "dual improving ray found"
-            if ctx < 0 and np.abs(A @ x).max() <= quality * (-ctx):
-                return UNBOUNDED, "primal improving ray found"
             return None
 
         def failure(reason):
@@ -446,7 +429,7 @@ def _ip_hsd(sf: _StandardForm):
 
         r_P = b * tau - A @ x
         r_D = c * tau - A.T @ y - z
-        r_G = ctx - bty + kappa
+        r_G = c @ x - bty + kappa
 
         sc = _Scaling(sf, x, z)
         try:
@@ -568,7 +551,7 @@ def _ip_hsd(sf: _StandardForm):
         tau += alpha * dtau
         kappa += alpha * dkappa
 
-    pres, dres, relgap, pobj, dobj, _ = indicators()
+    pres, dres, relgap, pobj, dobj = indicators()
     if (best is not None and status == NUMERICAL_FAILURE
             and max(pres, dres, relgap) > best[0]):
         # Late iterations operating at the noise floor can degrade the
@@ -578,7 +561,7 @@ def _ip_hsd(sf: _StandardForm):
         # The certification bounds hold even though the target tolerances were
         # not reached; the solution is still a valid optimum.
         status, message = OPTIMAL, "reduced precision (certification bounds met)"
-    return status, message, x, y, z, tau, kappa, it, (pres, dres, relgap), trace
+    return status, message, x, y, z, tau, kappa, it, (pres, dres, relgap)
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +573,9 @@ def solve(problem: ConicProblem) -> ConicSolution:
 
     status=optimal guarantees primal/dual residuals <= 1e-8 measured per row
     relative to the summed coefficient magnitudes, and relative gap <= 1e-6;
-    infeasible/unbounded come with improving-ray certificates; anything else
-    is numerical_failure with residuals attached.
+    infeasible comes with an improving-ray certificate; anything else
+    (an unbounded problem included) is numerical_failure with residuals
+    attached.
     """
     if not problem.blocks:
         raise InvalidInputError("problem has no variable blocks")
@@ -600,49 +584,37 @@ def solve(problem: ConicProblem) -> ConicSolution:
     sf = _standard_form(problem)
 
     # Divergent iterates on infeasible or unbounded data may overflow before a
-    # certificate is extracted; the finite guards inside handle that case.
+    # certificate is extracted or the loop gives up; the finite guards inside
+    # handle that case.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        status, message, x, y, z, tau, kappa, iters, res, trace = _ip_hsd(sf)
+        status, message, x, y, z, tau, kappa, iters, res = _ip_hsd(sf)
     pres, dres, relgap = res
 
     if status == OPTIMAL:
         xhat = (x / tau) * sf.col_scale
         # row_scale holds the multipliers applied to the rows, so the
-        # user-space multiplier of row i is obj_scale * row_scale_i * y_i.
+        # user-space multiplier of row i is -obj_scale * row_scale_i * y_i
+        # (nonnegative: the internal form of every row is lhs + slack = rhs
+        # with lhs stated as <=).
         yhat = (y / tau) * sf.obj_scale * sf.row_scale
         block_values = []
         for blk, sl in zip(problem.blocks, sf.block_slices):
             block_values.append(xhat[sl].copy() if blk.kind == NONNEG else smat(xhat[sl], blk.dim))
-        duals = _signed_duals(yhat, sf.senses)
         pobj = _functional(problem, problem.objective, block_values)
         # b'y of the internal standard form equals the Lagrangian dual value of
         # the original mixed-sense problem.
         dobj = sf.obj_scale * float(sf.b @ (y / tau))
-        return ConicSolution(OPTIMAL, block_values, duals, pobj, dobj, iters,
-                             pres, dres, relgap, message, trace)
+        return ConicSolution(OPTIMAL, block_values, -yhat, pobj, dobj, iters,
+                             pres, dres, relgap, message)
 
-    if status in (INFEASIBLE, UNBOUNDED):
+    if status == INFEASIBLE:
         yhat = y * sf.obj_scale * sf.row_scale
-        scale = np.abs(yhat).max() if status == INFEASIBLE else 1.0
-        duals = _signed_duals(yhat / max(scale, 1e-300), sf.senses)
+        duals = -(yhat / max(np.abs(yhat).max(), 1e-300))
         return ConicSolution(status, None, duals, np.nan, np.nan, iters,
-                             pres, dres, relgap, message, trace)
+                             pres, dres, relgap, message)
 
     return ConicSolution(NUMERICAL_FAILURE, None, None, np.nan, np.nan, iters,
-                         pres, dres, relgap, message, trace)
-
-
-def _signed_duals(yhat: np.ndarray, senses: list) -> np.ndarray:
-    """Sign-normalize multipliers: inequality rows get nonnegative multipliers.
-
-    Convention: for a <= row the Lagrangian term is +mu*(lhs - rhs), for a >=
-    row it is -mu*(lhs - rhs); equality rows return the raw multiplier of the
-    internal form lhs == rhs.
-    """
-    duals = np.empty(len(senses))
-    for i, sense in enumerate(senses):
-        duals[i] = yhat[i] if sense == "==" else -yhat[i]
-    return duals
+                         pres, dres, relgap, message)
 
 
 def _functional(problem: ConicProblem, coeffs: dict, block_values: list) -> float:
@@ -653,12 +625,3 @@ def _functional(problem: ConicProblem, coeffs: dict, block_values: list) -> floa
         else:
             total += float(np.real(np.trace(entry.conj().T @ block_values[bidx])))
     return total
-
-
-def extract_duals(solution: ConicSolution, constraint_index: int) -> float:
-    """Multiplier of one constraint; requires an optimal solution."""
-    if solution.status != OPTIMAL:
-        raise StateError(f"duals require an optimal solution, got status={solution.status}")
-    if solution.duals is None or not 0 <= constraint_index < len(solution.duals):
-        raise InvalidInputError(f"no constraint with index {constraint_index}")
-    return float(solution.duals[constraint_index])

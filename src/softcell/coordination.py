@@ -160,7 +160,7 @@ def build_relaxation(problem: CoordinationProblem) -> Relaxation:
             hh = np.outer(h, h.conj()) / float(ch.sigma2[k])
             for i in users:
                 coeffs[block_of[(i, j)]] = ((1.0 / gt[k]) * hh if i == k else -hh)
-        qos_row[k] = conic.add_constraint(coeffs, ">=", 1.0, name=f"qos_{k}")
+        qos_row[k] = conic.add_constraint(coeffs, ">=", 1.0)
 
     power_row = {}
     for j in txs:
@@ -170,7 +170,7 @@ def build_relaxation(problem: CoordinationProblem) -> Relaxation:
             Q = np.zeros((n, n), dtype=complex)
             Q[l, l] = 1.0
             power_row[(j, l)] = conic.add_constraint(
-                {block_of[(k, j)]: Q for k in users}, "<=", q, name=f"cap_{j}_{l}")
+                {block_of[(k, j)]: Q for k in users}, "<=", q)
     return Relaxation(conic, block_of, qos_row, power_row)
 
 
@@ -305,10 +305,10 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
 
     lam = np.zeros(K)
     for k in users:
-        lam[k] = max(cs.extract_duals(conic_sol, relax.qos_row[k]), 0.0)
+        lam[k] = max(conic_sol.duals[relax.qos_row[k]], 0.0)
     mu = [np.zeros(ch.antennas(j)) for j in range(T)]
     for (j, l), row in relax.power_row.items():
-        mu[j][l] = max(cs.extract_duals(conic_sol, row), 0.0)
+        mu[j][l] = max(conic_sol.duals[row], 0.0)
     return solution, DualCertificate(lam, mu)
 
 

@@ -5,10 +5,6 @@ class InvalidInputError(ValueError):
     """Input data violates a documented precondition."""
 
 
-class StateError(RuntimeError):
-    """Operation called on an object in the wrong state (e.g. duals of a non-optimal solve)."""
-
-
 class NumericalFailureError(RuntimeError):
     """A numerical routine could not certify its result; carries diagnostic residuals."""
 

@@ -93,7 +93,7 @@ def allocate_power(intermediate: RzfIntermediate, hw, gtilde, sigma2) -> np.ndar
              if np.linalg.norm(intermediate.u[k][j]) > 0]
     if not pairs:
         return np.zeros((K, T))
-    col = {pair: idx for idx, pair in enumerate(pairs)}
+    pk, pj = np.array(pairs).T          # user and transmitter of each column
 
     prob = ConicProblem([Block(NONNEG, len(pairs))])
     prob.set_objective({0: np.array([hw.rho[j] for _, j in pairs])})
@@ -102,20 +102,13 @@ def allocate_power(intermediate: RzfIntermediate, hw, gtilde, sigma2) -> np.ndar
     for k in range(K):
         if gtilde[k] <= 0:
             continue
-        row = np.zeros(len(pairs))
-        for (i, j), idx in col.items():
-            row[idx] = (g[k, k, j] / gtilde[k] if i == k else -g[k, i, j]) / float(sigma2[k])
-        prob.add_constraint({0: row}, ">=", 1.0, name=f"qos_{k}")
+        row = np.where(pk == k, g[k, k, pj] / gtilde[k], -g[k, pk, pj]) / float(sigma2[k])
+        prob.add_constraint({0: row}, ">=", 1.0)
     for j in range(T):
-        qs = intermediate.qscal[j]
-        for l in range(qs.shape[0]):
-            row = np.zeros(len(pairs))
-            for (i, jj), idx in col.items():
-                if jj == j:
-                    row[idx] = qs[l, i]
+        rows = np.where(pj == j, intermediate.qscal[j][:, pk], 0.0)
+        for row in rows:
             if np.any(row):
-                prob.add_constraint({0: row}, "<=", float(hw.per_antenna_limit[j]),
-                                    name=f"cap_{j}_{l}")
+                prob.add_constraint({0: row}, "<=", float(hw.per_antenna_limit[j]))
 
     sol = cs.solve(prob)
     if sol.status == cs.INFEASIBLE:
@@ -126,7 +119,7 @@ def allocate_power(intermediate: RzfIntermediate, hw, gtilde, sigma2) -> np.ndar
             {"primal": sol.residual_primal, "dual": sol.residual_dual, "gap": sol.residual_gap})
     p = np.zeros((K, T))
     values = sol.block_values[0]
-    for (k, j), idx in col.items():
+    for idx, (k, j) in enumerate(pairs):
         p[k, j] = max(float(values[idx]), 0.0)
     return p
 

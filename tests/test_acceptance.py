@@ -389,7 +389,7 @@ def test_criterion_10_analytic_programs_and_infeasibility_certificates(capsys):
     sol = cs.solve(prob)
     ok &= sol.status == cs.OPTIMAL
     worst = max(worst, abs(sol.primal_objective - 3.0) / 3.0,
-                abs(cs.extract_duals(sol, row) - 3.0) / 3.0)
+                abs(sol.duals[row] - 3.0) / 3.0)
 
     # Mixed cone: p >= 2 plus a unit gain floor, optimum 3.
     g = np.array([0.6, 0.8], dtype=complex)

@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from softcell import conic_solver as cs
 from softcell.conic_problem import NONNEG, PSD, Block, ConicProblem
-from softcell.exceptions import InvalidInputError, StateError
+from softcell.exceptions import InvalidInputError
 
 
 def _rand_psd(rng, d, jitter=0.0):
@@ -60,7 +60,7 @@ def test_one_variable_lp_and_its_multiplier():
     sol = cs.solve(prob)
     assert sol.status == cs.OPTIMAL
     assert abs(sol.primal_objective - 3.0) < 1e-6
-    assert abs(cs.extract_duals(sol, row) - 3.0) < 1e-6
+    assert abs(sol.duals[row] - 3.0) < 1e-6
 
 
 def test_contradictory_trace_bound_is_certified_infeasible():
@@ -93,8 +93,8 @@ def test_inactive_constraint_has_negligible_multiplier():
     prob.set_objective({0: np.array([1.0])})
     sol = cs.solve(prob)
     assert sol.status == cs.OPTIMAL
-    assert abs(cs.extract_duals(sol, active) - 1.0) < 1e-6
-    assert abs(cs.extract_duals(sol, inactive)) < 1e-6
+    assert abs(sol.duals[active] - 1.0) < 1e-6
+    assert abs(sol.duals[inactive]) < 1e-6
 
 
 def test_duals_reproduce_the_objective():
@@ -107,7 +107,7 @@ def test_duals_reproduce_the_objective():
     assert sol.status == cs.OPTIMAL
     gap = abs(sol.primal_objective - sol.dual_objective)
     assert gap <= 1e-6 * (1.0 + abs(sol.primal_objective))
-    lagrangian = sum(cs.extract_duals(sol, r) * 1.0 for r in rows)
+    lagrangian = sum(sol.duals[r] * 1.0 for r in rows)
     assert abs(lagrangian - sol.dual_objective) <= 1e-6 * (1.0 + abs(sol.dual_objective))
 
 
@@ -135,7 +135,7 @@ def test_random_lps_match_reference_solver():
         if ref.status == 0:
             assert sol.status == cs.OPTIMAL, sol.message
             assert abs(sol.primal_objective - ref.fun) <= 1e-6 * (1 + abs(ref.fun))
-            mu = np.array([cs.extract_duals(sol, r) for r in rows])
+            mu = np.array([sol.duals[r] for r in rows])
             mu_ref = np.abs(ref.ineqlin.marginals)
             assert np.abs(mu - mu_ref).max() <= 1e-5 * (1 + mu_ref.max())
             statuses["optimal"] += 1
@@ -143,7 +143,9 @@ def test_random_lps_match_reference_solver():
             assert sol.status == cs.INFEASIBLE
             statuses["infeasible"] += 1
         elif ref.status == 3:
-            assert sol.status == cs.UNBOUNDED
+            # No improving-ray certificate for unboundedness: such a program
+            # ends as a failure, never as a claimed optimum.
+            assert sol.status == cs.NUMERICAL_FAILURE
             statuses["unbounded"] += 1
     assert statuses["optimal"] >= 10
 
@@ -191,15 +193,16 @@ def test_sdp_normalized_gain_maximization_closed_form():
 
 
 def test_sdp_generalized_eigenvalue_closed_form():
-    # min tr(C X) s.t. tr(A X) = 1, X >= 0 with A > 0, C >= 0 attains the
-    # smallest generalized eigenvalue of (C, A).
+    # min tr(C X) s.t. tr(A X) >= 1, X >= 0 with A > 0, C > 0 attains the
+    # smallest generalized eigenvalue of (C, A): the optimum makes the row
+    # tight, since scaling X down lowers the objective.
     rng = np.random.default_rng(11)
     for _ in range(10):
         A = _rand_psd(rng, 2, jitter=0.3)
         C = _rand_psd(rng, 2)
         ref = sla.eigh(C, A, eigvals_only=True)[0]
         prob = ConicProblem([Block(PSD, 2)])
-        prob.add_constraint({0: A}, "==", 1.0)
+        prob.add_constraint({0: A}, ">=", 1.0)
         prob.set_objective({0: C})
         sol = cs.solve(prob)
         assert sol.status == cs.OPTIMAL
@@ -213,8 +216,8 @@ def test_feasible_lps_solve_and_respect_senses(seed):
     m, n = int(rng.integers(1, 6)), int(rng.integers(2, 6))
     A = rng.normal(size=(m, n))
     x0 = rng.uniform(0.1, 2.0, size=n)
-    senses = rng.choice(["<=", ">=", "=="], size=m)
-    b = A @ x0 + np.where(senses == "<=", 0.5, np.where(senses == ">=", -0.5, 0.0))
+    senses = rng.choice(["<=", ">="], size=m)
+    b = A @ x0 + np.where(senses == "<=", 0.5, -0.5)
     prob = ConicProblem([Block(NONNEG, n)])
     rows = [prob.add_constraint({0: A[i]}, senses[i], b[i]) for i in range(m)]
     prob.set_objective({0: rng.uniform(0.1, 1.0, size=n)})
@@ -225,12 +228,9 @@ def test_feasible_lps_solve_and_respect_senses(seed):
         lhs = A[i] @ sol.block_values[0]
         if senses[i] == "<=":
             assert lhs <= b[i] + 1e-6 * scale[i]
-        elif senses[i] == ">=":
-            assert lhs >= b[i] - 1e-6 * scale[i]
         else:
-            assert abs(lhs - b[i]) <= 1e-6 * scale[i]
-        if senses[i] != "==":
-            assert cs.extract_duals(sol, r) >= -1e-9
+            assert lhs >= b[i] - 1e-6 * scale[i]
+        assert sol.duals[r] >= -1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +264,6 @@ def test_weak_duality_at_near_feasible_iterates():
         prob.set_objective({0: _rand_psd(rng, 2, 0.1)})
         sol = cs.solve(prob)
         assert sol.status == cs.OPTIMAL
-        assert len(sol.trace) == sol.iterations + 1
-        for entry in sol.trace:
-            assert entry["cgap"] >= 0.0
-            if max(entry["pres"], entry["dres"]) <= 1e-8:
-                scale = max(1.0, abs(entry["pobj"]), abs(entry["dobj"]))
-                assert entry["dobj"] <= entry["pobj"] + 1e-9 * scale
         assert sol.dual_objective <= sol.primal_objective \
             + 1e-6 * max(1.0, abs(sol.primal_objective))
 
@@ -305,17 +299,6 @@ def test_a_problem_without_constraints_is_refused():
         cs.solve(prob)
 
 
-def test_duals_require_an_optimal_solution():
-    prob = ConicProblem([Block(NONNEG, 1)])
-    prob.add_constraint({0: np.array([1.0])}, ">=", 1.0)
-    prob.add_constraint({0: np.array([1.0])}, "<=", 0.5)
-    prob.set_objective({0: np.array([1.0])})
-    sol = cs.solve(prob)
-    assert sol.status == cs.INFEASIBLE
-    with pytest.raises(StateError):
-        cs.extract_duals(sol, 0)
-
-
 # ---------------------------------------------------------------------------
 # Problem container validation
 # ---------------------------------------------------------------------------
@@ -333,5 +316,29 @@ def test_dimension_mismatch_is_rejected():
         prob.add_constraint({0: np.ones(3)}, "<=", 1.0)
     with pytest.raises(InvalidInputError):
         prob.add_constraint({1: np.ones(2)}, "<=", 1.0)
-    with pytest.raises(InvalidInputError):
-        prob.add_constraint({0: np.ones(2)}, "<", 1.0)
+    for sense in ("<", "=="):
+        with pytest.raises(InvalidInputError):
+            prob.add_constraint({0: np.ones(2)}, sense, 1.0)
+
+
+def test_hermitian_coefficients_are_stored_once():
+    # One cap matrix shared by every block of a row is stored as given, not
+    # copied per block.
+    prob = ConicProblem([Block(PSD, 3) for _ in range(4)])
+    Q = np.zeros((3, 3), dtype=complex)
+    Q[1, 1] = 1.0
+    row = prob.add_constraint({b: Q for b in range(4)}, "<=", 1.0)
+    assert all(coeff is Q for coeff in prob.constraints[row].coeffs.values())
+
+
+def test_nearly_hermitian_coefficient_is_stored_symmetrized():
+    rng = np.random.default_rng(41)
+    H = _rand_psd(rng, 3)
+    H[0, 1] += 1e-14
+    assert 0 < np.abs(H - H.conj().T).max() <= 1e-12 * np.abs(H).max()
+    prob = ConicProblem([Block(PSD, 3)])
+    row = prob.add_constraint({0: H}, ">=", 1.0)
+    stored = prob.constraints[row].coeffs[0]
+    assert stored is not H
+    assert np.array_equal(stored, stored.conj().T)
+    assert np.array_equal(stored, 0.5 * (H + H.conj().T))
