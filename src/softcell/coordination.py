@@ -1,10 +1,19 @@
-"""Power-minimal coordinated beamforming via the exact semidefinite relaxation.
+"""Power-minimal coordinated beamforming with dual certificates.
 
-Pipeline: build the relaxed program in the per-link matrices W_{k,j} (one PSD
-block per served user and transmitter), solve it with the conic engine, repair
-any block whose optimal matrix is not numerically rank-one by the trace/
-interference-preserving replacement program, extract beamforming vectors and
-dual certificates, and add the topology's static power.
+Fast path first (_solve_uplink).  With the per-antenna cap multipliers at
+zero the dual of the semidefinite relaxation needs no PSD solve: its QoS
+multipliers are the fixed point of a standard interference function, the
+beams follow by uplink-downlink duality, and the power LP of
+:mod:`softcell.allocation` sets their powers.  When the LP's objective meets
+the dual bound within the conic solver's certification gap, both are optimal.
+
+Fallback, for every case the fast path cannot certify (a binding cap,
+infeasible targets, a fixed point that does not settle): build the relaxed
+program in the per-link matrices W_{k,j} (one PSD block per served user and
+transmitter), solve it with the conic engine, repair any block whose optimal
+matrix is not numerically rank-one by the trace/interference-preserving
+replacement program, and extract beamforming vectors and dual certificates.
+Either way the topology's static power is added.
 
 The relaxation is exact: a rank-one optimal solution always exists, so an
 infeasible relaxation certifies infeasibility of the original problem and the
@@ -16,11 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 
 from . import conic_solver as cs
+from .allocation import allocate_power, couplings
 from .conic_problem import PSD, Block, ConicProblem
 from .evaluation import SERVING_SHARE, evaluate, link_powers, serving_sets
-from .exceptions import InfeasibleProblemError, InvalidInputError, NumericalFailureError
+from .exceptions import (InfeasibleProblemError, InvalidInputError, NumericalFailureError,
+                         RzfInfeasibleError)
 from .power import HardwareProfile, check_power_constraints, circuit_power, dynamic_power
 from .scenario import ChannelSet
 
@@ -35,6 +47,12 @@ RANK_TOL = 1e-6
 # Relative tolerance of the check that a solution meets its SINR targets (its
 # caps are checked at check_power_constraints' default, also 1e-6).
 FEASIBILITY_TOL = 1e-6
+# Uplink fixed point (_solve_uplink): the iteration limit, the relative change
+# of every lambda_k that ends it, and the share of a user's largest dual-row
+# gain within which a transmitter counts as tight and may serve the user.
+UPLINK_MAX_ITERS = 500
+UPLINK_TOL = 1e-12
+UPLINK_TIE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,7 +90,9 @@ class BeamformingSolution:
     objective_total: float          # mW
     repair_needed: bool = False
     exchanged_scalars: dict | None = None   # per-SCA backhaul scalar counts
-    objective_relaxation: float = float("nan")  # pre-repair relaxed optimum (dynamic, mW)
+    # Relaxed optimum (dynamic, mW): the IPM's value before repair, or on the
+    # fast path the certified dual bound sum lambda.
+    objective_relaxation: float = float("nan")
 
     @property
     def W(self) -> list:
@@ -264,8 +284,80 @@ def _replace_block(Wkj: np.ndarray, k: int, j: int, users: set, ch: ChannelSet) 
     return _dominant_rank_one(tr * sol.block_values[0])
 
 
+def _solve_uplink(problem: CoordinationProblem):
+    """The optimum without a PSD solve, or None where it cannot be certified.
+
+    With the cap multipliers mu at 0, the dual of the relaxation is
+
+        max sum_k lambda_k  s.t.  lambda_k h_kj^H B_kj^-1 h_kj / sigma_k^2 <= gt_k  for all j,
+        B_kj = rho_j I + sum_{i != k} lambda_i h_ij h_ij^H / sigma_i^2,
+
+    and its optimum is the fixed point of the standard interference function
+    lambda_k <- gt_k sigma_k^2 / max_j h_kj^H B_kj^-1 h_kj.  From lambda = 0
+    the iterates rise monotonically and each is dual feasible.  One Cholesky
+    factor of C_j = B_kj + lambda_k h_kj h_kj^H / sigma_k^2 per transmitter
+    serves all users: by Sherman-Morrison h^H B^-1 h = x / (1 - lambda_k x /
+    sigma_k^2) with x = h^H C_j^-1 h.  By uplink-downlink duality user k's beam
+    at j is parallel to C_j^-1 h_kj, and by complementary slackness only the
+    transmitters whose dual row is tight (within UPLINK_TIE of the max) may
+    serve k.  The power LP over these directions gives a cap-feasible solution
+    whose objective is an upper bound on the optimum; sum lambda is a lower
+    bound.  Within CERT_GAP of each other, both are optimal.
+
+    None leaves the problem to the relaxation: lambda has not settled within
+    UPLINK_MAX_ITERS, or sum lambda exceeds the power of every antenna at its
+    cap (no feasible point costs that much, so the targets are infeasible),
+    or the LP or the verification fails, or a cap binds and the gap stays open.
+    """
+    ch, hw, gt = problem.channels, problem.hw, problem.gtilde
+    K, T = ch.num_users, ch.num_transmitters
+    users = problem.qos_users()
+    txs = problem.active_transmitters()
+    G = [ch.stacked(j) / np.sqrt(np.asarray(ch.sigma2, dtype=float)) for j in txs]
+    ceiling = sum(hw.rho[j] * ch.antennas(j) * hw.per_antenna_limit[j] for j in txs)
+    lam = np.zeros(K)
+    for _ in range(UPLINK_MAX_ITERS):
+        X, gain = [], np.zeros((K, len(txs)))
+        for t, (j, G_j) in enumerate(zip(txs, G)):
+            C = (G_j * lam) @ G_j.conj().T
+            C[np.diag_indices_from(C)] += hw.rho[j]
+            X.append(la.cho_solve(la.cho_factor(C), G_j))
+            x = np.einsum("ik,ik->k", G_j.conj(), X[-1]).real
+            gain[:, t] = x / (1.0 - lam * x)
+        best = gain.max(axis=1)
+        if np.any(best[users] <= 0.0):
+            return None
+        new = lam.copy()
+        new[users] = gt[users] / best[users]
+        if not (np.all(np.isfinite(new)) and new.sum() <= ceiling):
+            return None
+        settled = np.all(new - lam <= UPLINK_TOL * new)
+        lam = new
+        if settled:
+            break
+    else:
+        return None
+
+    U = [np.zeros((ch.antennas(j), K), dtype=complex) for j in range(T)]
+    for t, j in enumerate(txs):
+        serve = [k for k in users if gain[k, t] >= (1.0 - UPLINK_TIE) * best[k]]
+        U[j][:, serve] = X[t][:, serve] / np.linalg.norm(X[t][:, serve], axis=0)
+    bound = float(lam.sum())
+    try:
+        directions = couplings(ch, hw, U)
+        p = allocate_power(directions, hw, gt, ch.sigma2)
+        solution = _finish(directions.beams(p), problem, objective_relaxation=bound)
+    except (RzfInfeasibleError, NumericalFailureError):
+        return None
+    dyn = solution.objective_dynamic
+    if abs(dyn - bound) > cs.CERT_GAP * max(1.0, abs(dyn), abs(bound)):
+        return None
+    return solution, DualCertificate(lam, [np.zeros(ch.antennas(j)) for j in range(T)])
+
+
 def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, DualCertificate]:
-    """Exact minimum-power coordination with dual certificates.
+    """Exact minimum-power coordination with dual certificates: the uplink
+    fixed point where it certifies, otherwise the relaxation and rank repair.
 
     Raises InfeasibleProblemError when the relaxation (hence the original
     problem) is infeasible and NumericalFailureError when the solve or the
@@ -279,6 +371,10 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
         w = [[np.zeros(ch.antennas(j), dtype=complex) for j in range(T)] for _ in range(K)]
         cert = DualCertificate(np.zeros(K), [np.zeros(ch.antennas(j)) for j in range(T)])
         return _finish(w, problem), cert
+
+    exact = _solve_uplink(problem)
+    if exact is not None:
+        return exact
 
     relax = build_relaxation(problem)
     conic_sol = cs.solve(relax.conic)

@@ -1,10 +1,20 @@
 """Shared construction helpers for hand-built channel instances."""
 
-import numpy as np
-import pytest
+import os
 
-from softcell.power import HardwareProfile
-from softcell.scenario import ChannelSet
+# One BLAS thread for the whole run, set before numpy loads, as the benchmark
+# runs: the benchmark's own tests (perfbench/, collected after these) sample a
+# calibration kernel from a SIGPROF timer, and with a multi-threaded OpenBLAS
+# that timer kills the process ("Profiling timer expired", exit 155).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from softcell.power import HardwareProfile  # noqa: E402
+from softcell.scenario import ChannelSet  # noqa: E402
 
 
 def make_channels(h_rows, sigma2):

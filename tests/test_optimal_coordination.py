@@ -1,10 +1,13 @@
 """Exact coordination: relaxation structure, repair, duals, assignment cases."""
 
+import time
+
 import numpy as np
 import pytest
 
 from conftest import loose_hardware, make_channels
 from softcell import conic_solver as cs
+from softcell import coordination
 from softcell.coordination import (BS_ONLY, MULTIFLOW, SINGLE_SCA,
                                    CoordinationProblem, DualCertificate, _finish,
                                    build_relaxation, classify_assignment,
@@ -330,6 +333,79 @@ def test_duality_check_flags_a_wrong_certificate():
     assert verify_duality(sol, cert, prob).max_residual <= 1e-4
     mu = [2.0 * m for m in cert.mu]
     assert verify_duality(sol, DualCertificate(cert.lam, mu), prob).max_residual > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Uplink fixed point: the exact path that needs no PSD solve
+# ---------------------------------------------------------------------------
+
+def _refuse_relaxation(problem):
+    raise AssertionError("solve_optimal built the relaxation")
+
+
+def test_fixed_point_certifies_the_relaxation_optimum(monkeypatch):
+    rng = np.random.default_rng(13)
+    for _ in range(6):
+        K = int(rng.integers(1, 5))
+        prob = rand_instance(rng, K, [4, 2, 1], tuple(rng.uniform(0.5, 2.5, size=K)))
+        reference = cs.solve(build_relaxation(prob).conic)
+        assert reference.status == cs.OPTIMAL
+        with monkeypatch.context() as m:
+            m.setattr(coordination, "build_relaxation", _refuse_relaxation)
+            sol, cert = solve_optimal(prob)
+        assert sol.objective_dynamic == pytest.approx(reference.primal_objective, rel=1e-8)
+        # The reported relaxation value is the certified dual bound at mu = 0.
+        assert sol.objective_relaxation == float(cert.lam.sum())
+        assert all(np.all(mu_j == 0.0) for mu_j in cert.mu)
+        assert verify_duality(sol, cert, prob).max_residual <= 1e-9
+
+
+def test_a_binding_cap_falls_back_to_the_relaxation(monkeypatch):
+    # The tight-cap instance of the multiflow test: at mu = 0 the cheap
+    # transmitter alone would carry 3 mW through its 2 mW cap.
+    ch = make_channels([[np.array([1.0 + 0j]), np.array([1.0 + 0j])]], [1.0])
+    tight = HardwareProfile(rho=(2.0, 4.0), eta=(0.0, 0.0), per_antenna_limit=(2.0, 50.0))
+    prob = CoordinationProblem(ch, tight, (2.0,))
+    built = []
+    monkeypatch.setattr(coordination, "build_relaxation",
+                        lambda p: built.append(p) or build_relaxation(p))
+    sol, cert = solve_optimal(prob)
+    assert built
+    assert cert.mu[0][0] > 0
+    assert sol.serving[0] == (0, 1)
+
+
+def test_only_tight_transmitters_carry_a_users_beam(monkeypatch):
+    # Criterion 4's pool instance 39 (N_BS=4, one user at each of two SCAs and
+    # two uniform users at 1 bit/s/Hz), trial 1, with caps x100.  Given a
+    # direction at every transmitter, the power LP's interior point leaves
+    # 1.8e-6 of user 2's power on the BS, above SERVING_SHARE, and the user
+    # becomes a multiflow user that no active cap licenses.
+    r = 0.3 / np.sqrt(2.0)
+    cfg = ScenarioConfig(cell_radius=0.5, num_users_uniform=2,
+                         sca_positions=((r, r), (-r, -r)), users_per_sca=1,
+                         n_bs=4, n_sca=2, qos_targets=(1.0,) * 4, seed=7039)
+    hw = cfg.hardware
+    lifted = HardwareProfile(rho=hw.rho, eta=hw.eta,
+                             per_antenna_limit=tuple(100.0 * q for q in hw.per_antenna_limit),
+                             subcarriers=hw.subcarriers)
+    prob = CoordinationProblem(realize_scenario(cfg, trial=1), lifted, cfg.qos_targets)
+    monkeypatch.setattr(coordination, "build_relaxation", _refuse_relaxation)
+    sol, _ = solve_optimal(prob)
+    assert not classify_assignment(sol, lifted).diagnostics
+
+
+def test_diverging_fixed_point_leaves_the_certificate_to_the_relaxation():
+    # Two users on one identical single-antenna channel cannot both reach
+    # SINR 3: the fixed point grows without bound and the relaxation
+    # certifies infeasibility.
+    ch = make_channels([[np.array([1.0 + 0j])], [np.array([1.0 + 0j])]], [1.0, 1.0])
+    prob = CoordinationProblem(ch, loose_hardware(1), (2.0, 2.0))
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleProblemError) as exc:
+        solve_optimal(prob)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.certificate is not None
 
 
 # ---------------------------------------------------------------------------
