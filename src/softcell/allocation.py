@@ -1,11 +1,15 @@
-"""Minimum-power allocation over fixed beam directions.
+"""Beam directions from a regularized channel-Gram inverse, and the
+minimum-power allocation over them.
 
-Both solvers end here.  The heuristic's regularized directions and the exact
-solver's uplink directions are unit vectors u_{k,j}; the scalar couplings
-|h_{i,j}^H u_{k,j}|^2 and |u_{k,j}[l]|^2 define a small LP in the per-link
-powers p_{k,j}.  A coupling is left out (exchanged as zero) only when even
-the full power n_j q_j of transmitter j along u_{k,j} would deliver less than
-GAIN_FLOOR of user i's noise power.
+Both solvers build their directions by one rule: user k's direction at
+transmitter j is (G_j diag(a) G_j^H + r_k I)^{-1} g_{k,j}, with the exact
+solver's QoS multipliers as weights a (uplink-downlink duality) and the
+heuristic's unit weights with per-target regularizers.  Both then end in the
+same LP: the scalar couplings |h_{i,j}^H u_{k,j}|^2 and |u_{k,j}[l]|^2 of the
+unit directions u_{k,j} define a small LP in the per-link powers p_{k,j}.  A
+coupling is left out (exchanged as zero) only when even the full power
+n_j q_j of transmitter j along u_{k,j} would deliver less than GAIN_FLOOR of
+user i's noise power.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 
 from . import conic_solver as cs
 from .conic_problem import NONNEG, Block, ConicProblem
@@ -27,17 +32,30 @@ from .exceptions import NumericalFailureError, RzfInfeasibleError
 GAIN_FLOOR = 1e-10
 
 
+def regularized_solve(G: np.ndarray, a, r) -> np.ndarray:
+    """X[:, k] = (G diag(a) G^H + r_k I)^{-1} G[:, k] for an (n, K) stack G,
+    with one Cholesky factor per distinct r_k.  A column with r_k = inf is
+    zero, the limit of the rule."""
+    r = np.broadcast_to(r, G.shape[1])
+    gram = (G * a) @ G.conj().T
+    X = np.zeros_like(G)
+    for value in np.unique(r[np.isfinite(r)]):
+        cols = r == value
+        factor = la.cho_factor(gram + value * np.eye(G.shape[0]))
+        X[:, cols] = la.cho_solve(factor, G[:, cols])
+    return X
+
+
 @dataclass
 class Directions:
-    u: list                 # u[k][j], unit-norm direction or zero vector
+    U: list                 # U[j][:, k], unit direction of user k at transmitter j, or zero
     g: np.ndarray           # (K, K, T): g[i, k, j] = |h_{i,j}^H u_{k,j}|^2
-    qscal: list             # qscal[j][l, k] = |u_{k,j}[l]|^2
     exchanged: dict         # per-transmitter count of nonzero exchanged scalars
 
     def beams(self, p: np.ndarray) -> list:
-        """Beamformers w[k][j] = sqrt(p[k, j]) u[k][j]."""
-        return [[np.sqrt(p[k, j]) * u_kj for j, u_kj in enumerate(row)]
-                for k, row in enumerate(self.u)]
+        """Beamformers w[k][j] = sqrt(p[k, j]) U[j][:, k]."""
+        return [[np.sqrt(p[k, j]) * U_j[:, k] for j, U_j in enumerate(self.U)]
+                for k in range(len(p))]
 
 
 def couplings(channels, hw, U: list) -> Directions:
@@ -46,21 +64,14 @@ def couplings(channels, hw, U: list) -> Directions:
     K = channels.num_users
     sigma2 = np.asarray(channels.sigma2, dtype=float)
     g = np.zeros((K, K, len(U)))
-    qscal = [np.abs(U_j) ** 2 for U_j in U]
     exchanged = {}
     for j, U_j in enumerate(U):
-        n = U_j.shape[0]
-        if n == 0:
-            exchanged[j] = 0
-            continue
-        amp = channels.stacked(j).conj().T @ U_j
+        amp = channels.H[j].conj().T @ U_j
         g_j = amp.real ** 2 + amp.imag ** 2
-        g_j[g_j * (n * hw.per_antenna_limit[j]) < GAIN_FLOOR * sigma2[:, None]] = 0.0
+        g_j[g_j * (U_j.shape[0] * hw.per_antenna_limit[j]) < GAIN_FLOOR * sigma2[:, None]] = 0.0
         g[:, :, j] = g_j
-        has_direction = np.linalg.norm(U_j, axis=0) > 0
-        exchanged[j] = int(np.count_nonzero(g_j) + np.count_nonzero(qscal[j][:, has_direction]))
-    u = [[U_j[:, k].copy() for U_j in U] for k in range(K)]
-    return Directions(u, g, qscal, exchanged)
+        exchanged[j] = int(np.count_nonzero(g_j) + np.count_nonzero(np.abs(U_j) ** 2))
+    return Directions(U, g, exchanged)
 
 
 def allocate_power(intermediate: Directions, hw, gtilde, sigma2) -> np.ndarray:
@@ -70,16 +81,14 @@ def allocate_power(intermediate: Directions, hw, gtilde, sigma2) -> np.ndarray:
     along these directions; the full problem may still be feasible.
     """
     gtilde = np.asarray(gtilde, dtype=float)
-    K = len(gtilde)
-    T = len(intermediate.qscal)
-    pairs = [(k, j) for k in range(K) for j in range(T)
-             if np.linalg.norm(intermediate.u[k][j]) > 0]
-    if not pairs:
+    U = intermediate.U
+    K, T = len(gtilde), len(U)
+    pk, pj = np.nonzero(np.array([U_j.any(axis=0) for U_j in U]).T)   # (k, j) order
+    if not pk.size:
         return np.zeros((K, T))
-    pk, pj = np.array(pairs).T          # user and transmitter of each column
 
-    prob = ConicProblem([Block(NONNEG, len(pairs))])
-    prob.set_objective({0: np.array([hw.rho[j] for _, j in pairs])})
+    prob = ConicProblem([Block(NONNEG, pk.size)])
+    prob.set_objective({0: np.asarray(hw.rho, dtype=float)[pj]})
     # QoS rows per unit of noise power, matching the relaxation's scaling.
     g = intermediate.g
     for k in range(K):
@@ -88,7 +97,7 @@ def allocate_power(intermediate: Directions, hw, gtilde, sigma2) -> np.ndarray:
         row = np.where(pk == k, g[k, k, pj] / gtilde[k], -g[k, pk, pj]) / float(sigma2[k])
         prob.add_constraint({0: row}, ">=", 1.0)
     for j in range(T):
-        rows = np.where(pj == j, intermediate.qscal[j][:, pk], 0.0)
+        rows = np.where(pj == j, np.abs(U[j][:, pk]) ** 2, 0.0)
         for row in rows:
             if np.any(row):
                 prob.add_constraint({0: row}, "<=", float(hw.per_antenna_limit[j]))
@@ -101,7 +110,5 @@ def allocate_power(intermediate: Directions, hw, gtilde, sigma2) -> np.ndarray:
             f"power allocation ended with status {sol.status}: {sol.message}",
             {"primal": sol.residual_primal, "dual": sol.residual_dual, "gap": sol.residual_gap})
     p = np.zeros((K, T))
-    values = sol.block_values[0]
-    for idx, (k, j) in enumerate(pairs):
-        p[k, j] = max(float(values[idx]), 0.0)
+    p[pk, pj] = np.maximum(sol.block_values[0], 0.0)
     return p

@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
 from . import conic_solver as cs
-from .allocation import allocate_power, couplings
+from .allocation import allocate_power, couplings, regularized_solve
 from .conic_problem import PSD, Block, ConicProblem
 from .evaluation import SERVING_SHARE, evaluate, link_powers, serving_sets
 from .exceptions import (InfeasibleProblemError, InvalidInputError, NumericalFailureError,
@@ -176,7 +175,7 @@ def build_relaxation(problem: CoordinationProblem) -> Relaxation:
     for k in users:
         coeffs = {}
         for j in txs:
-            h = ch.h[k][j]
+            h = ch.H[j][:, k]
             hh = np.outer(h, h.conj()) / float(ch.sigma2[k])
             for i in users:
                 coeffs[block_of[(i, j)]] = ((1.0 / gt[k]) * hh if i == k else -hh)
@@ -238,7 +237,7 @@ def repair_rank(W: list, problem: CoordinationProblem) -> tuple[list, bool]:
             # while replacing it would solve an arbitrarily ill-conditioned
             # program built from roundoff.
             if hw.rho[j] * traces[j] <= 1e-8 * obj_scale and k in users:
-                h = ch.h[k][j]
+                h = ch.H[j][:, k]
                 own_row = float(np.real(h.conj() @ Wkj @ h)) / (gt[k] * float(ch.sigma2[k]))
                 if own_row <= 1e-8:
                     continue
@@ -259,7 +258,7 @@ def _replace_block(Wkj: np.ndarray, k: int, j: int, users: set, ch: ChannelSet) 
     # a well-scaled program regardless of how small this block's power is.
     n = Wkj.shape[0]
     tr = float(np.real(np.trace(Wkj)))
-    h = ch.h[k][j]
+    h = ch.H[j][:, k]
     own = float(np.real(h.conj() @ Wkj @ h))
     prob = ConicProblem([Block(PSD, n)])
     prob.set_objective({0: -np.outer(h, h.conj()) * (tr / max(own, 1e-300))})
@@ -270,7 +269,7 @@ def _replace_block(Wkj: np.ndarray, k: int, j: int, users: set, ch: ChannelSet) 
         Q[l, l] = tr / wl if wl > 0 else 1.0
         prob.add_constraint({0: Q}, "<=", 1.0 if wl > 0 else 0.0)
     for i in sorted(users - {k}):
-        hi = ch.h[i][j]
+        hi = ch.H[j][:, i]
         gain = float(np.real(hi.conj() @ Wkj @ hi))
         if gain > 0:
             prob.add_constraint({0: np.outer(hi, hi.conj()) * (tr / gain)}, "<=", 1.0)
@@ -296,7 +295,8 @@ def _solve_uplink(problem: CoordinationProblem):
     lambda_k <- gt_k sigma_k^2 / max_j h_kj^H B_kj^-1 h_kj.  From lambda = 0
     the iterates rise monotonically and each is dual feasible.  One Cholesky
     factor of C_j = B_kj + lambda_k h_kj h_kj^H / sigma_k^2 per transmitter
-    serves all users: by Sherman-Morrison h^H B^-1 h = x / (1 - lambda_k x /
+    (allocation.regularized_solve, weights lambda, regularizer rho_j) serves
+    all users: by Sherman-Morrison h^H B^-1 h = x / (1 - lambda_k x /
     sigma_k^2) with x = h^H C_j^-1 h.  By uplink-downlink duality user k's beam
     at j is parallel to C_j^-1 h_kj, and by complementary slackness only the
     transmitters whose dual row is tight (within UPLINK_TIE of the max) may
@@ -313,15 +313,13 @@ def _solve_uplink(problem: CoordinationProblem):
     K, T = ch.num_users, ch.num_transmitters
     users = problem.qos_users()
     txs = problem.active_transmitters()
-    G = [ch.stacked(j) / np.sqrt(np.asarray(ch.sigma2, dtype=float)) for j in txs]
+    G = [ch.H[j] / np.sqrt(np.asarray(ch.sigma2, dtype=float)) for j in txs]
     ceiling = sum(hw.rho[j] * ch.antennas(j) * hw.per_antenna_limit[j] for j in txs)
     lam = np.zeros(K)
     for _ in range(UPLINK_MAX_ITERS):
         X, gain = [], np.zeros((K, len(txs)))
         for t, (j, G_j) in enumerate(zip(txs, G)):
-            C = (G_j * lam) @ G_j.conj().T
-            C[np.diag_indices_from(C)] += hw.rho[j]
-            X.append(la.cho_solve(la.cho_factor(C), G_j))
+            X.append(regularized_solve(G_j, lam, hw.rho[j]))
             x = np.einsum("ik,ik->k", G_j.conj(), X[-1]).real
             gain[:, t] = x / (1.0 - lam * x)
         best = gain.max(axis=1)
@@ -470,7 +468,7 @@ def verify_duality(solution: BeamformingSolution, certificate: DualCertificate,
         if problem.gamma[k] <= 0 or uu <= 0:
             skipped.append(k)
             continue
-        uAu = {i: sum(abs(np.vdot(ch.h[i][j], w[j])) ** 2 for j in txs) / float(ch.sigma2[i])
+        uAu = {i: sum(abs(np.vdot(ch.H[j][:, i], w[j])) ** 2 for j in txs) / float(ch.sigma2[i])
                for i in users}
         uBu = (uu + sum(lam[i] * uAu[i] for i in users if i != k)
                + sum(mu[j] @ np.abs(w[j]) ** 2 for j in txs))
@@ -511,16 +509,3 @@ def classify_assignment(solution: BeamformingSolution, hw: HardwareProfile) -> A
             diagnostics.append(
                 f"user {k} is multiflow with no active power constraint at a serving transmitter")
     return AssignmentReport(assignments, diagnostics)
-
-
-def export_user_csv(solution: BeamformingSolution, report, assignments: AssignmentReport) -> str:
-    """Per-link rows `user,transmitter,emitted_mw,sinr,case` (aggregate SINR per user)."""
-    lines = ["user,transmitter,emitted_mw,sinr,case"]
-    p = solution.p
-    for a in assignments.assignments:
-        sinr = float(report.sinr[a.user])
-        if not a.serving:
-            lines.append(f"{a.user},,0.0,{sinr!r},{a.case}")
-        for j in a.serving:
-            lines.append(f"{a.user},{j},{float(p[a.user, j])!r},{sinr!r},{a.case}")
-    return "\n".join(lines) + "\n"

@@ -75,17 +75,14 @@ def evaluate(solution, channels: ChannelSet, hw: HardwareProfile,
     # transmitter), and the same through tr(h h^H w w^H) as a cross-check.
     gains = np.zeros((K, K, T))
     gains_mat = np.zeros((K, K, T))
-    for j in range(T):
-        if channels.antennas(j) == 0:
-            continue
-        H = channels.stacked(j)
-        U = np.array([row[j] for row in beams], dtype=complex).T
+    for j, H in enumerate(channels.H):
+        U = np.array([row[j] for row in beams], dtype=complex).reshape(K, H.shape[0]).T
         amp = H.conj().T @ U
         gains[:, :, j] = amp.real ** 2 + amp.imag ** 2
         Ws = U.T[:, :, None] * U.T.conj()[:, None, :]          # (K, n, n): w_i w_i^H
         gains_mat[:, :, j] = np.einsum("ak,iak->ki", H.conj(), Ws @ H).real
 
-    crosscheck = float(np.max(np.abs(gains - gains_mat) / (1.0 + np.abs(gains))))
+    crosscheck = float(np.max(np.abs(gains - gains_mat) / (1.0 + np.abs(gains)), initial=0.0))
     own = gains[np.arange(K), np.arange(K), :].sum(axis=1)
     total_rx = gains.sum(axis=1).sum(axis=1)
     interference = total_rx - own
@@ -104,16 +101,3 @@ def evaluate(solution, channels: ChannelSet, hw: HardwareProfile,
         p_dynamic_mw=p_dyn, p_static_mw=p_stat, p_total_mw=total,
         p_total_dbm=mw_to_dbm(total) if total > 0 else float("-inf"),
         serving=serving, multiflow=multiflow, crosscheck_residual=crosscheck)
-
-
-def report_csv(report: EvaluationReport, gamma) -> str:
-    """One row per user plus a trailing summary row."""
-    lines = ["user,sinr,rate_bits,qos_margin,serving,multiflow"]
-    for k in range(len(report.sinr)):
-        serving = "|".join(str(j) for j in report.serving[k])
-        lines.append(f"{k},{float(report.sinr[k])!r},{float(report.rate[k])!r},"
-                     f"{float(report.qos_margin[k])!r},{serving},{int(report.multiflow[k])}")
-    lines.append(f"summary,p_dynamic_mw={report.p_dynamic_mw!r},p_static_mw={report.p_static_mw!r},"
-                 f"p_total_mw={report.p_total_mw!r},p_total_dbm={report.p_total_dbm!r},"
-                 f"crosscheck={report.crosscheck_residual!r}")
-    return "\n".join(lines) + "\n"

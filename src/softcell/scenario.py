@@ -101,30 +101,31 @@ class ScenarioConfig:
 
 @dataclass
 class ChannelSet:
-    """One realization: channel vectors, noise and geometry."""
+    """One realization: per-transmitter channel stacks, noise and geometry."""
 
-    h: list            # h[k][j], complex vector of length antennas(j)
+    H: list            # H[j], (antennas(j), K) complex: column k is h_{k,j}
     sigma2: np.ndarray  # per-user noise power, mW
     user_positions: np.ndarray  # (K, 2) km
 
     @property
+    def h(self) -> list:
+        """h[k][j] = H[j][:, k], a view of the stack."""
+        return [[H_j[:, k] for H_j in self.H] for k in range(self.num_users)]
+
+    @property
     def num_users(self) -> int:
-        return len(self.h)
+        return self.H[0].shape[1] if self.H else 0
 
     @property
     def num_transmitters(self) -> int:
-        return len(self.h[0]) if self.h else 0
+        return len(self.H)
 
     def antennas(self, j: int) -> int:
-        return len(self.h[0][j]) if self.h else 0
+        return self.H[j].shape[0]
 
     @property
     def antenna_counts(self) -> tuple[int, ...]:
-        return tuple(self.antennas(j) for j in range(self.num_transmitters))
-
-    def stacked(self, j: int) -> np.ndarray:
-        """H_j (antennas(j) x K): column k is h[k][j]."""
-        return np.array([row[j] for row in self.h], dtype=complex).T
+        return tuple(H_j.shape[0] for H_j in self.H)
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -214,30 +215,25 @@ def build_correlation(config: ScenarioConfig, positions: np.ndarray,
 
 def draw_channels(config: ScenarioConfig, R: list, positions: np.ndarray,
                   fading_rng) -> ChannelSet:
-    """h[k][j] = R^{1/2} z with z standard circular complex Gaussian.
+    """h_{k,j} = R^{1/2} z with z standard circular complex Gaussian.
 
     fading_rng(k, j) must return the generator for link (k, j); the matrix
     square root is the eigendecomposition one with negative eigenvalues
-    clamped to zero.
+    clamped to zero.  Each stack H[j] is the transpose of a C-order (K, n)
+    array, so every column h_{k,j} is contiguous.
     """
     K = len(R)
-    h = []
-    for k in range(K):
-        row = []
-        for j, Rkj in enumerate(R[k]):
-            n = Rkj.shape[0]
-            if n == 0:
-                row.append(np.zeros(0, dtype=complex))
-                continue
-            rng = fading_rng(k, j)
-            zr = rng.normal(size=(2, n))
+    H = []
+    for j in range(config.num_sca + 1):
+        rows = np.zeros((K, config.antennas(j)), dtype=complex)
+        for k in range(K):
+            zr = fading_rng(k, j).normal(size=(2, rows.shape[1]))
             z = (zr[0] + 1j * zr[1]) / np.sqrt(2.0)
-            w, V = np.linalg.eigh(Rkj)
-            root = (V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T
-            row.append(root @ z)
-        h.append(row)
+            w, V = np.linalg.eigh(R[k][j])
+            rows[k] = ((V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T) @ z
+        H.append(rows.T)
     sigma2 = np.full(K, config.noise_variance_mw)
-    return ChannelSet(h=h, sigma2=sigma2, user_positions=np.asarray(positions))
+    return ChannelSet(H=H, sigma2=sigma2, user_positions=np.asarray(positions))
 
 
 def realize_scenario(config: ScenarioConfig, trial: int = 0) -> ChannelSet:

@@ -19,10 +19,9 @@ from softcell.scenario import ChannelSet  # noqa: E402
 
 def make_channels(h_rows, sigma2):
     """ChannelSet from explicit per-(user, transmitter) channel vectors."""
-    h = [[np.asarray(v, dtype=complex) for v in row] for row in h_rows]
-    K = len(h)
-    return ChannelSet(h=h, sigma2=np.asarray(sigma2, dtype=float),
-                      user_positions=np.zeros((K, 2)))
+    H = [np.array([row[j] for row in h_rows], dtype=complex).T for j in range(len(h_rows[0]))]
+    return ChannelSet(H=H, sigma2=np.asarray(sigma2, dtype=float),
+                      user_positions=np.zeros((len(h_rows), 2)))
 
 
 def loose_hardware(num_transmitters, rho=2.0, cap=1e6, eta=0.0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import loose_hardware, make_channels
-from softcell.evaluation import evaluate, report_csv
+from softcell.evaluation import evaluate
 from softcell.exceptions import InvalidInputError
 
 
@@ -75,23 +75,6 @@ def test_evaluation_is_pure():
     assert np.array_equal(beams[0][0], snapshot)
     assert a.sinr[0] == b.sinr[0]
     assert a.p_total_mw == b.p_total_mw
-
-
-def test_report_csv_layout():
-    e0 = np.array([1.0 + 0j, 0.0])
-    e1 = np.array([0.0, 1.0 + 0j])
-    ch = make_channels([[e0], [e1]], [1.0, 1.0])
-    report = evaluate([[2.0 * e0], [3.0 * e1]], ch, loose_hardware(1), (1.0, 1.0))
-    text = report_csv(report, (1.0, 1.0))
-    lines = text.strip().split("\n")
-    assert lines[0] == "user,sinr,rate_bits,qos_margin,serving,multiflow"
-    assert len(lines) == 4
-    assert lines[-1].startswith("summary,p_dynamic_mw=")
-    user0 = lines[1].split(",")
-    assert user0[0] == "0"
-    assert float(user0[1]) == pytest.approx(4.0, rel=1e-12)
-    assert user0[4] == "0"
-    assert user0[5] == "0"
 
 
 def test_sinrs_match_a_per_link_loop():

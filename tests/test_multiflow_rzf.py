@@ -10,8 +10,7 @@ from softcell.coordination import CoordinationProblem, solve_optimal
 from softcell.evaluation import evaluate
 from softcell.exceptions import InvalidInputError, RzfInfeasibleError
 from softcell.power import HardwareProfile
-from softcell.rzf import (allocate_power, exchange_report_csv, rzf_directions,
-                          rzf_solve)
+from softcell.rzf import allocate_power, rzf_directions, rzf_solve
 from softcell.scenario import realize_scenario
 from softcell.cli import desk_config, full_paper_config
 
@@ -31,7 +30,7 @@ def test_single_user_direction_is_the_matched_filter(single_user_unit_channel):
     prob = CoordinationProblem(single_user_unit_channel, loose_hardware(1), (2.0,))
     inter = rzf_directions(single_user_unit_channel, prob.hw, prob.gtilde)
     h = single_user_unit_channel.h[0][0]
-    u = inter.u[0][0]
+    u = inter.U[0][:, 0]
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
     align = abs(np.vdot(h, u)) ** 2 / np.vdot(h, h).real
     assert align == pytest.approx(1.0, abs=1e-12)
@@ -42,8 +41,8 @@ def test_orthogonal_users_keep_their_own_directions():
     e1 = np.array([0.0, 1.0 + 0j])
     ch = make_channels([[e0], [e1]], [1.0, 1.0])
     inter = rzf_directions(ch, loose_hardware(1), np.array([3.0, 3.0]))
-    assert abs(np.vdot(e0, inter.u[0][0])) ** 2 == pytest.approx(1.0, abs=1e-12)
-    assert abs(np.vdot(e1, inter.u[1][0])) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(e0, inter.U[0][:, 0])) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(e1, inter.U[0][:, 1])) ** 2 == pytest.approx(1.0, abs=1e-12)
     # Cross couplings vanish, so the power LP decouples into two scalar rows.
     assert inter.g[0, 1, 0] == 0.0
     assert inter.g[1, 0, 0] == 0.0
@@ -87,10 +86,34 @@ def test_per_transmitter_phase_rotation_leaves_couplings_invariant():
     # invariance holds to roughly sqrt(eps) rather than eps.
     assert np.allclose(ia.g, ib.g, rtol=1e-6, atol=1e-9)
     for j in range(2):
-        assert np.allclose(ia.qscal[j], ib.qscal[j], rtol=1e-6, atol=1e-9)
+        assert np.allclose(abs(ia.U[j]) ** 2, abs(ib.U[j]) ** 2, rtol=1e-6, atol=1e-9)
     pa = allocate_power(ia, hw, gt, ch_a.sigma2)
     pb = allocate_power(ib, hw, gt, ch_b.sigma2)
     assert np.allclose(pa, pb, rtol=1e-5, atol=1e-9)
+
+
+def test_directions_match_a_per_user_solve_for_unequal_targets():
+    # Distinct targets and caps give each user its own regularizer, so every
+    # transmitter needs more than one factorization; the gamma = 0 user gets
+    # no direction but still counts in every Gram matrix.
+    rng = np.random.default_rng(5)
+    antennas, K = (4, 1, 3), 4
+    h_rows = [[rng.normal(size=n) + 1j * rng.normal(size=n) for n in antennas]
+              for _ in range(K)]
+    sigma2 = np.array([1.0, 0.5, 2.0, 1.5])
+    ch = make_channels(h_rows, sigma2)
+    hw = HardwareProfile(rho=(2.0,) * 3, eta=(0.0,) * 3, per_antenna_limit=(5.0, 0.5, 2.0))
+    gt = np.exp2([1.0, 2.5, 0.0, 3.0]) - 1.0
+    U = rzf_directions(ch, hw, gt).U
+    for j, n in enumerate(antennas):
+        gram = sum(np.outer(h_rows[i][j], h_rows[i][j].conj()) / sigma2[i] for i in range(K))
+        for k in range(K):
+            if gt[k] == 0:
+                assert not U[j][:, k].any()
+                continue
+            reg = K / (gt[k] * hw.per_antenna_limit[j])
+            ref = np.linalg.solve(gram + reg * np.eye(n), h_rows[k][j])
+            assert np.allclose(U[j][:, k], ref / np.linalg.norm(ref), rtol=0, atol=1e-12)
 
 
 def test_zero_cap_with_antennas_is_rejected():
@@ -189,14 +212,4 @@ def test_exchanged_scalar_counts_cover_gains_and_antenna_profiles():
     assert inter.exchanged[0] == 4
     assert inter.exchanged[1] == 4
     sol = rzf_solve(CoordinationProblem(ch, loose_hardware(2), (1.0, 1.0)))
-    text = exchange_report_csv(sol)
-    lines = text.strip().split("\n")
-    assert lines[0] == "exchanged_scalars_sca_1"
-    assert lines[1] == "4"
-
-
-def test_exchange_report_requires_heuristic_solutions(single_user_unit_channel):
-    prob = CoordinationProblem(single_user_unit_channel, loose_hardware(1), (2.0,))
-    exact, _ = solve_optimal(prob)
-    with pytest.raises(InvalidInputError):
-        exchange_report_csv(exact)
+    assert sol.exchanged_scalars == {0: 4, 1: 4}

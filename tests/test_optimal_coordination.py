@@ -11,8 +11,7 @@ from softcell import coordination
 from softcell.coordination import (BS_ONLY, MULTIFLOW, SINGLE_SCA,
                                    CoordinationProblem, DualCertificate, _finish,
                                    build_relaxation, classify_assignment,
-                                   export_user_csv, repair_rank, solve_optimal,
-                                   verify_duality)
+                                   repair_rank, solve_optimal, verify_duality)
 from softcell.evaluation import evaluate
 from softcell.exceptions import (InfeasibleProblemError, InvalidInputError,
                                  NumericalFailureError, RzfInfeasibleError)
@@ -455,25 +454,3 @@ def test_stall_without_a_certified_iterate_is_a_numerical_failure(monkeypatch):
     assert sol.status == cs.NUMERICAL_FAILURE
     assert "iteration limit" in sol.message
     assert sol.block_values is None
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-def test_user_csv_lists_every_served_link():
-    rng = np.random.default_rng(10)
-    prob = rand_instance(rng, 2, [2, 2], (1.0, 0.0))
-    sol, _ = solve_optimal(prob)
-    report = evaluate(sol, prob.channels, prob.hw, prob.gamma)
-    assignments = classify_assignment(sol, prob.hw)
-    text = export_user_csv(sol, report, assignments)
-    lines = text.strip().split("\n")
-    assert lines[0] == "user,transmitter,emitted_mw,sinr,case"
-    expected_rows = sum(max(len(s), 1) for s in sol.serving)
-    assert len(lines) == 1 + expected_rows
-    cases = {line.split(",")[-1] for line in lines[1:]}
-    assert cases <= {"bs_only", "single_sca", "multiflow", "unserved"}
-    for line in lines[1:]:
-        fields = line.split(",")
-        float(fields[2]), float(fields[3])

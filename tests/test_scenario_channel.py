@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softcell.coordination import CoordinationProblem, solve_optimal
 from softcell.exceptions import InvalidInputError
-from softcell.power import HardwareProfile
+from softcell.power import HardwareProfile, circuit_power
+from softcell.rzf import rzf_solve
 from softcell.scenario import (MACRO, SCA_NEAR, ScenarioConfig,
                                build_correlation, config_from_dict,
                                draw_channels, drop_users, load_config,
@@ -186,6 +188,20 @@ def test_empty_scenario_realizes_cleanly():
     ch = realize_scenario(cfg)
     assert ch.num_users == 0
     assert ch.sigma2.shape == (0,)
+
+
+def test_empty_scenario_solves_to_the_circuit_power():
+    # Without users both solvers return no beams, and the stacks still carry
+    # the antennas whose circuit power the topology pays.
+    cfg = small_config(num_users_uniform=0, users_per_sca=0, qos_targets=())
+    ch = realize_scenario(cfg)
+    assert ch.antenna_counts == (4, 2, 2)
+    prob = CoordinationProblem(ch, cfg.hardware, cfg.qos_targets)
+    exact, _ = solve_optimal(prob)
+    for sol in (exact, rzf_solve(prob)):
+        assert sol.w == []
+        assert sol.objective_dynamic == 0.0
+        assert sol.objective_static == circuit_power(cfg.hardware, (4, 2, 2)) > 0.0
 
 
 # ---------------------------------------------------------------------------
