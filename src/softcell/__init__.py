@@ -3,7 +3,7 @@
 from .coordination import (CoordinationProblem, classify_assignment,
                            solve_optimal, verify_duality)
 from .evaluation import evaluate
-from .power import HardwareProfile, dynamic_power, static_power
+from .power import HardwareProfile, dynamic_power
 from .rzf import rzf_solve
 from .scenario import ScenarioConfig, load_config, realize_scenario
 
@@ -20,7 +20,6 @@ __all__ = [
     "realize_scenario",
     "rzf_solve",
     "solve_optimal",
-    "static_power",
     "verify_duality",
     "__version__",
 ]

@@ -53,9 +53,8 @@ class Directions:
     exchanged: dict         # per-transmitter count of nonzero exchanged scalars
 
     def beams(self, p: np.ndarray) -> list:
-        """Beamformers w[k][j] = sqrt(p[k, j]) U[j][:, k]."""
-        return [[np.sqrt(p[k, j]) * U_j[:, k] for j, U_j in enumerate(self.U)]
-                for k in range(len(p))]
+        """Beamformer stacks w[j] = U[j] * sqrt(p[:, j]): column k is w_{k,j}."""
+        return [U_j * np.sqrt(p[:, j]) for j, U_j in enumerate(self.U)]
 
 
 def couplings(channels, hw, U: list) -> Directions:

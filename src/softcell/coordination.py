@@ -80,10 +80,10 @@ class CoordinationProblem:
 
 @dataclass
 class BeamformingSolution:
-    """Beamformers w[k][j] and the numbers reported for them.  The per-link
-    matrices W, powers p and serving sets are derived from w on access."""
+    """Beamformer stacks w[j] and the numbers reported for them.  The link
+    powers p and serving sets are derived from w on access."""
 
-    w: list                         # w[k][j] complex vector (sqrt mW)
+    w: list                         # w[j], (antennas(j), K) complex: column k is w_{k,j} (sqrt mW)
     objective_dynamic: float        # mW
     objective_static: float         # mW
     objective_total: float          # mW
@@ -92,11 +92,6 @@ class BeamformingSolution:
     # Relaxed optimum (dynamic, mW): the IPM's value before repair, or on the
     # fast path the certified dual bound sum lambda.
     objective_relaxation: float = float("nan")
-
-    @property
-    def W(self) -> list:
-        """W[k][j] = w w^H, Hermitian PSD (mW)."""
-        return [[np.outer(v, v.conj()) for v in row] for row in self.w]
 
     @property
     def p(self) -> np.ndarray:
@@ -204,9 +199,9 @@ def _dominant_rank_one(W: np.ndarray) -> np.ndarray:
 
 
 def repair_rank(W: list, problem: CoordinationProblem) -> tuple[list, bool]:
-    """Beam vectors w[k][j] whose rank-one blocks w w^H preserve objective and
-    feasibility of the relaxed blocks W[k][j], and whether any block needed the
-    replacement program below.
+    """Beamformer stacks w[j] whose rank-one blocks w_{k,j} w_{k,j}^H (column
+    k of w[j]) preserve objective and feasibility of the relaxed blocks
+    W[k][j], and whether any block needed the replacement program below.
 
     Blocks carrying a negligible share of their user's power are zeroed; blocks
     with eigenvalue ratio lam2/lam1 <= RANK_TOL are truncated to the dominant pair.
@@ -221,7 +216,7 @@ def repair_rank(W: list, problem: CoordinationProblem) -> tuple[list, bool]:
     """
     ch, hw, gt = problem.channels, problem.hw, problem.gtilde
     users = set(problem.qos_users())
-    w = [[np.zeros(Wkj.shape[0], dtype=complex) for Wkj in row] for row in W]
+    w = [np.zeros((n, len(W)), dtype=complex) for n in ch.antenna_counts]
     obj_scale = 1.0 + sum(hw.rho[j] * np.real(np.trace(Wkj))
                           for row in W for j, Wkj in enumerate(row) if Wkj.size)
     needed = False
@@ -245,10 +240,10 @@ def repair_rank(W: list, problem: CoordinationProblem) -> tuple[list, bool]:
             if vals[-1] <= 0:
                 continue
             if len(vals) == 1 or max(vals[-2], 0.0) / vals[-1] <= RANK_TOL:
-                w[k][j] = _dominant_rank_one(Wkj)
+                w[j][:, k] = _dominant_rank_one(Wkj)
                 continue
             needed = True
-            w[k][j] = _replace_block(Wkj, k, j, users, ch)
+            w[j][:, k] = _replace_block(Wkj, k, j, users, ch)
     return w, needed
 
 
@@ -322,7 +317,7 @@ def _solve_uplink(problem: CoordinationProblem):
             X.append(regularized_solve(G_j, lam, hw.rho[j]))
             x = np.einsum("ik,ik->k", G_j.conj(), X[-1]).real
             gain[:, t] = x / (1.0 - lam * x)
-        best = gain.max(axis=1)
+        best = gain.max(axis=1, initial=0.0)       # 0 without any active transmitter
         if np.any(best[users] <= 0.0):
             return None
         new = lam.copy()
@@ -363,13 +358,6 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
     """
     ch = problem.channels
     K, T = ch.num_users, ch.num_transmitters
-    users = problem.qos_users()
-
-    if not users:
-        w = [[np.zeros(ch.antennas(j), dtype=complex) for j in range(T)] for _ in range(K)]
-        cert = DualCertificate(np.zeros(K), [np.zeros(ch.antennas(j)) for j in range(T)])
-        return _finish(w, problem), cert
-
     exact = _solve_uplink(problem)
     if exact is not None:
         return exact
@@ -398,7 +386,7 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
             {"repaired": solution.objective_dynamic, "relaxation": sdp_dyn})
 
     lam = np.zeros(K)
-    for k in users:
+    for k in problem.qos_users():
         lam[k] = max(conic_sol.duals[relax.qos_row[k]], 0.0)
     mu = [np.zeros(ch.antennas(j)) for j in range(T)]
     for (j, l), row in relax.power_row.items():
@@ -407,7 +395,7 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
 
 
 def _finish(w: list, problem: CoordinationProblem, **meta) -> BeamformingSolution:
-    """Solution for beamformers w: dynamic power, the topology's static power,
+    """Solution for the beamformer stacks w: dynamic power, the topology's static power,
     and an independent check that w meets every target and cap."""
     p_dyn = dynamic_power(w, problem.hw)
     p_stat = circuit_power(problem.hw, problem.channels.antenna_counts)
@@ -459,23 +447,27 @@ def verify_duality(solution: BeamformingSolution, certificate: DualCertificate,
         raise InvalidInputError("verify_duality requires a dual certificate")
     ch, hw = problem.channels, problem.hw
     gt, lam, mu = problem.gtilde, certificate.lam, certificate.mu
-    users, txs = problem.qos_users(), problem.active_transmitters()
-    residual = np.full(ch.num_users, np.nan)
-    skipped = []
-    for k in range(ch.num_users):
-        w = solution.w[k]
-        uu = sum(hw.rho[j] * np.vdot(w[j], w[j]).real for j in txs)
-        if problem.gamma[k] <= 0 or uu <= 0:
-            skipped.append(k)
-            continue
-        uAu = {i: sum(abs(np.vdot(ch.H[j][:, i], w[j])) ** 2 for j in txs) / float(ch.sigma2[i])
-               for i in users}
-        uBu = (uu + sum(lam[i] * uAu[i] for i in users if i != k)
-               + sum(mu[j] @ np.abs(w[j]) ** 2 for j in txs))
-        up = lam[k] * uAu[k] / uBu
-        residual[k] = abs(up - gt[k]) / gt[k]
-    finite = residual[np.isfinite(residual)]
-    return DualityReport(residual, float(finite.max()) if finite.size else 0.0, tuple(skipped))
+    K = ch.num_users
+    # uAu[i, k] = u_k^H A_i u_k, uu[k] = u_k^H u_k and cap[k], the cap term of
+    # u_k^H B_k u_k, for all users at once: one product H_j^H w_j per transmitter.
+    uAu, uu, cap = np.zeros((K, K)), np.zeros(K), np.zeros(K)
+    for j, (H_j, w_j) in enumerate(zip(ch.H, solution.w)):
+        amp = H_j.conj().T @ w_j
+        uAu += amp.real ** 2 + amp.imag ** 2
+        power = np.abs(w_j) ** 2
+        uu += hw.rho[j] * power.sum(axis=0)
+        cap += mu[j] @ power
+    uAu /= np.asarray(ch.sigma2, dtype=float)[:, None]
+    qos = np.asarray(problem.gamma, dtype=float) > 0
+    weighted = np.where(qos, lam, 0.0)[:, None] * uAu
+    np.fill_diagonal(weighted, 0.0)                 # sum over users i != k
+    uBu = uu + weighted.sum(axis=0) + cap
+    served = qos & (uu > 0)
+    k = np.flatnonzero(served)
+    residual = np.full(K, np.nan)
+    residual[k] = np.abs(lam[k] * uAu[k, k] / uBu[k] - gt[k]) / gt[k]
+    return DualityReport(residual, float(np.max(residual[k], initial=0.0)),
+                         tuple(int(i) for i in np.flatnonzero(~served)))
 
 
 def serving_case(serving: tuple) -> str:
@@ -495,7 +487,7 @@ def classify_assignment(solution: BeamformingSolution, hw: HardwareProfile) -> A
     reported as a consistency diagnostic (it signals solver inaccuracy or an
     eigenvalue-multiplicity corner), never as an error.
     """
-    slacks = check_power_constraints(solution, hw)
+    slacks = check_power_constraints(solution.w, hw)
     active = {(s.transmitter, s.antenna) for s in slacks if s.active or s.violated}
     assignments, diagnostics = [], []
     for k, serving in enumerate(solution.serving):

@@ -1,7 +1,8 @@
 """Independent verification of beamforming solutions.
 
-Works on any object exposing per-link beamforming vectors `w[k][j]`; nothing
-here trusts the producing optimizer.  The aggregate SINR of user k is
+Works on the beamformer stacks `w[j]` of shape (antennas(j), K), whose
+column k is w_{k,j}, or on any object exposing them as `w`; nothing here
+trusts the producing optimizer.  The aggregate SINR of user k is
 
     sum_j |h_{k,j}^H w_{k,j}|^2  /  (sum_j sum_{i != k} |h_{k,j}^H w_{i,j}|^2 + sigma_k^2),
 
@@ -26,9 +27,9 @@ from .scenario import ChannelSet
 SERVING_SHARE = 1e-6
 
 
-def link_powers(beams) -> np.ndarray:
-    """(K, T) emitted power ||w_{k,j}||^2 per link, mW."""
-    return np.array([[float(np.real(np.vdot(w, w))) for w in row] for row in beams])
+def link_powers(w: list) -> np.ndarray:
+    """(K, T) emitted power ||w_{k,j}||^2 per link, mW: the column sums of |w[j]|^2."""
+    return np.array([(np.abs(w_j) ** 2).sum(axis=0) for w_j in w]).T
 
 
 def serving_sets(p: np.ndarray) -> list:
@@ -58,28 +59,25 @@ class EvaluationReport:
 
 def evaluate(solution, channels: ChannelSet, hw: HardwareProfile,
              gamma) -> EvaluationReport:
-    beams = getattr(solution, "w", solution)
+    w = getattr(solution, "w", solution)
     K, T = channels.num_users, channels.num_transmitters
-    if len(beams) != K:
-        raise InvalidInputError("need one beamformer list per user")
+    if len(w) != T:
+        raise InvalidInputError(f"need {T} beamformer stacks, one per transmitter")
     if len(gamma) != K:
         raise InvalidInputError("need one QoS target per user")
-    for k in range(K):
-        if len(beams[k]) != T:
-            raise InvalidInputError(f"user {k}: expected {T} beamformers")
-        for j in range(T):
-            if len(beams[k][j]) != channels.antennas(j):
-                raise InvalidInputError(f"beamformer ({k}, {j}) has the wrong length")
+    for j, w_j in enumerate(w):
+        if np.shape(w_j) != (channels.antennas(j), K):
+            raise InvalidInputError(f"beamformer stack {j} has shape {np.shape(w_j)}, "
+                                    f"expected {(channels.antennas(j), K)}")
 
     # gains[k, i, j] = |h_{k,j}^H w_{i,j}|^2 (receiving user, beam owner,
     # transmitter), and the same through tr(h h^H w w^H) as a cross-check.
     gains = np.zeros((K, K, T))
     gains_mat = np.zeros((K, K, T))
-    for j, H in enumerate(channels.H):
-        U = np.array([row[j] for row in beams], dtype=complex).reshape(K, H.shape[0]).T
-        amp = H.conj().T @ U
+    for j, (H, w_j) in enumerate(zip(channels.H, w)):
+        amp = H.conj().T @ w_j
         gains[:, :, j] = amp.real ** 2 + amp.imag ** 2
-        Ws = U.T[:, :, None] * U.T.conj()[:, None, :]          # (K, n, n): w_i w_i^H
+        Ws = w_j.T[:, :, None] * w_j.T.conj()[:, None, :]      # (K, n, n): w_i w_i^H
         gains_mat[:, :, j] = np.einsum("ak,iak->ki", H.conj(), Ws @ H).real
 
     crosscheck = float(np.max(np.abs(gains - gains_mat) / (1.0 + np.abs(gains)), initial=0.0))
@@ -89,15 +87,15 @@ def evaluate(solution, channels: ChannelSet, hw: HardwareProfile,
     sinr = own / (interference + np.asarray(channels.sigma2))
     rate = np.log2(1.0 + sinr)
 
-    serving = serving_sets(link_powers(beams))
+    serving = serving_sets(link_powers(w))
     multiflow = np.array([len(s) > 1 for s in serving])
 
-    p_dyn = dynamic_power(beams, hw)
+    p_dyn = dynamic_power(w, hw)
     p_stat = circuit_power(hw, channels.antenna_counts)
     total = p_dyn + p_stat
     return EvaluationReport(
         sinr=sinr, rate=rate, qos_margin=rate - np.asarray(gamma, dtype=float),
-        power_slacks=check_power_constraints(beams, hw),
+        power_slacks=check_power_constraints(w, hw),
         p_dynamic_mw=p_dyn, p_static_mw=p_stat, p_total_mw=total,
         p_total_dbm=mw_to_dbm(total) if total > 0 else float("-inf"),
         serving=serving, multiflow=multiflow, crosscheck_residual=crosscheck)

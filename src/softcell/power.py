@@ -81,32 +81,12 @@ class ConstraintSlack:
     violated: bool
 
 
-def _beam_lists(solution_or_beams):
-    beams = getattr(solution_or_beams, "w", solution_or_beams)
-    if beams is None:
-        raise InvalidInputError("no beamforming vectors available")
-    return beams
-
-
-def dynamic_power(solution_or_beams, hw: HardwareProfile) -> float:
-    """Amplifier-side consumption sum_j rho_j sum_k ||w_{k,j}||^2 in mW."""
-    beams = _beam_lists(solution_or_beams)
-    total = 0.0
-    for per_user in beams:
-        if len(per_user) > hw.num_transmitters:
-            raise InvalidInputError("more beamformers than transmitters in the profile")
-        for j, w in enumerate(per_user):
-            if w is None or len(w) == 0:
-                continue
-            total += hw.rho[j] * float(np.real(np.vdot(w, w)))
-    return total
-
-
-def static_power(hw: HardwareProfile, n_bs: int, n_sca: int, num_sca_sites: int) -> float:
-    """Circuit consumption (eta_0 N_BS + sum_j eta_j N_SCA) / C in mW."""
-    if num_sca_sites < 0:
-        raise InvalidInputError("antenna and site counts must be >= 0")
-    return circuit_power(hw, (n_bs,) + (n_sca,) * num_sca_sites)
+def dynamic_power(w: list, hw: HardwareProfile) -> float:
+    """Amplifier-side consumption sum_j rho_j sum_k ||w_{k,j}||^2 in mW of the
+    beamformer stacks w[j] (column k is w_{k,j})."""
+    if len(w) > hw.num_transmitters:
+        raise InvalidInputError("more beamformer stacks than transmitters in the profile")
+    return float(sum(hw.rho[j] * np.vdot(w_j, w_j).real for j, w_j in enumerate(w)))
 
 
 def circuit_power(hw: HardwareProfile, antennas) -> float:
@@ -119,30 +99,18 @@ def circuit_power(hw: HardwareProfile, antennas) -> float:
     return sum(eta * n for eta, n in zip(hw.eta, antennas)) / hw.subcarriers
 
 
-def check_power_constraints(solution_or_beams, hw: HardwareProfile, tol: float = 1e-6) -> list[ConstraintSlack]:
-    """Per-antenna usage vs. cap for every transmitter with any beamformer.
+def check_power_constraints(w: list, hw: HardwareProfile, tol: float = 1e-6) -> list[ConstraintSlack]:
+    """Per-antenna usage vs. cap for every antenna of the beamformer stacks w[j].
 
     A constraint is active when |slack| <= tol*q and violated when
     slack < -tol*q; with q = 0 the comparisons fall back to absolute tol.
     """
-    beams = _beam_lists(solution_or_beams)
-    n_tx = max((len(per_user) for per_user in beams), default=0)
     report = []
-    for j in range(n_tx):
-        vecs = [per_user[j] for per_user in beams
-                if j < len(per_user) and per_user[j] is not None and len(per_user[j])]
-        if not vecs:
-            continue
-        dims = {len(v) for v in vecs}
-        if len(dims) != 1:
-            raise InvalidInputError(f"inconsistent antenna counts on transmitter {j}")
+    for j, w_j in enumerate(w):
         q = hw.per_antenna_limit[j]
-        used = np.zeros(dims.pop())
-        for v in vecs:
-            used += np.abs(np.asarray(v)) ** 2
-        for antenna, u in enumerate(used):
+        margin = tol * q if q > 0 else tol
+        for antenna, u in enumerate((np.abs(w_j) ** 2).sum(axis=1)):
             slack = q - float(u)
-            margin = tol * q if q > 0 else tol
             report.append(ConstraintSlack(j, antenna, float(u), q, slack,
                                           active=abs(slack) <= margin,
                                           violated=slack < -margin))

@@ -49,7 +49,6 @@ class ScenarioConfig:
     qos_targets: tuple[float, ...]          # bits/s/Hz per user
     seed: int
     sca_user_radius: float = 0.04           # km
-    carrier_freq: float = 2.0               # GHz, documentation only
     num_subcarriers: int = 600
     shadowing_stddev: float = 7.0           # dB
     noise_variance_dbm: float = -127.0
@@ -108,11 +107,6 @@ class ChannelSet:
     user_positions: np.ndarray  # (K, 2) km
 
     @property
-    def h(self) -> list:
-        """h[k][j] = H[j][:, k], a view of the stack."""
-        return [[H_j[:, k] for H_j in self.H] for k in range(self.num_users)]
-
-    @property
     def num_users(self) -> int:
         return self.H[0].shape[1] if self.H else 0
 
@@ -157,6 +151,7 @@ def _disc_points(rng: np.random.Generator, count: int, center, radius: float) ->
     return out
 
 
+# The loss constants are those of a 2 GHz carrier.
 def path_loss_db(distance_km: float, link_kind: str) -> float:
     """Distance-dependent path and penetration loss in dB."""
     if not distance_km > 0:

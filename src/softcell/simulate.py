@@ -104,11 +104,7 @@ def _sca_multiuser(serving, num_transmitters) -> int:
 def _channel_scalars(channels) -> int:
     """Scalars a central node needs for the full problem: all complex channel
     coefficients (two reals each) plus one noise power per user."""
-    total = 0
-    for k in range(channels.num_users):
-        for j in range(channels.num_transmitters):
-            total += 2 * channels.antennas(j)
-    return total + channels.num_users
+    return channels.num_users * (2 * sum(channels.antenna_counts) + 1)
 
 
 def run_trial(base: ScenarioConfig, axis: str, value, algorithm: str, trial: int) -> TrialRecord:

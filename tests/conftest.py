@@ -17,10 +17,14 @@ from softcell.power import HardwareProfile  # noqa: E402
 from softcell.scenario import ChannelSet  # noqa: E402
 
 
+def stacks(rows):
+    """Per-transmitter (n_j, K) stacks whose column k is rows[k][j]."""
+    return [np.array([row[j] for row in rows], dtype=complex).T for j in range(len(rows[0]))]
+
+
 def make_channels(h_rows, sigma2):
     """ChannelSet from explicit per-(user, transmitter) channel vectors."""
-    H = [np.array([row[j] for row in h_rows], dtype=complex).T for j in range(len(h_rows[0]))]
-    return ChannelSet(H=H, sigma2=np.asarray(sigma2, dtype=float),
+    return ChannelSet(H=stacks(h_rows), sigma2=np.asarray(sigma2, dtype=float),
                       user_positions=np.zeros((len(h_rows), 2)))
 
 

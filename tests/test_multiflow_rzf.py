@@ -29,7 +29,7 @@ def rand_problem(rng, K, antennas, gamma, sigma2=1.0):
 def test_single_user_direction_is_the_matched_filter(single_user_unit_channel):
     prob = CoordinationProblem(single_user_unit_channel, loose_hardware(1), (2.0,))
     inter = rzf_directions(single_user_unit_channel, prob.hw, prob.gtilde)
-    h = single_user_unit_channel.h[0][0]
+    h = single_user_unit_channel.H[0][:, 0]
     u = inter.U[0][:, 0]
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
     align = abs(np.vdot(h, u)) ** 2 / np.vdot(h, h).real
@@ -57,7 +57,7 @@ def test_couplings_are_bounded_by_channel_energy(seed):
     inter = rzf_directions(prob.channels, prob.hw, prob.gtilde)
     for j in range(2):
         for i in range(K):
-            energy = float(np.vdot(prob.channels.h[i][j], prob.channels.h[i][j]).real)
+            energy = float(np.vdot(prob.channels.H[j][:, i], prob.channels.H[j][:, i]).real)
             for k in range(K):
                 assert inter.g[i, k, j] <= energy * (1.0 + 1e-12)
 
@@ -66,7 +66,7 @@ def test_zero_target_users_get_no_direction_and_no_power():
     rng = np.random.default_rng(1)
     prob = rand_problem(rng, 2, [3], (2.0, 0.0))
     sol = rzf_solve(prob)
-    assert np.linalg.norm(sol.w[1][0]) == 0.0
+    assert np.linalg.norm(sol.w[0][:, 1]) == 0.0
     assert sol.serving[1] == ()
     assert sol.p[1].sum() == 0.0
 
@@ -134,7 +134,7 @@ def test_single_user_allocation_matches_the_scalar_solution(single_user_unit_cha
     assert sol.p[0, 0] == pytest.approx(3.0, rel=1e-6)
     assert sol.objective_dynamic == pytest.approx(6.0, rel=1e-6)
     # Doubling the noise power doubles the allocation.
-    ch2 = make_channels([[single_user_unit_channel.h[0][0]]], [2.0])
+    ch2 = make_channels([[single_user_unit_channel.H[0][:, 0]]], [2.0])
     sol2 = rzf_solve(CoordinationProblem(ch2, hw, (2.0,)))
     assert sol2.p[0, 0] == pytest.approx(6.0, rel=1e-6)
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softcell.exceptions import InvalidInputError
-from softcell.power import (HardwareProfile, check_power_constraints,
-                            dbm_to_mw, dynamic_power, mw_to_dbm, static_power)
+from softcell.power import (HardwareProfile, check_power_constraints, circuit_power,
+                            dbm_to_mw, dynamic_power, mw_to_dbm)
 
 
 def test_default_profile_carries_the_hardware_table():
@@ -37,40 +37,42 @@ def test_profile_validation():
 
 def test_dynamic_power_weights_emissions_by_inefficiency():
     hw = HardwareProfile(rho=(2.0, 10.0), eta=(0.0, 0.0), per_antenna_limit=(1.0, 1.0))
-    beams = [
-        [np.array([1.0 + 0j, 1.0j]), np.array([0.5 + 0j])],   # 2 mW and 0.25 mW emitted
-        [np.array([0.0j, 0.0j]), np.array([1.0j])],           # 0 and 1 mW emitted
+    w = [
+        np.array([[1.0 + 0j, 0.0j], [1.0j, 0.0j]]),   # users 0 and 1 emit 2 mW and 0 mW
+        np.array([[0.5 + 0j, 1.0j]]),                 # 0.25 mW and 1 mW
     ]
-    assert dynamic_power(beams, hw) == pytest.approx(2.0 * 2.0 + 10.0 * 1.25, rel=1e-12)
+    assert dynamic_power(w, hw) == pytest.approx(2.0 * 2.0 + 10.0 * 1.25, rel=1e-12)
 
 
 def test_dynamic_power_ignores_absent_beams_and_checks_width():
     hw = HardwareProfile(rho=(2.0,), eta=(0.0,), per_antenna_limit=(1.0,))
-    assert dynamic_power([[None], [np.zeros(0, dtype=complex)]], hw) == 0.0
+    # A transmitter without antennas, and one without users, emit nothing.
+    assert dynamic_power([np.zeros((0, 2), dtype=complex)], hw) == 0.0
+    assert dynamic_power([np.zeros((3, 0), dtype=complex)], hw) == 0.0
     with pytest.raises(InvalidInputError):
-        dynamic_power([[np.ones(1, dtype=complex), np.ones(1, dtype=complex)]], hw)
+        dynamic_power([np.ones((1, 1), dtype=complex), np.ones((1, 1), dtype=complex)], hw)
 
 
 def test_static_power_reference_value_and_monotonicity():
     hw = HardwareProfile.default(num_sca=4)
     ref = (189.0 * 100 + 4 * 5.6 * 1) / 600.0
-    assert static_power(hw, n_bs=100, n_sca=1, num_sca_sites=4) == pytest.approx(ref, rel=1e-12)
-    assert static_power(hw, 100, 1, 4) > static_power(hw, 100, 1, 3)
-    assert static_power(hw, 101, 1, 4) > static_power(hw, 100, 1, 4)
-    assert static_power(hw, 100, 2, 4) > static_power(hw, 100, 1, 4)
+    assert circuit_power(hw, (100, 1, 1, 1, 1)) == pytest.approx(ref, rel=1e-12)
+    assert circuit_power(hw, (100, 1, 1, 1, 1)) > circuit_power(hw, (100, 1, 1, 1))
+    assert circuit_power(hw, (101, 1, 1, 1, 1)) > circuit_power(hw, (100, 1, 1, 1, 1))
+    assert circuit_power(hw, (100, 2, 2, 2, 2)) > circuit_power(hw, (100, 1, 1, 1, 1))
     with pytest.raises(InvalidInputError):
-        static_power(hw, -1, 1, 4)
+        circuit_power(hw, (-1, 1, 1, 1, 1))
     with pytest.raises(InvalidInputError):
-        static_power(hw, 100, 1, 5)
+        circuit_power(hw, (100, 1, 1, 1, 1, 1))                 # five small cells, four profiled
 
 
 def test_constraint_report_flags_active_and_violated_antennas():
     hw = HardwareProfile(rho=(2.0, 2.0), eta=(0.0, 0.0), per_antenna_limit=(1.0, 4.0))
-    beams = [
-        [np.array([1.0 + 0j, 0.5 + 0j]), np.array([1.0 + 0j])],
-        [np.array([0.0j, 1.0 + 0j]), np.array([0.5j])],
+    w = [
+        np.array([[1.0 + 0j, 0.0j], [0.5 + 0j, 1.0 + 0j]]),   # column k: user k's BS beam
+        np.array([[1.0 + 0j, 0.5j]]),
     ]
-    report = {(s.transmitter, s.antenna): s for s in check_power_constraints(beams, hw)}
+    report = {(s.transmitter, s.antenna): s for s in check_power_constraints(w, hw)}
     assert report[(0, 0)].active and not report[(0, 0)].violated
     assert report[(0, 0)].used_mw == pytest.approx(1.0)
     # Antenna 1 of the BS sums 0.25 + 1.0 across users: above the 1.0 cap.
@@ -83,17 +85,10 @@ def test_constraint_report_flags_active_and_violated_antennas():
 
 def test_zero_cap_uses_absolute_tolerance():
     hw = HardwareProfile(rho=(2.0,), eta=(0.0,), per_antenna_limit=(0.0,))
-    quiet = [[np.array([1e-9 + 0j])]]
-    loud = [[np.array([1e-2 + 0j])]]
+    quiet = [np.array([[1e-9 + 0j]])]
+    loud = [np.array([[1e-2 + 0j]])]
     assert not check_power_constraints(quiet, hw)[0].violated
     assert check_power_constraints(loud, hw)[0].violated
-
-
-def test_inconsistent_antenna_counts_are_rejected():
-    hw = HardwareProfile(rho=(2.0,), eta=(0.0,), per_antenna_limit=(1.0,))
-    beams = [[np.ones(2, dtype=complex)], [np.ones(3, dtype=complex)]]
-    with pytest.raises(InvalidInputError):
-        check_power_constraints(beams, hw)
 
 
 @settings(max_examples=40, deadline=None)

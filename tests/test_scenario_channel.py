@@ -141,7 +141,7 @@ def test_fading_matches_the_covariance_in_sample_moments():
     norms = 0.0
     for t in range(trials):
         ch = draw_channels(cfg, R, pos, lambda k, j: stream(7, t, 2, k, j))
-        v = ch.h[0][0]
+        v = ch.H[0][:, 0]
         acc += np.outer(v, v.conj())
         norms += float(np.vdot(v, v).real)
     emp = acc / trials
@@ -159,11 +159,10 @@ def test_realizations_are_bitwise_reproducible():
     a = realize_scenario(cfg, trial=5)
     b = realize_scenario(cfg, trial=5)
     assert np.array_equal(a.user_positions, b.user_positions)
-    for k in range(a.num_users):
-        for j in range(a.num_transmitters):
-            assert np.array_equal(a.h[k][j], b.h[k][j])
+    for j in range(a.num_transmitters):
+        assert np.array_equal(a.H[j], b.H[j])
     c = realize_scenario(cfg, trial=6)
-    assert not np.array_equal(a.h[0][0], c.h[0][0])
+    assert not np.array_equal(a.H[0][:, 0], c.H[0][:, 0])
 
 
 def test_antenna_count_changes_leave_other_links_paired():
@@ -173,14 +172,12 @@ def test_antenna_count_changes_leave_other_links_paired():
     cfg16 = small_config(n_bs=16)
     a, b = realize_scenario(cfg8, 3), realize_scenario(cfg16, 3)
     assert np.array_equal(a.user_positions, b.user_positions)
-    for k in range(a.num_users):
-        for j in (1, 2):
-            assert np.array_equal(a.h[k][j], b.h[k][j])
+    for j in (1, 2):
+        assert np.array_equal(a.H[j], b.H[j])
     cfg_s1 = small_config(n_sca=1)
     cfg_s4 = small_config(n_sca=4)
     c, d = realize_scenario(cfg_s1, 3), realize_scenario(cfg_s4, 3)
-    for k in range(c.num_users):
-        assert np.array_equal(c.h[k][0], d.h[k][0])
+    assert np.array_equal(c.H[0], d.H[0])
 
 
 def test_empty_scenario_realizes_cleanly():
@@ -191,15 +188,15 @@ def test_empty_scenario_realizes_cleanly():
 
 
 def test_empty_scenario_solves_to_the_circuit_power():
-    # Without users both solvers return no beams, and the stacks still carry
-    # the antennas whose circuit power the topology pays.
+    # Without users both solvers return empty beam stacks, and the stacks
+    # still carry the antennas whose circuit power the topology pays.
     cfg = small_config(num_users_uniform=0, users_per_sca=0, qos_targets=())
     ch = realize_scenario(cfg)
     assert ch.antenna_counts == (4, 2, 2)
     prob = CoordinationProblem(ch, cfg.hardware, cfg.qos_targets)
     exact, _ = solve_optimal(prob)
     for sol in (exact, rzf_solve(prob)):
-        assert sol.w == []
+        assert [w_j.shape for w_j in sol.w] == [(4, 0), (2, 0), (2, 0)]
         assert sol.objective_dynamic == 0.0
         assert sol.objective_static == circuit_power(cfg.hardware, (4, 2, 2)) > 0.0
 
@@ -228,11 +225,13 @@ def test_config_json_roundtrip(tmp_path):
 
 
 def test_unknown_config_key_is_rejected():
+    data = {"cell_radius": 0.4, "num_users_uniform": 1, "sca_positions": [],
+            "users_per_sca": 0, "n_bs": 4, "n_sca": 0, "qos_targets": [2.0], "seed": 0}
     with pytest.raises(InvalidInputError):
-        config_from_dict({"cell_radius": 0.4, "num_users_uniform": 1,
-                          "sca_positions": [], "users_per_sca": 0,
-                          "n_bs": 4, "n_sca": 0, "qos_targets": [2.0],
-                          "seed": 0, "frequency_plan": "A"})
+        config_from_dict(data | {"frequency_plan": "A"})
+    # The path loss is fixed for a 2 GHz carrier: no key pretends otherwise.
+    with pytest.raises(InvalidInputError):
+        config_from_dict(data | {"carrier_freq": 3.5})
 
 
 def test_axis_replacement_constructs_the_swept_config():

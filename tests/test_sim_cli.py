@@ -1,13 +1,16 @@
 """Monte Carlo harness and CLI: records, aggregation, determinism, flags."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from softcell.cli import _parse_values, desk_config, full_paper_config, main
 from softcell.exceptions import InvalidInputError
-from softcell.power import static_power
+from softcell.power import circuit_power
 from softcell.scenario import ScenarioConfig
 from softcell.simulate import (CSV_HEADER, SUMMARY_HEADER, SweepSpec,
                                TrialRecord, aggregate, records_csv, run_sweep,
@@ -59,7 +62,7 @@ def test_zero_targets_cost_exactly_the_static_power():
     assert rec.status == "optimal"
     assert rec.p_dynamic_mw == 0.0
     assert rec.total_mw == rec.p_static_mw
-    assert rec.p_static_mw == static_power(base.hardware, 4, 0, 0)
+    assert rec.p_static_mw == circuit_power(base.hardware, (4,))
     assert not rec.infeasible
 
 
@@ -69,7 +72,7 @@ def test_bs_only_trials_drop_the_small_cells():
     assert rec.status == "optimal"
     assert rec.n_single_sca == 0
     assert rec.n_multiflow == 0
-    assert rec.p_static_mw == static_power(base.hardware, 16, 0, base.num_sca)
+    assert rec.p_static_mw == circuit_power(base.hardware, (16,) + (0,) * base.num_sca)
 
 
 def test_heuristic_is_never_cheaper_on_the_same_trial():
@@ -252,6 +255,18 @@ def test_cli_creates_missing_output_directories(tmp_path):
     assert code == 0
     assert out.read_text().startswith(CSV_HEADER)
     assert (tmp_path / "nested" / "dir" / "run.csv.summary.csv").exists()
+
+
+def test_topology_script_writes_records_and_summaries(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "sweep_topology.py"
+    out = tmp_path / "topology"
+    subprocess.run([sys.executable, str(script), "--trials", "1", "--n-bs", "4,8",
+                    "--n-sca", "0,1", "--out", str(out)], check=True, capture_output=True,
+                   timeout=300)
+    for n_bs in (4, 8):
+        assert (out / f"records_nbs{n_bs}.csv").read_text().startswith(CSV_HEADER + "\n")
+        assert (out / f"summary_nbs{n_bs}.csv").read_text().startswith(SUMMARY_HEADER + "\n")
+    assert len(list(out.iterdir())) == 4
 
 
 def test_builtin_scenarios_have_the_documented_shape():
