@@ -2,10 +2,12 @@
 
 Fast path first (_solve_uplink).  With the per-antenna cap multipliers at
 zero the dual of the semidefinite relaxation needs no PSD solve: its QoS
-multipliers are the fixed point of a standard interference function, the
-beams follow by uplink-downlink duality, and the power LP of
-:mod:`softcell.allocation` sets their powers.  When the LP's objective meets
-the dual bound within the conic solver's certification gap, both are optimal.
+multipliers are the fixed point of a standard interference function.  By
+uplink-downlink duality each user is then served by the one transmitter where
+its dual row is tightest, along the direction the fixed point already
+computed, and the powers that meet every target with equality solve one K x K
+linear system.  When no cap binds and their cost meets the dual bound within
+the conic solver's certification gap, both are optimal.
 
 Fallback, for every case the fast path cannot certify (a binding cap,
 infeasible targets, a fixed point that does not settle): build the relaxed
@@ -25,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 
 from . import conic_solver as cs
-from .allocation import allocate_power, couplings, regularized_solve
 from .conic_problem import PSD, Block, ConicProblem
 from .evaluation import SERVING_SHARE, evaluate, link_powers, serving_sets
-from .exceptions import (InfeasibleProblemError, InvalidInputError, NumericalFailureError,
-                         RzfInfeasibleError)
+from .exceptions import InfeasibleProblemError, InvalidInputError, NumericalFailureError
 from .power import HardwareProfile, check_power_constraints, circuit_power, dynamic_power
 from .scenario import ChannelSet
 
@@ -44,14 +45,14 @@ UNSERVED = "unserved"
 # as rank-one and is truncated to its dominant pair by repair_rank.
 RANK_TOL = 1e-6
 # Relative tolerance of the check that a solution meets its SINR targets (its
-# caps are checked at check_power_constraints' default, also 1e-6).
+# caps are checked at power.CAP_TOL, also 1e-6).
 FEASIBILITY_TOL = 1e-6
-# Uplink fixed point (_solve_uplink): the iteration limit, the relative change
-# of every lambda_k that ends it, and the share of a user's largest dual-row
-# gain within which a transmitter counts as tight and may serve the user.
+# Largest relative residual of the duality identity that DualityReport.ok accepts.
+DUALITY_TOL = 1e-4
+# Uplink fixed point (_solve_uplink): the iteration limit and the relative
+# change of every lambda_k that ends it.
 UPLINK_MAX_ITERS = 500
 UPLINK_TOL = 1e-12
-UPLINK_TIE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -278,6 +279,20 @@ def _replace_block(Wkj: np.ndarray, k: int, j: int, users: set, ch: ChannelSet) 
     return _dominant_rank_one(tr * sol.block_values[0])
 
 
+def regularized_solve(G: np.ndarray, a, r) -> np.ndarray:
+    """X[:, k] = (G diag(a) G^H + r_k I)^{-1} G[:, k] for an (n, K) stack G,
+    with one Cholesky factor per distinct r_k.  A column with r_k = inf is
+    zero, the limit of the rule.  Both solvers take their directions from it."""
+    r = np.broadcast_to(r, G.shape[1])
+    gram = (G * a) @ G.conj().T
+    X = np.zeros_like(G)
+    for value in np.unique(r[np.isfinite(r)]):
+        cols = r == value
+        factor = la.cho_factor(gram + value * np.eye(G.shape[0]))
+        X[:, cols] = la.cho_solve(factor, G[:, cols])
+    return X
+
+
 def _solve_uplink(problem: CoordinationProblem):
     """The optimum without a PSD solve, or None where it cannot be certified.
 
@@ -290,25 +305,31 @@ def _solve_uplink(problem: CoordinationProblem):
     lambda_k <- gt_k sigma_k^2 / max_j h_kj^H B_kj^-1 h_kj.  From lambda = 0
     the iterates rise monotonically and each is dual feasible.  One Cholesky
     factor of C_j = B_kj + lambda_k h_kj h_kj^H / sigma_k^2 per transmitter
-    (allocation.regularized_solve, weights lambda, regularizer rho_j) serves
-    all users: by Sherman-Morrison h^H B^-1 h = x / (1 - lambda_k x /
-    sigma_k^2) with x = h^H C_j^-1 h.  By uplink-downlink duality user k's beam
-    at j is parallel to C_j^-1 h_kj, and by complementary slackness only the
-    transmitters whose dual row is tight (within UPLINK_TIE of the max) may
-    serve k.  The power LP over these directions gives a cap-feasible solution
-    whose objective is an upper bound on the optimum; sum lambda is a lower
-    bound.  Within CERT_GAP of each other, both are optimal.
+    (regularized_solve, weights lambda, regularizer rho_j) serves all users:
+    by Sherman-Morrison h^H B^-1 h = x / (1 - lambda_k x / sigma_k^2) with
+    x = h^H C_j^-1 h.
+
+    By uplink-downlink duality user k's beam at j is parallel to C_j^-1 h_kj,
+    and by complementary slackness only a transmitter whose dual row is tight
+    may serve k; user k takes the one with the largest gain, a_k.  With unit
+    directions u_k and g[i, k] = |h_{i,a_k}^H u_k|^2, the powers that meet
+    every target with equality solve M p = sigma^2 over the QoS users, with
+    M[k, k] = g[k, k] / gt_k and M[k, i] = -g[k, i].  They cost at least the
+    dual bound sum lambda; within CERT_GAP of it, both are optimal.
 
     None leaves the problem to the relaxation: lambda has not settled within
     UPLINK_MAX_ITERS, or sum lambda exceeds the power of every antenna at its
     cap (no feasible point costs that much, so the targets are infeasible),
-    or the LP or the verification fails, or a cap binds and the gap stays open.
+    or M is singular or gives a negative power, or the cap of an emitting
+    antenna is active or violated, or the verification fails, or the gap
+    stays open.
     """
     ch, hw, gt = problem.channels, problem.hw, problem.gtilde
     K, T = ch.num_users, ch.num_transmitters
     users = problem.qos_users()
     txs = problem.active_transmitters()
-    G = [ch.H[j] / np.sqrt(np.asarray(ch.sigma2, dtype=float)) for j in txs]
+    sigma2 = np.asarray(ch.sigma2, dtype=float)
+    G = [ch.H[j] / np.sqrt(sigma2) for j in txs]
     ceiling = sum(hw.rho[j] * ch.antennas(j) * hw.per_antenna_limit[j] for j in txs)
     lam = np.zeros(K)
     for _ in range(UPLINK_MAX_ITERS):
@@ -332,15 +353,31 @@ def _solve_uplink(problem: CoordinationProblem):
         return None
 
     U = [np.zeros((ch.antennas(j), K), dtype=complex) for j in range(T)]
-    for t, j in enumerate(txs):
-        serve = [k for k in users if gain[k, t] >= (1.0 - UPLINK_TIE) * best[k]]
-        U[j][:, serve] = X[t][:, serve] / np.linalg.norm(X[t][:, serve], axis=0)
+    for k in users:
+        t = int(np.argmax(gain[k]))
+        U[txs[t]][:, k] = X[t][:, k] / np.linalg.norm(X[t][:, k])
+    g = np.zeros((K, K))
+    for H_j, U_j in zip(ch.H, U):
+        amp = H_j.conj().T @ U_j
+        g += amp.real ** 2 + amp.imag ** 2
+    M = -g[np.ix_(users, users)]
+    M[np.diag_indices_from(M)] = g[users, users] / gt[users]
+    try:
+        p = np.linalg.solve(M, sigma2[users])
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(p) & (p >= 0.0)):
+        return None
+    amplitude = np.zeros(K)
+    amplitude[users] = np.sqrt(p)
+    w = [U_j * amplitude for U_j in U]
+    # A cap binds only where its antenna emits: a zero cap on a silent antenna does not.
+    if any(s.violated or (s.active and s.used_mw > 0.0) for s in check_power_constraints(w, hw)):
+        return None
     bound = float(lam.sum())
     try:
-        directions = couplings(ch, hw, U)
-        p = allocate_power(directions, hw, gt, ch.sigma2)
-        solution = _finish(directions.beams(p), problem, objective_relaxation=bound)
-    except (RzfInfeasibleError, NumericalFailureError):
+        solution = _finish(w, problem, objective_relaxation=bound)
+    except NumericalFailureError:
         return None
     dyn = solution.objective_dynamic
     if abs(dyn - bound) > cs.CERT_GAP * max(1.0, abs(dyn), abs(bound)):
@@ -361,6 +398,11 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
     exact = _solve_uplink(problem)
     if exact is not None:
         return exact
+    if not problem.active_transmitters():
+        # The relaxation would hold only QoS rows, each reading 0 >= 1; a unit
+        # multiplier on every row is its infeasibility ray.
+        raise InfeasibleProblemError("QoS targets unattainable without any antenna",
+                                     certificate=np.ones(len(problem.qos_users())))
 
     relax = build_relaxation(problem)
     conic_sol = cs.solve(relax.conic)
@@ -427,8 +469,8 @@ class DualityReport:
     max_residual: float
     skipped: tuple                  # users with no QoS row or no emitted power
 
-    def ok(self, tol: float = 1e-4) -> bool:
-        return self.max_residual <= tol
+    def ok(self) -> bool:
+        return self.max_residual <= DUALITY_TOL
 
 
 def verify_duality(solution: BeamformingSolution, certificate: DualCertificate,
@@ -482,7 +524,7 @@ def serving_case(serving: tuple) -> str:
 def classify_assignment(solution: BeamformingSolution, hw: HardwareProfile) -> AssignmentReport:
     """Per-user serving case with the active power constraints licensing multiflow.
 
-    A cap is active within check_power_constraints' default tolerance.  A
+    A cap is active within power.CAP_TOL of its limit.  A
     multiflow user without any active constraint at a serving transmitter is
     reported as a consistency diagnostic (it signals solver inaccuracy or an
     eigenvalue-multiplicity corner), never as an error.

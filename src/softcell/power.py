@@ -22,6 +22,7 @@ SCA_CIRCUIT_MW = 5.6
 BS_ANTENNA_CAP_MW = 66.0
 SCA_ANTENNA_CAP_MW = 0.08
 DEFAULT_SUBCARRIERS = 600
+CAP_TOL = 1e-6          # relative tolerance of check_power_constraints
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,11 @@ class HardwareProfile:
         return len(self.rho)
 
     @classmethod
-    def default(cls, num_sca: int, subcarriers: int = DEFAULT_SUBCARRIERS) -> "HardwareProfile":
+    def default(cls, num_sca: int) -> "HardwareProfile":
         return cls(
             rho=(1.0 / BS_EFFICIENCY,) + (1.0 / SCA_EFFICIENCY,) * num_sca,
             eta=(BS_CIRCUIT_MW,) + (SCA_CIRCUIT_MW,) * num_sca,
             per_antenna_limit=(BS_ANTENNA_CAP_MW,) + (SCA_ANTENNA_CAP_MW,) * num_sca,
-            subcarriers=subcarriers,
         )
 
 
@@ -99,16 +99,16 @@ def circuit_power(hw: HardwareProfile, antennas) -> float:
     return sum(eta * n for eta, n in zip(hw.eta, antennas)) / hw.subcarriers
 
 
-def check_power_constraints(w: list, hw: HardwareProfile, tol: float = 1e-6) -> list[ConstraintSlack]:
+def check_power_constraints(w: list, hw: HardwareProfile) -> list[ConstraintSlack]:
     """Per-antenna usage vs. cap for every antenna of the beamformer stacks w[j].
 
-    A constraint is active when |slack| <= tol*q and violated when
-    slack < -tol*q; with q = 0 the comparisons fall back to absolute tol.
+    A constraint is active when |slack| <= CAP_TOL*q and violated when
+    slack < -CAP_TOL*q; with q = 0 the comparisons fall back to absolute CAP_TOL.
     """
     report = []
     for j, w_j in enumerate(w):
         q = hw.per_antenna_limit[j]
-        margin = tol * q if q > 0 else tol
+        margin = CAP_TOL * q if q > 0 else CAP_TOL
         for antenna, u in enumerate((np.abs(w_j) ** 2).sum(axis=1)):
             slack = q - float(u)
             report.append(ConstraintSlack(j, antenna, float(u), q, slack,

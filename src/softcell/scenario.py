@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .power import HardwareProfile
+from .power import DEFAULT_SUBCARRIERS, HardwareProfile
 
 MACRO = "macro"
 SCA_NEAR = "sca_near"
@@ -49,7 +49,6 @@ class ScenarioConfig:
     qos_targets: tuple[float, ...]          # bits/s/Hz per user
     seed: int
     sca_user_radius: float = 0.04           # km
-    num_subcarriers: int = 600
     shadowing_stddev: float = 7.0           # dB
     noise_variance_dbm: float = -127.0
     hardware: HardwareProfile | None = None
@@ -77,7 +76,7 @@ class ScenarioConfig:
             raise InvalidInputError("seed must fit in 64 bits")
         hw = self.hardware
         if hw is None:
-            hw = HardwareProfile.default(self.num_sca, subcarriers=self.num_subcarriers)
+            hw = HardwareProfile.default(self.num_sca)
             object.__setattr__(self, "hardware", hw)
         if hw.num_transmitters < self.num_sca + 1:
             raise InvalidInputError("hardware profile does not cover all transmitters")
@@ -242,17 +241,14 @@ def realize_scenario(config: ScenarioConfig, trial: int = 0) -> ChannelSet:
         lambda k, j: stream(config.seed, trial, _STREAM_FADING, k, j))
 
 
-def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
+def load_config(path: str) -> ScenarioConfig:
     """Read a ScenarioConfig from a JSON file keyed exactly by the field names.
 
     `hardware`, when present, is a nested object with HardwareProfile field
     names.  A scalar `qos_targets` is broadcast to all users.
     """
     with open(path) as fh:
-        data = json.load(fh)
-    if overrides:
-        data.update(overrides)
-    return config_from_dict(data)
+        return config_from_dict(json.load(fh))
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -262,7 +258,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         data["hardware"] = HardwareProfile(
             rho=tuple(hw["rho"]), eta=tuple(hw["eta"]),
             per_antenna_limit=tuple(hw["per_antenna_limit"]),
-            subcarriers=int(hw.get("subcarriers", data.get("num_subcarriers", 600))),
+            subcarriers=int(hw.get("subcarriers", DEFAULT_SUBCARRIERS)),
         )
     data["sca_positions"] = tuple((float(p[0]), float(p[1])) for p in data.get("sca_positions", ()))
     qos = data.get("qos_targets", 2.0)

@@ -1,6 +1,7 @@
 """Exact coordination: relaxation structure, repair, duals, assignment cases."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import loose_hardware, make_channels
 from softcell import conic_solver as cs
 from softcell import coordination
+from softcell.cli import desk_config
 from softcell.coordination import (BS_ONLY, MULTIFLOW, SINGLE_SCA,
                                    CoordinationProblem, DualCertificate, _finish,
                                    build_relaxation, classify_assignment,
@@ -18,6 +20,7 @@ from softcell.exceptions import (InfeasibleProblemError, InvalidInputError,
 from softcell.power import HardwareProfile, circuit_power
 from softcell.rzf import rzf_solve
 from softcell.scenario import ScenarioConfig, realize_scenario
+from softcell.simulate import run_trial
 
 
 def rand_instance(rng, K, antennas, gamma, sigma2=1.0, hw=None):
@@ -63,7 +66,10 @@ def test_zero_targets_cost_only_static_power():
     assert sol.objective_total == sol.objective_static
     assert all(s == () for s in sol.serving)
     assert np.all(cert.lam == 0.0)
-    # The same holds without any antenna, where no transmitter can serve.
+    # The same holds with every cap at zero, and without any antenna, where no
+    # transmitter can serve.
+    sol, cert = solve_optimal(CoordinationProblem(ch, loose_hardware(1, cap=0.0), (0.0, 0.0)))
+    assert sol.objective_dynamic == 0.0
     bare = make_channels([[np.zeros(0)], [np.zeros(0)]], [1.0, 1.0])
     sol, cert = solve_optimal(CoordinationProblem(bare, hw, (0.0, 0.0)))
     assert sol.objective_total == 0.0
@@ -142,6 +148,17 @@ def test_unreachable_target_raises_with_certificate():
     with pytest.raises(InfeasibleProblemError) as exc:
         solve_optimal(prob)
     assert exc.value.certificate is not None
+
+
+def test_a_network_without_antennas_cannot_serve_a_target():
+    bare = make_channels([[np.zeros(0)], [np.zeros(0)]], [1.0, 1.0])
+    prob = CoordinationProblem(bare, loose_hardware(1), (1.0, 0.0))
+    with pytest.raises(InfeasibleProblemError) as exc:
+        solve_optimal(prob)
+    # The relaxation's one row, user 0's QoS row, reads 0 >= 1.
+    assert np.array_equal(exc.value.certificate, [1.0])
+    with pytest.raises(RzfInfeasibleError):
+        rzf_solve(prob)
 
 
 def test_a_beam_over_a_per_antenna_cap_is_refused():
@@ -345,6 +362,10 @@ def _refuse_relaxation(problem):
     raise AssertionError("solve_optimal built the relaxation")
 
 
+def _refuse_conic_solve(problem):
+    raise AssertionError("solve_optimal ran a conic solve")
+
+
 def test_fixed_point_certifies_the_relaxation_optimum(monkeypatch):
     rng = np.random.default_rng(13)
     for _ in range(6):
@@ -354,8 +375,11 @@ def test_fixed_point_certifies_the_relaxation_optimum(monkeypatch):
         assert reference.status == cs.OPTIMAL
         with monkeypatch.context() as m:
             m.setattr(coordination, "build_relaxation", _refuse_relaxation)
+            m.setattr(cs, "solve", _refuse_conic_solve)
             sol, cert = solve_optimal(prob)
         assert sol.objective_dynamic == pytest.approx(reference.primal_objective, rel=1e-8)
+        # Each QoS user is served by exactly one transmitter.
+        assert all(len(sol.serving[k]) == 1 for k in prob.qos_users())
         # The reported relaxation value is the certified dual bound at mu = 0.
         assert sol.objective_relaxation == float(cert.lam.sum())
         assert all(np.all(mu_j == 0.0) for mu_j in cert.mu)
@@ -377,12 +401,12 @@ def test_a_binding_cap_falls_back_to_the_relaxation(monkeypatch):
     assert sol.serving[0] == (0, 1)
 
 
-def test_only_tight_transmitters_carry_a_users_beam(monkeypatch):
+def test_fast_path_serves_a_pool_user_from_one_transmitter_only(monkeypatch):
     # Criterion 4's pool instance 39 (N_BS=4, one user at each of two SCAs and
-    # two uniform users at 1 bit/s/Hz), trial 1, with caps x100.  Given a
-    # direction at every transmitter, the power LP's interior point leaves
-    # 1.8e-6 of user 2's power on the BS, above SERVING_SHARE, and the user
-    # becomes a multiflow user that no active cap licenses.
+    # two uniform users at 1 bit/s/Hz), trial 1, with caps x100.  A power LP
+    # over directions at every transmitter leaves 1.8e-6 of user 2's power on
+    # the BS, above SERVING_SHARE, and makes it a multiflow user that no
+    # active cap licenses.
     r = 0.3 / np.sqrt(2.0)
     cfg = ScenarioConfig(cell_radius=0.5, num_users_uniform=2,
                          sca_positions=((r, r), (-r, -r)), users_per_sca=1,
@@ -394,6 +418,7 @@ def test_only_tight_transmitters_carry_a_users_beam(monkeypatch):
     prob = CoordinationProblem(realize_scenario(cfg, trial=1), lifted, cfg.qos_targets)
     monkeypatch.setattr(coordination, "build_relaxation", _refuse_relaxation)
     sol, _ = solve_optimal(prob)
+    assert all(len(serving) == 1 for serving in sol.serving)
     assert not classify_assignment(sol, lifted).diagnostics
 
 
@@ -457,3 +482,15 @@ def test_stall_without_a_certified_iterate_is_a_numerical_failure(monkeypatch):
     assert sol.status == cs.NUMERICAL_FAILURE
     assert "iteration limit" in sol.message
     assert sol.block_values is None
+
+
+@pytest.mark.xfail(strict=True, reason="the rank-repair program of block (5, 0) ends at the "
+                                       "iteration limit with a dual residual above CERT_FEAS")
+def test_antenna_sweep_trial_with_a_failing_repair_certifies():
+    # Criterion 7's sweep at N_BS=24 with one SCA, trial 13.  The relaxation
+    # exits at reduced precision after 31 iterations; the rank-repair program
+    # of block (5, 0) (24x24, 30 rows) then reaches MAX_ITERS with a dual
+    # residual of 1.5e-8.  Dropping its trace row, which the per-antenna rows
+    # imply, leaves 2.8e-8.  The sweep records the trial as infeasible.
+    record = run_trial(replace(desk_config(seed=101), n_bs=24), "n_sca", 1, "optimal", 13)
+    assert record.status == "optimal"

@@ -220,8 +220,6 @@ def test_config_json_roundtrip(tmp_path):
     assert cfg.qos_targets == (1.5,) * 5
     assert cfg.hardware.rho == (2.5, 19.0)
     assert cfg.hardware.subcarriers == 600
-    over = load_config(str(path), overrides={"seed": 77})
-    assert over.seed == 77
 
 
 def test_unknown_config_key_is_rejected():
@@ -232,6 +230,9 @@ def test_unknown_config_key_is_rejected():
     # The path loss is fixed for a 2 GHz carrier: no key pretends otherwise.
     with pytest.raises(InvalidInputError):
         config_from_dict(data | {"carrier_freq": 3.5})
+    # The subcarrier count belongs to the hardware profile alone.
+    with pytest.raises(InvalidInputError):
+        config_from_dict(data | {"num_subcarriers": 1200})
 
 
 def test_axis_replacement_constructs_the_swept_config():
