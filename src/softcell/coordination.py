@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
 from . import conic_solver as cs
 from .conic_problem import PSD, Block, ConicProblem
@@ -173,8 +172,11 @@ def build_relaxation(problem: CoordinationProblem) -> Relaxation:
         for j in txs:
             h = ch.H[j][:, k]
             hh = np.outer(h, h.conj()) / float(ch.sigma2[k])
+            # One interference coefficient shared by every other user's block,
+            # symmetrized here as ConicProblem would symmetrize each copy.
+            interference = 0.5 * (-hh - hh.conj().T)
             for i in users:
-                coeffs[block_of[(i, j)]] = ((1.0 / gt[k]) * hh if i == k else -hh)
+                coeffs[block_of[(i, j)]] = ((1.0 / gt[k]) * hh if i == k else interference)
         qos_row[k] = conic.add_constraint(coeffs, ">=", 1.0)
 
     power_row = {}
@@ -279,18 +281,28 @@ def _replace_block(Wkj: np.ndarray, k: int, j: int, users: set, ch: ChannelSet) 
     return _dominant_rank_one(tr * sol.block_values[0])
 
 
-def regularized_solve(G: np.ndarray, a, r) -> np.ndarray:
-    """X[:, k] = (G diag(a) G^H + r_k I)^{-1} G[:, k] for an (n, K) stack G,
-    with one Cholesky factor per distinct r_k.  A column with r_k = inf is
-    zero, the limit of the rule.  Both solvers take their directions from it."""
-    r = np.broadcast_to(r, G.shape[1])
-    gram = (G * a) @ G.conj().T
-    X = np.zeros_like(G)
-    for value in np.unique(r[np.isfinite(r)]):
-        cols = r == value
-        factor = la.cho_factor(gram + value * np.eye(G.shape[0]))
-        X[:, cols] = la.cho_solve(factor, G[:, cols])
-    return X
+def scaled_channels(channels: ChannelSet, txs: list) -> tuple[list, np.ndarray]:
+    """Noise-scaled stacks G_t = H_t / sigma (column k over sigma_k) of the
+    transmitters txs, and the (T, K, K) stack of their Grams G_t^H G_t."""
+    K = channels.num_users
+    G = [channels.H[j] / np.sqrt(np.asarray(channels.sigma2, dtype=float)) for j in txs]
+    return G, np.array([G_t.conj().T @ G_t for G_t in G], dtype=complex).reshape(len(G), K, K)
+
+
+def regularized_inverse(gram: np.ndarray, a, r) -> np.ndarray:
+    """Y[t] = (diag(a) gram[t] + r[t] I)^{-1} for a (T, K, K) stack of Grams
+    gram[t] = G_t^H G_t, in one batched K x K solve.
+
+    By the push-through identity (G diag(a) G^H + r I)^{-1} G = G Y, column k
+    of G_t Y[t] is the regularized direction of user k at transmitter t, and
+    (gram[t] Y[t])[k, k] is its quadratic form g_k^H (G diag(a) G^H + r I)^{-1} g_k,
+    whatever the antenna count n_t.  Both solvers take their directions from it.
+    """
+    K = gram.shape[-1]
+    a = np.broadcast_to(np.asarray(a, dtype=float), K)
+    r = np.broadcast_to(np.asarray(r, dtype=float), gram.shape[:1])
+    system = a[:, None] * gram + r[:, None, None] * np.eye(K)
+    return np.linalg.solve(system, np.broadcast_to(np.eye(K), system.shape))
 
 
 def _solve_uplink(problem: CoordinationProblem):
@@ -303,17 +315,18 @@ def _solve_uplink(problem: CoordinationProblem):
 
     and its optimum is the fixed point of the standard interference function
     lambda_k <- gt_k sigma_k^2 / max_j h_kj^H B_kj^-1 h_kj.  From lambda = 0
-    the iterates rise monotonically and each is dual feasible.  One Cholesky
-    factor of C_j = B_kj + lambda_k h_kj h_kj^H / sigma_k^2 per transmitter
-    (regularized_solve, weights lambda, regularizer rho_j) serves all users:
-    by Sherman-Morrison h^H B^-1 h = x / (1 - lambda_k x / sigma_k^2) with
-    x = h^H C_j^-1 h.
+    the iterates rise monotonically and each is dual feasible.  One batched
+    K x K solve per round (regularized_inverse, weights lambda, regularizer
+    rho_j) serves all users at every transmitter: it gives x = h_kj^H C_j^-1 h_kj
+    for C_j = B_kj + lambda_k h_kj h_kj^H / sigma_k^2, and by Sherman-Morrison
+    h^H B^-1 h = x / (1 - lambda_k x / sigma_k^2).
 
     By uplink-downlink duality user k's beam at j is parallel to C_j^-1 h_kj,
     and by complementary slackness only a transmitter whose dual row is tight
-    may serve k; user k takes the one with the largest gain, a_k.  With unit
-    directions u_k and g[i, k] = |h_{i,a_k}^H u_k|^2, the powers that meet
-    every target with equality solve M p = sigma^2 over the QoS users, with
+    may serve k; user k takes the one with the largest gain, a_k, and only that
+    direction is formed.  With unit directions u_k and
+    g[i, k] = |h_{i,a_k}^H u_k|^2, the powers that meet every target with
+    equality solve M p = sigma^2 over the QoS users, with
     M[k, k] = g[k, k] / gt_k and M[k, i] = -g[k, i].  They cost at least the
     dual bound sum lambda; within CERT_GAP of it, both are optimal.
 
@@ -329,15 +342,14 @@ def _solve_uplink(problem: CoordinationProblem):
     users = problem.qos_users()
     txs = problem.active_transmitters()
     sigma2 = np.asarray(ch.sigma2, dtype=float)
-    G = [ch.H[j] / np.sqrt(sigma2) for j in txs]
+    G, gram = scaled_channels(ch, txs)
+    rho = [hw.rho[j] for j in txs]
     ceiling = sum(hw.rho[j] * ch.antennas(j) * hw.per_antenna_limit[j] for j in txs)
     lam = np.zeros(K)
     for _ in range(UPLINK_MAX_ITERS):
-        X, gain = [], np.zeros((K, len(txs)))
-        for t, (j, G_j) in enumerate(zip(txs, G)):
-            X.append(regularized_solve(G_j, lam, hw.rho[j]))
-            x = np.einsum("ik,ik->k", G_j.conj(), X[-1]).real
-            gain[:, t] = x / (1.0 - lam * x)
+        Y = regularized_inverse(gram, lam, rho)
+        x = np.einsum("tki,tik->kt", gram, Y).real
+        gain = x / (1.0 - lam[:, None] * x)
         best = gain.max(axis=1, initial=0.0)       # 0 without any active transmitter
         if np.any(best[users] <= 0.0):
             return None
@@ -355,7 +367,8 @@ def _solve_uplink(problem: CoordinationProblem):
     U = [np.zeros((ch.antennas(j), K), dtype=complex) for j in range(T)]
     for k in users:
         t = int(np.argmax(gain[k]))
-        U[txs[t]][:, k] = X[t][:, k] / np.linalg.norm(X[t][:, k])
+        u = G[t] @ Y[t][:, k]
+        U[txs[t]][:, k] = u / np.linalg.norm(u)
     g = np.zeros((K, K))
     for H_j, U_j in zip(ch.H, U):
         amp = H_j.conj().T @ U_j

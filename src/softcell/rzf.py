@@ -6,10 +6,12 @@ Each transmitter j forms, independently and from local channel knowledge only,
     u_{k,j} = normalize( (sum_i h_{i,j} h_{i,j}^H / sigma_i^2 + K/(gt_k q_j) I)^{-1} h_{k,j} ),
 
 with the regularizer depending on the target user's SINR requirement gt_k and
-the per-antenna cap q_j: one Cholesky factor per transmitter and distinct
-target, through coordination.regularized_solve, the direction rule the exact
-solver shares.  Only the scalar couplings |h_{i,j}^H u_{k,j}|^2 and
-|u_{k,j}[l]|^2 travel over the backhaul; the power split across transmitters
+the per-antenna cap q_j.  With G_j the (n_j, K) stack of h_{i,j} / sigma_i,
+the push-through identity (G G^H + r I)^{-1} G = G (G^H G + r I)^{-1} turns the
+n_j x n_j inverse into a K x K one: one batched solve over the transmitters
+per distinct target, through coordination.regularized_inverse, the direction
+rule the exact solver shares.  Only the scalar couplings |h_{i,j}^H u_{k,j}|^2
+and |u_{k,j}[l]|^2 travel over the backhaul; the power split across transmitters
 then solves a small LP in the per-link powers p_{k,j}.  A coupling is left out
 (exchanged as zero) only when even the full power n_j q_j of transmitter j
 along u_{k,j} would deliver less than GAIN_FLOOR of user i's noise power.
@@ -23,7 +25,8 @@ import numpy as np
 
 from . import conic_solver as cs
 from .conic_problem import NONNEG, Block, ConicProblem
-from .coordination import BeamformingSolution, CoordinationProblem, _finish, regularized_solve
+from .coordination import (BeamformingSolution, CoordinationProblem, _finish,
+                           regularized_inverse, scaled_channels)
 from .exceptions import InvalidInputError, NumericalFailureError, RzfInfeasibleError
 from .scenario import ChannelSet
 
@@ -108,17 +111,20 @@ def allocate_power(intermediate: Directions, hw, gtilde, sigma2) -> np.ndarray:
 def rzf_directions(channels: ChannelSet, hw, gtilde) -> Directions:
     K = channels.num_users
     gtilde = np.asarray(gtilde, dtype=float)
-    scale = np.sqrt(np.asarray(channels.sigma2, dtype=float))
-    U = []
-    for j, H_j in enumerate(channels.H):
-        q_j = hw.per_antenna_limit[j]
-        if H_j.shape[0] and q_j <= 0:
+    U = [np.zeros((n, K), dtype=complex) for n in channels.antenna_counts]
+    txs = [j for j, n in enumerate(channels.antenna_counts) if n]
+    for j in txs:
+        if hw.per_antenna_limit[j] <= 0:
             raise InvalidInputError(f"transmitter {j} has antennas but a zero power cap")
-        with np.errstate(divide="ignore"):
-            reg = K / (np.maximum(gtilde, 0.0) * q_j)     # inf: no direction
-        X = regularized_solve(H_j / scale, 1.0, reg)
-        norm = np.linalg.norm(X, axis=0)
-        U.append(np.divide(X, norm, out=np.zeros_like(X), where=norm > 0))
+    G, gram = scaled_channels(channels, txs)
+    q = np.array([hw.per_antenna_limit[j] for j in txs], dtype=float)
+    for target in np.unique(gtilde[gtilde > 0]):
+        users = gtilde == target
+        Y = regularized_inverse(gram, 1.0, K / (target * q))
+        for j, G_t, Y_t in zip(txs, G, Y):
+            X = G_t @ Y_t[:, users]
+            norm = np.linalg.norm(X, axis=0)
+            U[j][:, users] = np.divide(X, norm, out=np.zeros_like(X), where=norm > 0)
     return couplings(channels, hw, U)
 
 

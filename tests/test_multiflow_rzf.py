@@ -93,9 +93,9 @@ def test_per_transmitter_phase_rotation_leaves_couplings_invariant():
 
 
 def test_directions_match_a_per_user_solve_for_unequal_targets():
-    # Distinct targets and caps give each user its own regularizer, so every
-    # transmitter needs more than one factorization; the gamma = 0 user gets
-    # no direction but still counts in every Gram matrix.
+    # Distinct targets and caps give each user its own regularizer, so each
+    # distinct target needs its own solve; the gamma = 0 user gets no
+    # direction but still counts in every Gram matrix.
     rng = np.random.default_rng(5)
     antennas, K = (4, 1, 3), 4
     h_rows = [[rng.normal(size=n) + 1j * rng.normal(size=n) for n in antennas]

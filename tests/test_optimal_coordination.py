@@ -9,11 +9,12 @@ import pytest
 from conftest import loose_hardware, make_channels
 from softcell import conic_solver as cs
 from softcell import coordination
-from softcell.cli import desk_config
+from softcell.cli import desk_config, full_paper_config
 from softcell.coordination import (BS_ONLY, MULTIFLOW, SINGLE_SCA,
                                    CoordinationProblem, DualCertificate, _finish,
                                    build_relaxation, classify_assignment,
-                                   repair_rank, solve_optimal, verify_duality)
+                                   regularized_inverse, repair_rank, solve_optimal,
+                                   verify_duality)
 from softcell.evaluation import evaluate
 from softcell.exceptions import (InfeasibleProblemError, InvalidInputError,
                                  NumericalFailureError, RzfInfeasibleError)
@@ -433,6 +434,61 @@ def test_diverging_fixed_point_leaves_the_certificate_to_the_relaxation():
         solve_optimal(prob)
     assert time.perf_counter() - start < 1.0
     assert exc.value.certificate is not None
+
+
+
+@pytest.mark.parametrize("weights", ["random", "some_zero", "all_zero"])
+def test_push_through_kernel_matches_the_antenna_domain_solve(weights):
+    # One batch of three transmitters: many more antennas than users, fewer
+    # antennas than users, and none at all.
+    rng = np.random.default_rng(21)
+    K = 4
+    G = [rng.normal(size=(n, K)) + 1j * rng.normal(size=(n, K)) for n in (64, 3, 0)]
+    a = {"random": rng.uniform(0.1, 3.0, size=K),
+         "some_zero": np.array([0.0, 1.5, 0.0, 0.7]),
+         "all_zero": np.zeros(K)}[weights]
+    r = rng.uniform(0.5, 2.0, size=len(G))
+    gram = np.array([G_t.conj().T @ G_t for G_t in G]).reshape(len(G), K, K)
+    Y = regularized_inverse(gram, a, r)
+    assert Y.shape == (len(G), K, K)
+    for G_t, Y_t, r_t in zip(G, Y, r):
+        ref = np.linalg.solve((G_t * a) @ G_t.conj().T + r_t * np.eye(G_t.shape[0]), G_t)
+        assert np.linalg.norm(G_t @ Y_t - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_massive_mimo_fixed_point_matches_an_antenna_domain_reference(monkeypatch):
+    # N_BS = 64 antennas and K = 6 users: the fixed point run on K x K
+    # systems gives the multipliers of the same iteration on n x n ones,
+    # written here with Sherman-Morrison as in the _solve_uplink docstring.
+    cfg = replace(desk_config(seed=202), n_bs=64)
+    prob = CoordinationProblem(realize_scenario(cfg, trial=0), cfg.hardware, cfg.qos_targets)
+    monkeypatch.setattr(coordination, "build_relaxation", _refuse_relaxation)
+    _, cert = solve_optimal(prob)
+
+    ch, gt = prob.channels, prob.gtilde
+    sigma2 = np.asarray(ch.sigma2, dtype=float)
+    lam = np.zeros(ch.num_users)
+    for _ in range(coordination.UPLINK_MAX_ITERS):
+        best = np.zeros(ch.num_users)
+        for j in prob.active_transmitters():
+            G = ch.H[j] / np.sqrt(sigma2)
+            C = (G * lam) @ G.conj().T + prob.hw.rho[j] * np.eye(G.shape[0])
+            x = np.einsum("ik,ik->k", G.conj(), np.linalg.solve(C, G)).real
+            best = np.maximum(best, x / (1.0 - lam * x))
+        new = gt / best
+        settled = np.all(new - lam <= coordination.UPLINK_TOL * new)
+        lam = new
+        if settled:
+            break
+    assert np.allclose(cert.lam, lam, rtol=1e-10, atol=0)
+
+
+def test_paper_scale_trial_certifies_on_the_fast_path(monkeypatch):
+    # The paper's setup (N_BS = 100, K = 10, four single-antenna small cells)
+    # certifies without the relaxation, which would take about 26 s here.
+    monkeypatch.setattr(coordination, "build_relaxation", _refuse_relaxation)
+    monkeypatch.setattr(cs, "solve", _refuse_conic_solve)
+    assert run_trial(full_paper_config(), "qos", 2.0, "optimal", 0).status == "optimal"
 
 
 # ---------------------------------------------------------------------------
