@@ -12,9 +12,9 @@ the conic solver's certification gap, both are optimal.
 Fallback, for every case the fast path cannot certify (a binding cap,
 infeasible targets, a fixed point that does not settle): build the relaxed
 program in the per-link matrices W_{k,j} (one PSD block per served user and
-transmitter), solve it with the conic engine, repair any block whose optimal
-matrix is not numerically rank-one by the trace/interference-preserving
-replacement program, and extract beamforming vectors and dual certificates.
+transmitter), solve it with the conic engine, take every block to rank one in
+closed form (repair_rank: w = W h / sqrt(h^H W h), which keeps every relaxed
+row at no higher cost), and extract beamforming vectors and dual certificates.
 Either way the topology's static power is added.
 
 The relaxation is exact: a rank-one optimal solution always exists, so an
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import conic_solver as cs
 from .conic_problem import PSD, Block, ConicProblem
-from .evaluation import SERVING_SHARE, evaluate, link_powers, serving_sets
+from .evaluation import SERVING_SHARE, evaluate, link_gains, link_powers, serving_sets
 from .exceptions import InfeasibleProblemError, InvalidInputError, NumericalFailureError
 from .power import HardwareProfile, check_power_constraints, circuit_power, dynamic_power
 from .scenario import ChannelSet
@@ -40,9 +40,6 @@ SINGLE_SCA = "single_sca"
 MULTIFLOW = "multiflow"
 UNSERVED = "unserved"
 
-# A relaxed block whose eigenvalue ratio lam2/lam1 is at most RANK_TOL counts
-# as rank-one and is truncated to its dominant pair by repair_rank.
-RANK_TOL = 1e-6
 # Relative tolerance of the check that a solution meets its SINR targets (its
 # caps are checked at power.CAP_TOL, also 1e-6).
 FEASIBILITY_TOL = 1e-6
@@ -87,7 +84,6 @@ class BeamformingSolution:
     objective_dynamic: float        # mW
     objective_static: float         # mW
     objective_total: float          # mW
-    repair_needed: bool = False
     exchanged_scalars: dict | None = None   # per-SCA backhaul scalar counts
     # Relaxed optimum (dynamic, mW): the IPM's value before repair, or on the
     # fast path the certified dual bound sum lambda.
@@ -191,94 +187,44 @@ def build_relaxation(problem: CoordinationProblem) -> Relaxation:
     return Relaxation(conic, block_of, qos_row, power_row)
 
 
-def _dominant_rank_one(W: np.ndarray) -> np.ndarray:
-    """Vector w with a fixed phase such that w w^H is W's dominant eigenpair."""
-    vals, vecs = np.linalg.eigh(W)
-    lam1 = max(vals[-1], 0.0)
-    v = vecs[:, -1]
-    anchor = np.argmax(np.abs(v))
-    phase = v[anchor] / abs(v[anchor]) if abs(v[anchor]) > 0 else 1.0
-    return np.sqrt(lam1) * (v / phase)
-
-
-def repair_rank(W: list, problem: CoordinationProblem) -> tuple[list, bool]:
+def repair_rank(W: list, problem: CoordinationProblem) -> list:
     """Beamformer stacks w[j] whose rank-one blocks w_{k,j} w_{k,j}^H (column
-    k of w[j]) preserve objective and feasibility of the relaxed blocks
-    W[k][j], and whether any block needed the replacement program below.
+    k of w[j]) keep every row of the relaxed program that the blocks W[k][j]
+    satisfy, at no higher cost.
 
-    Blocks carrying a negligible share of their user's power are zeroed; blocks
-    with eigenvalue ratio lam2/lam1 <= RANK_TOL are truncated to the dominant pair.
-    Any remaining block (k, j) is replaced by the optimum of
-
-        max  h_{k,j}^H V h_{k,j}
-        s.t. tr V <= tr W,  V[l,l] <= W[l,l] per antenna,  V >= 0,
-             h_{i,j}^H V h_{i,j} <= h_{i,j}^H W h_{i,j}  for all other QoS users i,
-
-    which keeps every row of the relaxed program satisfied while not reducing
-    the user's own signal; its optimum is rank-one and is truncated as such.
+    Column k of w[j] is W h / sqrt(h^H W h) for W = W[k][j] and h = h_{k,j},
+    whatever the rank of W.  By Cauchy-Schwarz in the inner product W,
+    |x^H W h|^2 <= (x^H W x)(h^H W h) for every x, so w w^H <= W: no antenna
+    power, no trace and no other user's gain grows, while the own signal
+    h^H w w^H h = h^H W h is kept.  Blocks carrying a negligible share of their
+    user's power, or none of its signal, are zeroed.
     """
     ch, hw, gt = problem.channels, problem.hw, problem.gtilde
     users = set(problem.qos_users())
     w = [np.zeros((n, len(W)), dtype=complex) for n in ch.antenna_counts]
     obj_scale = 1.0 + sum(hw.rho[j] * np.real(np.trace(Wkj))
                           for row in W for j, Wkj in enumerate(row) if Wkj.size)
-    needed = False
     for k, row in enumerate(W):
         traces = [np.real(np.trace(Wkj)) if Wkj.size else 0.0 for Wkj in row]
         total = sum(traces)
         for j, Wkj in enumerate(row):
             if Wkj.size == 0 or traces[j] <= SERVING_SHARE * total or total == 0.0:
                 continue
-            # Interior-point noise: a block whose cost and own QoS-row
-            # contribution are both below 1e-8 of their row scales cannot be
-            # load-bearing; zeroing it is within every downstream tolerance,
-            # while replacing it would solve an arbitrarily ill-conditioned
-            # program built from roundoff.
-            if hw.rho[j] * traces[j] <= 1e-8 * obj_scale and k in users:
-                h = ch.H[j][:, k]
-                own_row = float(np.real(h.conj() @ Wkj @ h)) / (gt[k] * float(ch.sigma2[k]))
-                if own_row <= 1e-8:
-                    continue
-            vals = np.linalg.eigvalsh(Wkj)
-            if vals[-1] <= 0:
+            h = ch.H[j][:, k]
+            Wh = Wkj @ h
+            own = float(np.real(h.conj() @ Wh))
+            if own <= 0.0:
                 continue
-            if len(vals) == 1 or max(vals[-2], 0.0) / vals[-1] <= RANK_TOL:
-                w[j][:, k] = _dominant_rank_one(Wkj)
+            # Interior-point residue: a block whose cost and own QoS-row
+            # contribution are both below 1e-8 of their row scales carries no
+            # load, yet its beam would still hold more than SERVING_SHARE of
+            # the user's power and count as a serving link.  Zeroing it is
+            # within every downstream tolerance.
+            if (k in users and hw.rho[j] * traces[j] <= 1e-8 * obj_scale
+                    and own / (gt[k] * float(ch.sigma2[k])) <= 1e-8):
                 continue
-            needed = True
-            w[j][:, k] = _replace_block(Wkj, k, j, users, ch)
-    return w, needed
-
-
-def _replace_block(Wkj: np.ndarray, k: int, j: int, users: set, ch: ChannelSet) -> np.ndarray:
-    # Stated in units of the incumbent block: V = trace(W) * X with every row
-    # normalized to rhs 1 and the objective to optimum -1, so the solver sees
-    # a well-scaled program regardless of how small this block's power is.
-    n = Wkj.shape[0]
-    tr = float(np.real(np.trace(Wkj)))
-    h = ch.H[j][:, k]
-    own = float(np.real(h.conj() @ Wkj @ h))
-    prob = ConicProblem([Block(PSD, n)])
-    prob.set_objective({0: -np.outer(h, h.conj()) * (tr / max(own, 1e-300))})
-    prob.add_constraint({0: np.eye(n, dtype=complex)}, "<=", 1.0)
-    for l in range(n):
-        Q = np.zeros((n, n), dtype=complex)
-        wl = float(np.real(Wkj[l, l]))
-        Q[l, l] = tr / wl if wl > 0 else 1.0
-        prob.add_constraint({0: Q}, "<=", 1.0 if wl > 0 else 0.0)
-    for i in sorted(users - {k}):
-        hi = ch.H[j][:, i]
-        gain = float(np.real(hi.conj() @ Wkj @ hi))
-        if gain > 0:
-            prob.add_constraint({0: np.outer(hi, hi.conj()) * (tr / gain)}, "<=", 1.0)
-        else:
-            prob.add_constraint({0: np.outer(hi, hi.conj())}, "<=", 0.0)
-    sol = cs.solve(prob)
-    if sol.status != cs.OPTIMAL:
-        raise NumericalFailureError(
-            f"rank repair of block ({k}, {j}) failed with status {sol.status}",
-            {"primal": sol.residual_primal, "dual": sol.residual_dual, "gap": sol.residual_gap})
-    return _dominant_rank_one(tr * sol.block_values[0])
+            w[j][:, k] = Wh / np.sqrt(own)
+    return w
 
 
 def scaled_channels(channels: ChannelSet, txs: list) -> tuple[list, np.ndarray]:
@@ -369,10 +315,7 @@ def _solve_uplink(problem: CoordinationProblem):
         t = int(np.argmax(gain[k]))
         u = G[t] @ Y[t][:, k]
         U[txs[t]][:, k] = u / np.linalg.norm(u)
-    g = np.zeros((K, K))
-    for H_j, U_j in zip(ch.H, U):
-        amp = H_j.conj().T @ U_j
-        g += amp.real ** 2 + amp.imag ** 2
+    g = link_gains(ch.H, U).sum(axis=2)
     M = -g[np.ix_(users, users)]
     M[np.diag_indices_from(M)] = g[users, users] / gt[users]
     try:
@@ -400,11 +343,13 @@ def _solve_uplink(problem: CoordinationProblem):
 
 def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, DualCertificate]:
     """Exact minimum-power coordination with dual certificates: the uplink
-    fixed point where it certifies, otherwise the relaxation and rank repair.
+    fixed point where it certifies, otherwise the relaxation, whose blocks
+    repair_rank takes to rank one without a further solve.
 
     Raises InfeasibleProblemError when the relaxation (hence the original
-    problem) is infeasible and NumericalFailureError when the solve or the
-    repaired solution cannot be certified.
+    problem) is infeasible and NumericalFailureError when the relaxation solve
+    fails or the repaired solution cannot be certified (it misses a target or
+    a cap, or its cost strays from the relaxed optimum).
     """
     ch = problem.channels
     K, T = ch.num_users, ch.num_transmitters
@@ -432,9 +377,9 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
     W = [[conic_sol.block_values[relax.block_of[(k, j)]] if (k, j) in relax.block_of
           else np.zeros((ch.antennas(j),) * 2, dtype=complex) for j in range(T)]
          for k in range(K)]
-    w, needed = repair_rank(W, problem)
+    w = repair_rank(W, problem)
     sdp_dyn = conic_sol.primal_objective
-    solution = _finish(w, problem, repair_needed=needed, objective_relaxation=sdp_dyn)
+    solution = _finish(w, problem, objective_relaxation=sdp_dyn)
     if abs(solution.objective_dynamic - sdp_dyn) > 1e-4 * (1.0 + abs(sdp_dyn)):
         raise NumericalFailureError(
             "rank repair moved the objective beyond tolerance",
@@ -504,11 +449,10 @@ def verify_duality(solution: BeamformingSolution, certificate: DualCertificate,
     gt, lam, mu = problem.gtilde, certificate.lam, certificate.mu
     K = ch.num_users
     # uAu[i, k] = u_k^H A_i u_k, uu[k] = u_k^H u_k and cap[k], the cap term of
-    # u_k^H B_k u_k, for all users at once: one product H_j^H w_j per transmitter.
-    uAu, uu, cap = np.zeros((K, K)), np.zeros(K), np.zeros(K)
-    for j, (H_j, w_j) in enumerate(zip(ch.H, solution.w)):
-        amp = H_j.conj().T @ w_j
-        uAu += amp.real ** 2 + amp.imag ** 2
+    # u_k^H B_k u_k, for all users at once.
+    uAu = link_gains(ch.H, solution.w).sum(axis=2)
+    uu, cap = np.zeros(K), np.zeros(K)
+    for j, w_j in enumerate(solution.w):
         power = np.abs(w_j) ** 2
         uu += hw.rho[j] * power.sum(axis=0)
         cap += mu[j] @ power

@@ -32,6 +32,13 @@ def link_powers(w: list) -> np.ndarray:
     return np.array([(np.abs(w_j) ** 2).sum(axis=0) for w_j in w]).T
 
 
+def link_gains(H: list, w: list) -> np.ndarray:
+    """(K, K, T) gains g[k, i, j] = |h_{k,j}^H w_{i,j}|^2 of receiving user k
+    from the beam of user i at transmitter j: one product H_j^H w_j per stack."""
+    amp = [H_j.conj().T @ w_j for H_j, w_j in zip(H, w)]
+    return np.stack([a.real ** 2 + a.imag ** 2 for a in amp], axis=2)
+
+
 def serving_sets(p: np.ndarray) -> list:
     """Transmitters serving each user: those above SERVING_SHARE of its power."""
     serving = []
@@ -72,11 +79,9 @@ def evaluate(solution, channels: ChannelSet, hw: HardwareProfile,
 
     # gains[k, i, j] = |h_{k,j}^H w_{i,j}|^2 (receiving user, beam owner,
     # transmitter), and the same through tr(h h^H w w^H) as a cross-check.
-    gains = np.zeros((K, K, T))
+    gains = link_gains(channels.H, w)
     gains_mat = np.zeros((K, K, T))
     for j, (H, w_j) in enumerate(zip(channels.H, w)):
-        amp = H.conj().T @ w_j
-        gains[:, :, j] = amp.real ** 2 + amp.imag ** 2
         Ws = w_j.T[:, :, None] * w_j.T.conj()[:, None, :]      # (K, n, n): w_i w_i^H
         gains_mat[:, :, j] = np.einsum("ak,iak->ki", H.conj(), Ws @ H).real
 

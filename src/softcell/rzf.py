@@ -27,6 +27,7 @@ from . import conic_solver as cs
 from .conic_problem import NONNEG, Block, ConicProblem
 from .coordination import (BeamformingSolution, CoordinationProblem, _finish,
                            regularized_inverse, scaled_channels)
+from .evaluation import link_gains
 from .exceptions import InvalidInputError, NumericalFailureError, RzfInfeasibleError
 from .scenario import ChannelSet
 
@@ -53,15 +54,12 @@ class Directions:
 def couplings(channels, hw, U: list) -> Directions:
     """The scalars the power LP reads for the directions U[j][:, k] of user k
     at transmitter j; a zero column means the link carries no power."""
-    K = channels.num_users
     sigma2 = np.asarray(channels.sigma2, dtype=float)
-    g = np.zeros((K, K, len(U)))
+    g = link_gains(channels.H, U)
     exchanged = {}
     for j, U_j in enumerate(U):
-        amp = channels.H[j].conj().T @ U_j
-        g_j = amp.real ** 2 + amp.imag ** 2
+        g_j = g[:, :, j]
         g_j[g_j * (U_j.shape[0] * hw.per_antenna_limit[j]) < GAIN_FLOOR * sigma2[:, None]] = 0.0
-        g[:, :, j] = g_j
         exchanged[j] = int(np.count_nonzero(g_j) + np.count_nonzero(np.abs(U_j) ** 2))
     return Directions(U, g, exchanged)
 
