@@ -15,7 +15,11 @@ program in the per-link matrices W_{k,j} (one PSD block per served user and
 transmitter), solve it with the conic engine, take every block to rank one in
 closed form (repair_rank: w = W h / sqrt(h^H W h), which keeps every relaxed
 row at no higher cost), and extract beamforming vectors and dual certificates.
-Either way the topology's static power is added.
+
+Either way, as for the rzf heuristic, _finish zeroes interior-point residue,
+adds the topology's static power, verifies every target and cap, and refuses
+a cost beyond CERT_GAP of its certified bound (sum lambda on the fast path,
+the relaxed optimum on the fallback).
 
 The relaxation is exact: a rank-one optimal solution always exists, so an
 infeasible relaxation certifies infeasibility of the original problem and the
@@ -197,13 +201,11 @@ def repair_rank(W: list, problem: CoordinationProblem) -> list:
     |x^H W h|^2 <= (x^H W x)(h^H W h) for every x, so w w^H <= W: no antenna
     power, no trace and no other user's gain grows, while the own signal
     h^H w w^H h = h^H W h is kept.  Blocks carrying a negligible share of their
-    user's power, or none of its signal, are zeroed.
+    user's power, or none of its signal, are zeroed; _finish drops what is left
+    of interior-point residue.
     """
-    ch, hw, gt = problem.channels, problem.hw, problem.gtilde
-    users = set(problem.qos_users())
+    ch = problem.channels
     w = [np.zeros((n, len(W)), dtype=complex) for n in ch.antenna_counts]
-    obj_scale = 1.0 + sum(hw.rho[j] * np.real(np.trace(Wkj))
-                          for row in W for j, Wkj in enumerate(row) if Wkj.size)
     for k, row in enumerate(W):
         traces = [np.real(np.trace(Wkj)) if Wkj.size else 0.0 for Wkj in row]
         total = sum(traces)
@@ -214,14 +216,6 @@ def repair_rank(W: list, problem: CoordinationProblem) -> list:
             Wh = Wkj @ h
             own = float(np.real(h.conj() @ Wh))
             if own <= 0.0:
-                continue
-            # Interior-point residue: a block whose cost and own QoS-row
-            # contribution are both below 1e-8 of their row scales carries no
-            # load, yet its beam would still hold more than SERVING_SHARE of
-            # the user's power and count as a serving link.  Zeroing it is
-            # within every downstream tolerance.
-            if (k in users and hw.rho[j] * traces[j] <= 1e-8 * obj_scale
-                    and own / (gt[k] * float(ch.sigma2[k])) <= 1e-8):
                 continue
             w[j][:, k] = Wh / np.sqrt(own)
     return w
@@ -280,8 +274,8 @@ def _solve_uplink(problem: CoordinationProblem):
     UPLINK_MAX_ITERS, or sum lambda exceeds the power of every antenna at its
     cap (no feasible point costs that much, so the targets are infeasible),
     or M is singular or gives a negative power, or the cap of an emitting
-    antenna is active or violated, or the verification fails, or the gap
-    stays open.
+    antenna is active or violated, or _finish refuses the answer (a missed
+    target or cap, or a gap left open).
     """
     ch, hw, gt = problem.channels, problem.hw, problem.gtilde
     K, T = ch.num_users, ch.num_transmitters
@@ -330,13 +324,9 @@ def _solve_uplink(problem: CoordinationProblem):
     # A cap binds only where its antenna emits: a zero cap on a silent antenna does not.
     if any(s.violated or (s.active and s.used_mw > 0.0) for s in check_power_constraints(w, hw)):
         return None
-    bound = float(lam.sum())
     try:
-        solution = _finish(w, problem, objective_relaxation=bound)
+        solution = _finish(w, problem, objective_relaxation=float(lam.sum()))
     except NumericalFailureError:
-        return None
-    dyn = solution.objective_dynamic
-    if abs(dyn - bound) > cs.CERT_GAP * max(1.0, abs(dyn), abs(bound)):
         return None
     return solution, DualCertificate(lam, [np.zeros(ch.antennas(j)) for j in range(T)])
 
@@ -348,8 +338,8 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
 
     Raises InfeasibleProblemError when the relaxation (hence the original
     problem) is infeasible and NumericalFailureError when the relaxation solve
-    fails or the repaired solution cannot be certified (it misses a target or
-    a cap, or its cost strays from the relaxed optimum).
+    fails or _finish cannot certify the repaired solution (it misses a target
+    or a cap, or its cost lies beyond CERT_GAP of the relaxed optimum).
     """
     ch = problem.channels
     K, T = ch.num_users, ch.num_transmitters
@@ -377,13 +367,8 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
     W = [[conic_sol.block_values[relax.block_of[(k, j)]] if (k, j) in relax.block_of
           else np.zeros((ch.antennas(j),) * 2, dtype=complex) for j in range(T)]
          for k in range(K)]
-    w = repair_rank(W, problem)
-    sdp_dyn = conic_sol.primal_objective
-    solution = _finish(w, problem, objective_relaxation=sdp_dyn)
-    if abs(solution.objective_dynamic - sdp_dyn) > 1e-4 * (1.0 + abs(sdp_dyn)):
-        raise NumericalFailureError(
-            "rank repair moved the objective beyond tolerance",
-            {"repaired": solution.objective_dynamic, "relaxation": sdp_dyn})
+    solution = _finish(repair_rank(W, problem), problem,
+                       objective_relaxation=conic_sol.primal_objective)
 
     lam = np.zeros(K)
     for k in problem.qos_users():
@@ -395,12 +380,32 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
 
 
 def _finish(w: list, problem: CoordinationProblem, **meta) -> BeamformingSolution:
-    """Solution for the beamformer stacks w: dynamic power, the topology's static power,
-    and an independent check that w meets every target and cap."""
-    p_dyn = dynamic_power(w, problem.hw)
-    p_stat = circuit_power(problem.hw, problem.channels.antenna_counts)
+    """Solution for the beamformer stacks w of any solver, after two rules.
+
+    Residue: a QoS user's link (k, j) whose cost rho_j ||w_{k,j}||^2 is at most
+    1e-8 (1 + total cost) and whose own signal |h_{k,j}^H w_{k,j}|^2 is at most
+    1e-8 gt_k sigma_k^2 carries no load, yet may hold more than SERVING_SHARE
+    of a low-power user's power; it is zeroed in a copy of w.  Gap: with a
+    finite objective_relaxation (the certified bound), the dynamic power P must
+    lie within CERT_GAP * max(1, |P|, |bound|) of it.  Raises
+    NumericalFailureError on a wider gap or a missed target or cap.
+    """
+    ch, hw = problem.channels, problem.hw
+    K = ch.num_users
+    cost = link_powers(w) * np.asarray(hw.rho[:len(w)])
+    own = link_gains(ch.H, w)[np.arange(K), np.arange(K)]
+    floor = 1e-8 * problem.gtilde * np.asarray(ch.sigma2, dtype=float)
+    keep = ((cost > 1e-8 * (1.0 + cost.sum())) | (own > floor[:, None])
+            | (np.asarray(problem.gamma) <= 0)[:, None])
+    w = [np.where(keep[:, j], w_j, 0.0) for j, w_j in enumerate(w)]
+    p_dyn = dynamic_power(w, hw)
+    p_stat = circuit_power(hw, ch.antenna_counts)
     solution = BeamformingSolution(w, p_dyn, p_stat, p_dyn + p_stat, **meta)
     _verify_feasible(solution, problem)
+    bound = solution.objective_relaxation
+    if not np.isnan(bound) and abs(p_dyn - bound) > cs.CERT_GAP * max(1.0, abs(p_dyn), abs(bound)):
+        raise NumericalFailureError("solution cost strays from its certified bound",
+                                    {"dynamic": p_dyn, "bound": bound})
     return solution
 
 

@@ -23,7 +23,9 @@ from .power import (HardwareProfile, check_power_constraints, circuit_power,
 from .scenario import ChannelSet
 
 # A transmitter serves a user when it carries more than this share of the
-# user's total emitted power (interior-point solutions are never exactly zero).
+# user's total emitted power.  Interior-point solutions are never exactly zero;
+# coordination._finish zeroes the links whose cost and own signal both show
+# them as residue before any solver's serving sets are counted.
 SERVING_SHARE = 1e-6
 
 

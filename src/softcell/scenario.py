@@ -17,7 +17,7 @@ across sweep axis values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
 
 import numpy as np
 
@@ -251,10 +251,25 @@ def load_config(path: str) -> ScenarioConfig:
         return config_from_dict(json.load(fh))
 
 
+def _check_keys(given, cls, what: str, defaulted=()) -> None:
+    """Reject keys that are not fields of the dataclass cls, and fields without
+    a default (other than those in `defaulted`) that are not given."""
+    fields = cls.__dataclass_fields__
+    unknown = set(given) - set(fields)
+    if unknown:
+        raise InvalidInputError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [f for f, spec in fields.items()
+               if spec.default is MISSING and f not in given and f not in defaulted]
+    if missing:
+        raise InvalidInputError(f"missing {what} keys: {missing}")
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
     data = dict(data)
+    _check_keys(data, ScenarioConfig, "config", defaulted=("sca_positions", "qos_targets"))
     hw = data.get("hardware")
     if isinstance(hw, dict):
+        _check_keys(hw, HardwareProfile, "hardware")
         data["hardware"] = HardwareProfile(
             rho=tuple(hw["rho"]), eta=tuple(hw["eta"]),
             per_antenna_limit=tuple(hw["per_antenna_limit"]),
@@ -263,15 +278,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     data["sca_positions"] = tuple((float(p[0]), float(p[1])) for p in data.get("sca_positions", ()))
     qos = data.get("qos_targets", 2.0)
     if np.isscalar(qos):
-        n_users = int(data["num_users_uniform"]) + int(data.get("users_per_sca", 0)) * len(data["sca_positions"])
+        n_users = int(data["num_users_uniform"]) + int(data["users_per_sca"]) * len(data["sca_positions"])
         qos = (float(qos),) * n_users
     else:
         qos = tuple(float(g) for g in qos)
     data["qos_targets"] = qos
-    known = {f for f in ScenarioConfig.__dataclass_fields__}
-    unknown = set(data) - known
-    if unknown:
-        raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
     return ScenarioConfig(**data)
 
 

@@ -233,6 +233,31 @@ def test_unknown_config_key_is_rejected():
     # The subcarrier count belongs to the hardware profile alone.
     with pytest.raises(InvalidInputError):
         config_from_dict(data | {"num_subcarriers": 1200})
+    # A misspelt optional hardware key would otherwise leave its default in place.
+    hardware = {"rho": [2.5], "eta": [100.0], "per_antenna_limit": [50.0], "subcarrier": 1200}
+    with pytest.raises(InvalidInputError, match="unknown hardware keys"):
+        config_from_dict(data | {"hardware": hardware})
+
+
+@pytest.mark.parametrize("key", ["cell_radius", "num_users_uniform", "users_per_sca",
+                                 "n_bs", "n_sca", "seed"])
+def test_missing_config_key_is_named(key):
+    data = {"cell_radius": 0.4, "num_users_uniform": 1, "users_per_sca": 0,
+            "n_bs": 4, "n_sca": 0, "seed": 0}
+    with pytest.raises(InvalidInputError, match=key):
+        config_from_dict({k: v for k, v in data.items() if k != key})
+    with pytest.raises(InvalidInputError, match="missing config keys"):
+        config_from_dict({})
+
+
+@pytest.mark.parametrize("key", ["rho", "eta", "per_antenna_limit"])
+def test_missing_hardware_key_is_named(key):
+    hardware = {"rho": [2.5], "eta": [100.0], "per_antenna_limit": [50.0]}
+    data = {"cell_radius": 0.4, "num_users_uniform": 1, "users_per_sca": 0,
+            "n_bs": 4, "n_sca": 0, "seed": 0,
+            "hardware": {k: v for k, v in hardware.items() if k != key}}
+    with pytest.raises(InvalidInputError, match=f"missing hardware keys: \\['{key}'\\]"):
+        config_from_dict(data)
 
 
 def test_axis_replacement_constructs_the_swept_config():
