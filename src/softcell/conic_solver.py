@@ -25,6 +25,17 @@ residual measure has not halved over the last _STALL_WINDOW iterations, the
 loop stops and returns it as an optimum of reduced precision; an iterate that
 does not meet the bounds is never returned as optimal.
 
+Blocks stacked by size.  The PSD blocks of one size d are one (B, d, d) stack
+(_StandardForm.psd_groups holds their (B, d^2) coordinate indices), so NT
+scaling, the H operator, the scaled steps, the step length and the corrector
+make one batched LAPACK or matmul call per distinct size; each block keeps its
+coordinates and its own arithmetic in the order of a per-block call, so the
+iterates are bitwise those of a per-block loop.  Only the blocks whose
+Cholesky factor fails take the clamped eigh.  H applied to the m rows of the
+Schur assembly stacks at most max(1, _STACK_COORDS // (m d^2)) blocks per
+call, and a single block through its plain slice, so large blocks keep their
+temporaries bounded.
+
 Design targets: dense block sizes up to a few hundred, residuals certified per
 row relative to the summed coefficient magnitudes, determinism for a fixed
 problem.
@@ -65,6 +76,11 @@ _ENDGAME_STEP = 1e-2
 _REFINE_STEPS = 3
 _STALL_WINDOW = 5
 
+# Bound on the coordinates (rows x blocks x d^2) of one stacked call of the H
+# operator (see the module docstring): desk-scale blocks stack fully, 100 x 100
+# blocks on a hundred rows go one at a time.
+_STACK_COORDS = 2 ** 17
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 NUMERICAL_FAILURE = "numerical_failure"
@@ -92,22 +108,24 @@ class ConicSolution:
 
 @lru_cache(maxsize=None)
 def _triu(d: int) -> tuple:
-    """Row and column indices of the strict upper triangle of a d x d matrix,
-    computed once per d and shared read-only by every call."""
-    iu = np.triu_indices(d, 1)
-    for idx in iu:
+    """Flat indices into a row-major d x d matrix of its strict upper triangle
+    and of the mirrored lower entries, computed once per d and shared
+    read-only by every call."""
+    iu, ju = np.triu_indices(d, 1)
+    flat = (iu * d + ju, ju * d + iu)
+    for idx in flat:
         idx.flags.writeable = False
-    return iu
+    return flat
 
 
 def svec(X: np.ndarray) -> np.ndarray:
     """Vectorize a Hermitian matrix (d, d), or a stack (..., d, d), to (..., d^2)."""
     d = X.shape[-1]
-    out = np.empty(X.shape[:-2] + (d * d,))
-    out[..., :d] = np.real(np.diagonal(X, axis1=-2, axis2=-1))
+    flat = X.reshape(X.shape[:-2] + (d * d,))
+    out = np.empty(flat.shape)
+    out[..., :d] = flat[..., ::d + 1].real
     if d > 1:
-        iu, ju = _triu(d)
-        off = X[..., iu, ju]
+        off = flat[..., _triu(d)[0]]
         out[..., d::2] = SQRT2 * off.real
         out[..., d + 1::2] = SQRT2 * off.imag
     return out
@@ -115,14 +133,14 @@ def svec(X: np.ndarray) -> np.ndarray:
 
 def smat(v: np.ndarray, d: int) -> np.ndarray:
     """Inverse of svec: (..., d^2) -> (..., d, d)."""
-    X = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
+    X = np.zeros(v.shape[:-1] + (d * d,), dtype=complex)
     if d > 1:
-        iu, ju = _triu(d)
-        X[..., iu, ju] = (v[..., d::2] + 1j * v[..., d + 1::2]) / SQRT2
-        X += np.conj(np.swapaxes(X, -1, -2))
-    diag = np.arange(d)
-    X[..., diag, diag] = v[..., :d]
-    return X
+        upper, lower = _triu(d)
+        off = (v[..., d::2] + 1j * v[..., d + 1::2]) / SQRT2
+        X[..., upper] = off
+        X[..., lower] = off.conj()
+    X[..., ::d + 1] = v[..., :d]
+    return X.reshape(v.shape[:-1] + (d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +153,7 @@ class _StandardForm:
     b: np.ndarray                  # (m,) scaled rhs
     c: np.ndarray                  # (n,) scaled objective
     nn_idx: np.ndarray             # orthant coordinate indices
-    psd_blocks: list               # (offset, dim) per PSD block
+    psd_groups: list               # (d, (B, d^2) coordinate indices) per distinct block size d
     block_slices: list             # slice per user block into the coordinate vector
     row_scale: np.ndarray          # y_orig = obj_scale * row_scale * y_scaled
     col_scale: np.ndarray          # x_orig = col_scale * x_scaled
@@ -207,66 +225,101 @@ def _standard_form(problem: ConicProblem) -> _StandardForm:
     c = c / obj_scale
 
     nu = len(nn_idx) + sum(d for _, d in psd_blocks)
-    return _StandardForm(A, b, c, np.asarray(nn_idx, dtype=int), psd_blocks,
+    psd_groups = [(d, np.array([np.arange(off, off + d * d) for off, dim in psd_blocks if dim == d]))
+                  for d in sorted({dim for _, dim in psd_blocks})]
+    return _StandardForm(A, b, c, np.asarray(nn_idx, dtype=int), psd_groups,
                          block_slices, row_scale, col_scale, obj_scale, nu)
+
+
+def _chunks(idx: np.ndarray, rows: int):
+    """Split one size group, idx of shape (B, d^2), for the H operator on
+    `rows` rows into pieces (blocks, key) of at most _STACK_COORDS coordinates:
+    R[key] is the (rows, b, d^2) stack of the blocks idx[blocks], taken through
+    the block's plain slice when b = 1."""
+    B, dd = idx.shape
+    step = max(1, _STACK_COORDS // (rows * dd))
+    for lo in range(0, B, step):
+        hi = min(lo + step, B)
+        if hi - lo == 1:
+            yield slice(lo, hi), np.s_[:, None, idx[lo, 0]:idx[lo, 0] + dd]
+        else:
+            yield slice(lo, hi), np.s_[:, idx[lo:hi]]
 
 
 # ---------------------------------------------------------------------------
 # Nesterov-Todd scaling
 # ---------------------------------------------------------------------------
 
+def _ct(X: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return X.conj().swapaxes(-1, -2)
+
+
 def _psd_factor(X: np.ndarray) -> np.ndarray:
-    """Some F with X = F F^H; Cholesky when possible, clamped eigh otherwise."""
+    """Some F[b] with X[b] = F[b] F[b]^H for a (B, d, d) stack: Cholesky for
+    every matrix where it succeeds, clamped eigh for those where it fails."""
     try:
-        return la.cholesky(X, lower=True)
-    except la.LinAlgError:
-        w, V = np.linalg.eigh(X)
-        floor = max(np.abs(w).max(), 1.0) * 1e-14
-        return V * np.sqrt(np.maximum(w, floor))
+        return np.linalg.cholesky(X)
+    except np.linalg.LinAlgError:
+        pass
+    F = np.empty_like(X)
+    for i, Xi in enumerate(X):
+        try:
+            F[i] = np.linalg.cholesky(Xi)
+        except np.linalg.LinAlgError:
+            w, V = np.linalg.eigh(Xi)
+            floor = max(np.abs(w).max(), 1.0) * 1e-14
+            F[i] = V * np.sqrt(np.maximum(w, floor))
+    return F
 
 
 def _nt_scaling(X: np.ndarray, Z: np.ndarray):
-    """NT scaling point of a PSD pair: G^{-1} X G^{-H} = G^H Z G = diag(lam)."""
+    """NT scaling points of a (B, d, d) stack of PSD pairs:
+    G^{-1} X G^{-H} = G^H Z G = diag(lam) per pair."""
     Lx = _psd_factor(X)
     Lz = _psd_factor(Z)
-    U, s, Vh = np.linalg.svd(Lz.conj().T @ Lx)
-    s = np.maximum(s, np.abs(s).max() * 1e-15 if s.size else 1.0)
-    G = Lx @ (Vh.conj().T * (s ** -0.5))
-    Ginv = (s ** -0.5)[:, None] * (U.conj().T @ Lz.conj().T)
-    W = G @ G.conj().T
+    LzH = _ct(Lz)
+    U, s, Vh = np.linalg.svd(LzH @ Lx)
+    s = np.maximum(s, np.abs(s).max(axis=-1, keepdims=True) * 1e-15)
+    r = s ** -0.5
+    G = Lx @ (_ct(Vh) * r[:, None, :])
+    Ginv = r[:, :, None] * (_ct(U) @ LzH)
+    W = G @ _ct(G)
     return G, Ginv, s, W
 
 
 class _Scaling:
-    """Per-iteration NT scaling data and the H = W (x) W operator."""
+    """Per-iteration NT scaling data and the H = W (x) W operator.  PSD data
+    is held per size group as (B, d, d) stacks, in the order of sf.psd_groups."""
 
     def __init__(self, sf: _StandardForm, x: np.ndarray, z: np.ndarray):
         self.sf = sf
         self.w_nn = np.sqrt(x[sf.nn_idx] / z[sf.nn_idx])
         self.lam_nn = np.sqrt(x[sf.nn_idx] * z[sf.nn_idx])
-        self.psd = []
-        for off, d in sf.psd_blocks:
-            sl = slice(off, off + d * d)
-            self.psd.append((sl, d) + _nt_scaling(smat(x[sl], d), smat(z[sl], d)))
+        self.psd = [(d, idx) + _nt_scaling(smat(x[idx], d), smat(z[idx], d))
+                    for d, idx in sf.psd_groups]
 
     def apply_H(self, v: np.ndarray) -> np.ndarray:
         return self.apply_H_rows(v[None])[0]
 
     def apply_H_rows(self, R: np.ndarray) -> np.ndarray:
         """Apply H to each row of R (m, n); returns (m, n)."""
-        out = R.copy()
-        out[:, self.sf.nn_idx] *= self.w_nn ** 2
-        for sl, d, _G, _Gi, _lam, W in self.psd:
-            out[:, sl] = svec(W @ smat(R[:, sl], d) @ W)
+        out = np.empty_like(R)
+        out[:, self.sf.nn_idx] = R[:, self.sf.nn_idx] * self.w_nn ** 2
+        for d, idx, _G, _Gi, _lam, W in self.psd:
+            for blocks, key in _chunks(idx, len(R)):
+                Wb = W[blocks, None]
+                out[key] = svec(Wb @ smat(R[key].swapaxes(0, 1), d) @ Wb).swapaxes(0, 1)
         return out
 
     def scaled_steps(self, dv: np.ndarray, side: str) -> list:
-        """Per-PSD-block scaled direction G^{-1} dX G^{-H} (primal) or G^H dZ G (dual)."""
+        """Per size group, the stack of scaled directions G^{-1} dX G^{-H}
+        (primal) or G^H dZ G (dual)."""
         mats = []
-        for sl, d, G, Gi, _lam, _W in self.psd:
-            D = smat(dv[sl], d)
-            M = Gi @ D @ Gi.conj().T if side == "x" else G.conj().T @ D @ G
-            mats.append(0.5 * (M + M.conj().T))
+        for d, idx, G, Gi, _lam, _W in self.psd:
+            D = smat(dv[idx], d)
+            M = Gi @ D @ _ct(Gi) if side == "x" else _ct(G) @ D @ G
+            mats.append(0.5 * (M + _ct(M)))
         return mats
 
 
@@ -280,12 +333,13 @@ def _max_step(sc: _Scaling, x, z, tau, kappa, dx, dz, dtau, dkappa, Dx_list, Dz_
     for scalar, step in ((tau, dtau), (kappa, dkappa)):
         if step < 0:
             ratios.append(-scalar / step)
-    for (sl, d, _G, _Gi, lam, _W), Dx, Dz in zip(sc.psd, Dx_list, Dz_list):
-        denom = np.sqrt(np.outer(lam, lam))
+    for (_d, _idx, _G, _Gi, lam, _W), Dx, Dz in zip(sc.psd, Dx_list, Dz_list):
+        denom = np.sqrt(lam[:, :, None] * lam[:, None, :])
         for D in (Dx, Dz):
-            emin = np.linalg.eigvalsh(D / denom)[0]
-            if emin < 0:
-                ratios.append(-1.0 / emin)
+            emin = np.linalg.eigvalsh(D / denom)[:, 0]
+            neg = emin < 0
+            if np.any(neg):
+                ratios.append(np.min(-1.0 / emin[neg]))
     return min(ratios)
 
 
@@ -334,11 +388,10 @@ def _ip_hsd(sf: _StandardForm):
     z = np.zeros(n)
     x[sf.nn_idx] = 1.0
     z[sf.nn_idx] = 1.0
-    for off, d in sf.psd_blocks:
-        sl = slice(off, off + d * d)
+    for d, idx in sf.psd_groups:
         ident = svec(np.eye(d))
-        x[sl] = ident
-        z[sl] = ident
+        x[idx] = ident
+        z[idx] = ident
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
@@ -522,11 +575,12 @@ def _ip_hsd(sf: _StandardForm):
         v = np.zeros(n)
         nn = sf.nn_idx
         v[nn] = (sc.w_nn / sc.lam_nn) * (sigma * mu - dxa[nn] * dza[nn]) - x[nn]
-        for (sl, d, G, _Gi, lam, _W), Dx_b, Dz_b in zip(sc.psd, Dxa, Dza):
+        for (d, idx, G, _Gi, lam, _W), Dx_b, Dz_b in zip(sc.psd, Dxa, Dza):
+            # Per block, in this order: (sigma mu I - diag(lam^2)) - corr.
             corr = 0.5 * (Dx_b @ Dz_b + Dz_b @ Dx_b)
-            R = sigma * mu * np.eye(d) - np.diag(lam ** 2) - corr
-            R *= 2.0 / np.add.outer(lam, lam)
-            v[sl] = svec(G @ R @ G.conj().T)
+            R = sigma * mu * np.eye(d) - lam[:, :, None] ** 2 * np.eye(d) - corr
+            R *= 2.0 / (lam[:, :, None] + lam[:, None, :])
+            v[idx] = svec(G @ R @ _ct(G))
         t_rhs = sigma * mu - tau * kappa - dtaua * dkappaa
         if not (np.isfinite(v).all() and np.isfinite(t_rhs)):
             status, message = failure("non-finite search direction")

@@ -211,10 +211,11 @@ def draw_channels(config: ScenarioConfig, R: list, positions: np.ndarray,
                   fading_rng) -> ChannelSet:
     """h_{k,j} = R^{1/2} z with z standard circular complex Gaussian.
 
-    fading_rng(k, j) must return the generator for link (k, j); the matrix
-    square root is the eigendecomposition one with negative eigenvalues
-    clamped to zero.  Each stack H[j] is the transpose of a C-order (K, n)
-    array, so every column h_{k,j} is contiguous.
+    fading_rng(k, j) must return the generator for link (k, j).  A small
+    cell's covariance is gain * I (build_correlation), so its root is
+    sqrt(gain) I; the BS's is the eigendecomposition root with negative
+    eigenvalues clamped to zero.  Each stack H[j] is the transpose of a
+    C-order (K, n) array, so every column h_{k,j} is contiguous.
     """
     K = len(R)
     H = []
@@ -223,8 +224,11 @@ def draw_channels(config: ScenarioConfig, R: list, positions: np.ndarray,
         for k in range(K):
             zr = fading_rng(k, j).normal(size=(2, rows.shape[1]))
             z = (zr[0] + 1j * zr[1]) / np.sqrt(2.0)
-            w, V = np.linalg.eigh(R[k][j])
-            rows[k] = ((V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T) @ z
+            if j == 0:
+                w, V = np.linalg.eigh(R[k][j])
+                rows[k] = ((V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T) @ z
+            elif rows.shape[1]:
+                rows[k] = np.sqrt(R[k][j][0, 0].real) * z
         H.append(rows.T)
     sigma2 = np.full(K, config.noise_variance_mw)
     return ChannelSet(H=H, sigma2=sigma2, user_positions=np.asarray(positions))

@@ -342,3 +342,127 @@ def test_nearly_hermitian_coefficient_is_stored_symmetrized():
     assert stored is not H
     assert np.array_equal(stored, stored.conj().T)
     assert np.array_equal(stored, 0.5 * (H + H.conj().T))
+
+
+# ---------------------------------------------------------------------------
+# PSD blocks stacked by size
+# ---------------------------------------------------------------------------
+
+# Sizes and kinds interleaved, so that each size group gathers blocks from
+# scattered coordinates.
+INTERLEAVED = [(PSD, 3), (NONNEG, 2), (PSD, 1), (PSD, 3), (PSD, 2), (PSD, 1)]
+
+
+def _interleaved_data():
+    """Per block: objective C, row vector a and rhs r of the row a^H X a >= r
+    (for the NONNEG block: min x0 + 2 x1 s.t. x0 + x1 >= 1)."""
+    rng = np.random.default_rng(53)
+    data = []
+    for kind, d in INTERLEAVED:
+        if kind == NONNEG:
+            data.append((np.array([1.0, 2.0]), np.ones(2), 1.0))
+        else:
+            a = rng.normal(size=d) + 1j * rng.normal(size=d)
+            data.append((_rand_psd(rng, d, 0.5), a, rng.uniform(0.5, 2.0)))
+    return data
+
+
+def _interleaved_program(order):
+    """The INTERLEAVED program with block order[i] of it at position i, and one
+    inactive row over all blocks."""
+    data = _interleaved_data()
+    prob = ConicProblem([Block(*INTERLEAVED[o]) for o in order])
+    coupling = {}
+    for pos, o in enumerate(order):
+        C, a, r = data[o]
+        if INTERLEAVED[o][0] == NONNEG:
+            prob.add_constraint({pos: a}, ">=", r)
+            coupling[pos] = np.ones(2)
+        else:
+            prob.add_constraint({pos: np.outer(a, a.conj())}, ">=", r)
+            coupling[pos] = np.eye(len(a), dtype=complex)
+    prob.add_constraint(coupling, "<=", 1e3)
+    prob.set_objective({pos: data[o][0] for pos, o in enumerate(order)})
+    return prob
+
+
+def test_interleaved_blocks_come_back_in_the_callers_order():
+    sol = cs.solve(_interleaved_program(range(len(INTERLEAVED))))
+    assert sol.status == cs.OPTIMAL
+    assert [v.shape for v in sol.block_values] == [(2,) if kind == NONNEG else (d, d)
+                                                    for kind, d in INTERLEAVED]
+    # Each block's own optimum in closed form: x = (1, 0) for the orthant, and
+    # X = r C^-1 a a^H C^-1 / (a^H C^-1 a)^2 of cost r / (a^H C^-1 a) for a PSD block.
+    total = 0.0
+    for (kind, _d), (C, a, r), X in zip(INTERLEAVED, _interleaved_data(), sol.block_values):
+        if kind == NONNEG:
+            expected, cost = np.array([1.0, 0.0]), 1.0
+        else:
+            Ca = np.linalg.solve(C, a)
+            q = float(np.real(a.conj() @ Ca))
+            expected, cost = r * np.outer(Ca, Ca.conj()) / q ** 2, r / q
+        assert np.abs(X - expected).max() <= 1e-6 * max(1.0, np.abs(expected).max())
+        total += cost
+    assert abs(sol.primal_objective - total) <= 1e-8 * total
+
+
+def test_permuted_blocks_give_the_same_optimum():
+    base = cs.solve(_interleaved_program(range(len(INTERLEAVED))))
+    order = [5, 3, 1, 4, 0, 2]
+    perm = cs.solve(_interleaved_program(order))
+    assert perm.status == cs.OPTIMAL
+    assert abs(perm.primal_objective - base.primal_objective) <= 1e-8 * abs(base.primal_objective)
+    for pos, o in enumerate(order):
+        assert np.abs(perm.block_values[pos] - base.block_values[o]).max() <= 1e-6
+
+
+@pytest.mark.parametrize("stack_coords", [1, 48])
+def test_stack_bound_leaves_the_solve_bitwise_unchanged(monkeypatch, stack_coords):
+    # Five 2x2 blocks and six rows.  The bound 1 takes every block alone
+    # through its slice; 48 = 2 * 6 * 2^2 stacks pairs, then a single block.
+    rng = np.random.default_rng(59)
+
+    def program():
+        prob = ConicProblem([Block(PSD, 2) for _ in range(5)])
+        for b in range(5):
+            a = rng.normal(size=2) + 1j * rng.normal(size=2)
+            prob.add_constraint({b: np.outer(a, a.conj())}, ">=", 1.0)
+        prob.add_constraint({b: _rand_psd(rng, 2, 0.1) for b in range(5)}, "<=", 50.0)
+        prob.set_objective({b: _rand_psd(rng, 2, 0.5) for b in range(5)})
+        return prob
+
+    prob = program()
+    full = cs.solve(prob)
+    monkeypatch.setattr(cs, "_STACK_COORDS", stack_coords)
+    chunked = cs.solve(prob)
+    assert full.status == chunked.status == cs.OPTIMAL
+    assert chunked.iterations == full.iterations
+    assert chunked.primal_objective == full.primal_objective
+    for X, Y in zip(full.block_values, chunked.block_values):
+        assert np.array_equal(X, Y)
+
+
+def test_psd_factor_takes_eigh_only_for_the_block_whose_cholesky_fails(monkeypatch):
+    rng = np.random.default_rng(61)
+    X = np.stack([_rand_psd(rng, 3, 0.5) for _ in range(4)])
+    w, V = np.linalg.eigh(X[2])
+    X[2] = (V * np.array([-1.0, 0.5, 2.0])) @ V.conj().T       # indefinite
+    X[2] = 0.5 * (X[2] + X[2].conj().T)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.copy()) or eigh(M))
+
+    F = cs._psd_factor(X)
+    assert len(calls) == 1 and np.array_equal(calls[0], X[2])
+    for i in (0, 1, 3):
+        assert np.array_equal(F[i], np.linalg.cholesky(X[i]))
+    w, V = eigh(X[2])
+    floor = max(np.abs(w).max(), 1.0) * 1e-14
+    clamped = (V * np.maximum(w, floor)) @ V.conj().T
+    assert np.abs(F[2] @ F[2].conj().T - clamped).max() <= 1e-12 * np.abs(clamped).max()
+
+    # A positive definite stack is factored in one call, with each matrix's own bits.
+    calls.clear()
+    pd = np.delete(X, 2, axis=0)
+    F = cs._psd_factor(pd)
+    assert not calls
+    assert all(np.array_equal(F[i], np.linalg.cholesky(pd[i])) for i in range(len(pd)))

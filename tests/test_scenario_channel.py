@@ -150,6 +150,24 @@ def test_fading_matches_the_covariance_in_sample_moments():
     assert norms / trials == pytest.approx(np.real(np.trace(target)), rel=0.05)
 
 
+@pytest.mark.parametrize("n_sca", [1, 2, 4])
+def test_small_cell_draw_is_the_eigendecomposition_root(n_sca):
+    # A small cell's covariance is gain * I, drawn as sqrt(gain) z: bit for bit
+    # the eigendecomposition root R^{1/2} z the BS link takes.
+    cfg = small_config(n_sca=n_sca)
+    rng = np.random.default_rng(n_sca)
+    pos = rng.uniform(-0.4, 0.4, size=(3, 2))
+    R = build_correlation(cfg, pos, rng.normal(0.0, 8.0, size=(3, 3)))
+    ch = draw_channels(cfg, R, pos, lambda k, j: stream(9, 0, 2, k, j))
+    for k in range(3):
+        for j in (1, 2):
+            zr = stream(9, 0, 2, k, j).normal(size=(2, n_sca))
+            z = (zr[0] + 1j * zr[1]) / np.sqrt(2.0)
+            w, V = np.linalg.eigh(R[k][j])
+            root = (V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T
+            assert np.array_equal(ch.H[j][:, k], root @ z)
+
+
 # ---------------------------------------------------------------------------
 # Reproducibility
 # ---------------------------------------------------------------------------
