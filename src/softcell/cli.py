@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import replace
 
+from .exceptions import InvalidInputError
 from .scenario import ScenarioConfig, load_config
 from .simulate import (ALGORITHMS, AXES, SweepSpec, records_csv, run_sweep,
                        summary_csv)
@@ -62,31 +63,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_values(axis: str, text: str):
     parts = [p for p in text.split(",") if p.strip()]
-    if axis == "qos":
-        return tuple(float(p) for p in parts)
-    return tuple(int(p) for p in parts)
+    kind = float if axis == "qos" else int
+    try:
+        return tuple(kind(p) for p in parts)
+    except ValueError:
+        kinds = "numbers" if kind is float else "integers"
+        raise InvalidInputError(f"{axis} values must be {kinds}, got {text!r}") from None
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.config and args.full_paper_setup:
         print("--config and --full-paper-setup are mutually exclusive", file=sys.stderr)
         return 2
 
-    if args.config:
-        base = load_config(args.config)
-    elif args.full_paper_setup:
-        base = full_paper_config()
-    else:
-        base = desk_config()
-    if args.seed is not None:
-        base = replace(base, seed=args.seed, hardware=base.hardware)
+    try:
+        if args.config:
+            base = load_config(args.config)
+        elif args.full_paper_setup:
+            base = full_paper_config()
+        else:
+            base = desk_config()
+        if args.seed is not None:
+            base = replace(base, seed=args.seed, hardware=base.hardware)
 
-    spec = SweepSpec(axis=args.sweep, values=_parse_values(args.sweep, args.values),
-                     trials=args.trials,
-                     algorithms=tuple(a for a in args.algorithms.split(",") if a),
-                     base=base)
-    records, summary = run_sweep(spec, workers=args.workers)
+        spec = SweepSpec(axis=args.sweep, values=_parse_values(args.sweep, args.values),
+                         trials=args.trials,
+                         algorithms=tuple(a for a in args.algorithms.split(",") if a),
+                         base=base)
+        records, summary = run_sweep(spec, workers=args.workers)
+    except InvalidInputError as exc:
+        parser.error(str(exc))
 
     rec_text, sum_text = records_csv(records), summary_csv(summary)
     if args.out:

@@ -16,10 +16,11 @@ transmitter), solve it with the conic engine, take every block to rank one in
 closed form (repair_rank: w = W h / sqrt(h^H W h), which keeps every relaxed
 row at no higher cost), and extract beamforming vectors and dual certificates.
 
-Either way, as for the rzf heuristic, _finish zeroes interior-point residue,
-adds the topology's static power, verifies every target and cap, and refuses
-a cost beyond CERT_GAP of its certified bound (sum lambda on the fast path,
-the relaxed optimum on the fallback).
+Either way, as for the rzf heuristic, _finish is the one place where beams
+become a solution: it alone zeroes interior-point residue, and one evaluate
+of the result gives the power reported, verifies every target and cap, and
+lets _finish refuse a cost beyond CERT_GAP of its certified bound (sum lambda
+on the fast path, the relaxed optimum on the fallback).
 
 The relaxation is exact: a rank-one optimal solution always exists, so an
 infeasible relaxation certifies infeasibility of the original problem and the
@@ -34,9 +35,9 @@ import numpy as np
 
 from . import conic_solver as cs
 from .conic_problem import PSD, Block, ConicProblem
-from .evaluation import SERVING_SHARE, evaluate, link_gains, link_powers, serving_sets
+from .evaluation import evaluate, link_gains, link_powers, serving_sets
 from .exceptions import InfeasibleProblemError, InvalidInputError, NumericalFailureError
-from .power import HardwareProfile, check_power_constraints, circuit_power, dynamic_power
+from .power import HardwareProfile, check_power_constraints
 from .scenario import ChannelSet
 
 BS_ONLY = "bs_only"
@@ -200,18 +201,14 @@ def repair_rank(W: list, problem: CoordinationProblem) -> list:
     whatever the rank of W.  By Cauchy-Schwarz in the inner product W,
     |x^H W h|^2 <= (x^H W x)(h^H W h) for every x, so w w^H <= W: no antenna
     power, no trace and no other user's gain grows, while the own signal
-    h^H w w^H h = h^H W h is kept.  Blocks carrying a negligible share of their
-    user's power, or none of its signal, are zeroed; _finish drops what is left
-    of interior-point residue.
+    h^H w w^H h = h^H W h is kept.  A block with no own signal is left at zero;
+    every other is repaired, and _finish drops what is interior-point residue
+    (||w||^2 <= tr W, so a negligible block repairs to a negligible beam).
     """
     ch = problem.channels
     w = [np.zeros((n, len(W)), dtype=complex) for n in ch.antenna_counts]
     for k, row in enumerate(W):
-        traces = [np.real(np.trace(Wkj)) if Wkj.size else 0.0 for Wkj in row]
-        total = sum(traces)
         for j, Wkj in enumerate(row):
-            if Wkj.size == 0 or traces[j] <= SERVING_SHARE * total or total == 0.0:
-                continue
             h = ch.H[j][:, k]
             Wh = Wkj @ h
             own = float(np.real(h.conj() @ Wh))
@@ -380,39 +377,27 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
 
 
 def _finish(w: list, problem: CoordinationProblem, **meta) -> BeamformingSolution:
-    """Solution for the beamformer stacks w of any solver, after two rules.
+    """The certified solution for the beamformer stacks w of any solver.
 
     Residue: a QoS user's link (k, j) whose cost rho_j ||w_{k,j}||^2 is at most
     1e-8 (1 + total cost) and whose own signal |h_{k,j}^H w_{k,j}|^2 is at most
     1e-8 gt_k sigma_k^2 carries no load, yet may hold more than SERVING_SHARE
-    of a low-power user's power; it is zeroed in a copy of w.  Gap: with a
-    finite objective_relaxation (the certified bound), the dynamic power P must
-    lie within CERT_GAP * max(1, |P|, |bound|) of it.  Raises
-    NumericalFailureError on a wider gap or a missed target or cap.
+    of a low-power user's power; it is zeroed in a copy of w.  One evaluate of
+    the copy then gives the solution's power and its verdict: every SINR
+    target within FEASIBILITY_TOL, every cap within power.CAP_TOL and, with a
+    finite objective_relaxation (the certified bound), the dynamic power P
+    within CERT_GAP * max(1, |P|, |bound|) of it.  Raises NumericalFailureError
+    on a missed target or cap or a wider gap.
     """
-    ch, hw = problem.channels, problem.hw
+    ch, hw, gt = problem.channels, problem.hw, problem.gtilde
     K = ch.num_users
     cost = link_powers(w) * np.asarray(hw.rho[:len(w)])
     own = link_gains(ch.H, w)[np.arange(K), np.arange(K)]
-    floor = 1e-8 * problem.gtilde * np.asarray(ch.sigma2, dtype=float)
+    floor = 1e-8 * gt * np.asarray(ch.sigma2, dtype=float)
     keep = ((cost > 1e-8 * (1.0 + cost.sum())) | (own > floor[:, None])
             | (np.asarray(problem.gamma) <= 0)[:, None])
     w = [np.where(keep[:, j], w_j, 0.0) for j, w_j in enumerate(w)]
-    p_dyn = dynamic_power(w, hw)
-    p_stat = circuit_power(hw, ch.antenna_counts)
-    solution = BeamformingSolution(w, p_dyn, p_stat, p_dyn + p_stat, **meta)
-    _verify_feasible(solution, problem)
-    bound = solution.objective_relaxation
-    if not np.isnan(bound) and abs(p_dyn - bound) > cs.CERT_GAP * max(1.0, abs(p_dyn), abs(bound)):
-        raise NumericalFailureError("solution cost strays from its certified bound",
-                                    {"dynamic": p_dyn, "bound": bound})
-    return solution
-
-
-def _verify_feasible(solution: BeamformingSolution, problem: CoordinationProblem) -> None:
-    """Raise unless the solution meets every SINR target and per-antenna cap."""
-    report = evaluate(solution, problem.channels, problem.hw, problem.gamma)
-    gt = problem.gtilde
+    report = evaluate(w, ch, hw, problem.gamma)
     for k in problem.qos_users():
         if report.sinr[k] < gt[k] * (1.0 - FEASIBILITY_TOL):
             raise NumericalFailureError(
@@ -424,6 +409,13 @@ def _verify_feasible(solution: BeamformingSolution, problem: CoordinationProblem
                 f"solution violates the cap of antenna {slack.antenna} "
                 f"at transmitter {slack.transmitter}",
                 {"used": slack.used_mw, "limit": slack.limit_mw})
+    p_dyn = report.p_dynamic_mw
+    solution = BeamformingSolution(w, p_dyn, report.p_static_mw, report.p_total_mw, **meta)
+    bound = solution.objective_relaxation
+    if not np.isnan(bound) and abs(p_dyn - bound) > cs.CERT_GAP * max(1.0, abs(p_dyn), abs(bound)):
+        raise NumericalFailureError("solution cost strays from its certified bound",
+                                    {"dynamic": p_dyn, "bound": bound})
+    return solution
 
 
 @dataclass

@@ -7,8 +7,7 @@ trusts the producing optimizer.  The aggregate SINR of user k is
     sum_j |h_{k,j}^H w_{k,j}|^2  /  (sum_j sum_{i != k} |h_{k,j}^H w_{i,j}|^2 + sigma_k^2),
 
 i.e. own-signal powers add across transmitters (non-coherent combining) and
-every other user's beam contributes interference.  A matrix-form recomputation
-through tr(h h^H w w^H) cross-checks the vector arithmetic.
+every other user's beam contributes interference.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ class EvaluationReport:
     p_total_dbm: float
     serving: list                   # tuple of transmitter indices per user
     multiflow: np.ndarray           # bool per user
-    crosscheck_residual: float      # max relative vector-vs-matrix SINR deviation
 
 
 def evaluate(solution, channels: ChannelSet, hw: HardwareProfile,
@@ -79,15 +77,8 @@ def evaluate(solution, channels: ChannelSet, hw: HardwareProfile,
             raise InvalidInputError(f"beamformer stack {j} has shape {np.shape(w_j)}, "
                                     f"expected {(channels.antennas(j), K)}")
 
-    # gains[k, i, j] = |h_{k,j}^H w_{i,j}|^2 (receiving user, beam owner,
-    # transmitter), and the same through tr(h h^H w w^H) as a cross-check.
+    # gains[k, i, j] = |h_{k,j}^H w_{i,j}|^2 (receiving user, beam owner, transmitter)
     gains = link_gains(channels.H, w)
-    gains_mat = np.zeros((K, K, T))
-    for j, (H, w_j) in enumerate(zip(channels.H, w)):
-        Ws = w_j.T[:, :, None] * w_j.T.conj()[:, None, :]      # (K, n, n): w_i w_i^H
-        gains_mat[:, :, j] = np.einsum("ak,iak->ki", H.conj(), Ws @ H).real
-
-    crosscheck = float(np.max(np.abs(gains - gains_mat) / (1.0 + np.abs(gains)), initial=0.0))
     own = gains[np.arange(K), np.arange(K), :].sum(axis=1)
     total_rx = gains.sum(axis=1).sum(axis=1)
     interference = total_rx - own
@@ -105,4 +96,4 @@ def evaluate(solution, channels: ChannelSet, hw: HardwareProfile,
         power_slacks=check_power_constraints(w, hw),
         p_dynamic_mw=p_dyn, p_static_mw=p_stat, p_total_mw=total,
         p_total_dbm=mw_to_dbm(total) if total > 0 else float("-inf"),
-        serving=serving, multiflow=multiflow, crosscheck_residual=crosscheck)
+        serving=serving, multiflow=multiflow)

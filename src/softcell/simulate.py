@@ -59,6 +59,8 @@ class SweepSpec:
         values = tuple(self.values)
         if not values:
             raise InvalidInputError("sweep needs at least one axis value")
+        if self.axis != "qos" and not all(float(v).is_integer() for v in values):
+            raise InvalidInputError(f"{self.axis} values must be integers")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise InvalidInputError("axis values must be strictly increasing")
         if self.trials < 1:

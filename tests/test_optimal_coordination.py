@@ -188,14 +188,19 @@ def test_repair_is_identity_on_rank_one_blocks():
             assert np.abs(rank_one - W[k][j]).max() <= 1e-10 * np.abs(W[k][j]).max()
 
 
-def test_repair_zeroes_negligible_blocks():
-    rng = np.random.default_rng(4)
-    prob = rand_instance(rng, 1, [2, 2], (1.0,))
-    big = np.eye(2, dtype=complex)
-    tiny = 1e-9 * np.eye(2, dtype=complex)
-    w = repair_rank([[big, tiny]], prob)
-    assert np.all(w[1][:, 0] == 0.0)
-    assert np.any(w[0][:, 0] != 0.0)
+def test_a_negligible_relaxed_block_is_repaired_then_dropped_by_finish():
+    # repair_rank has no residue rule of its own: the 1e-9 I block at
+    # transmitter 1 repairs to a 1e-9 mW beam (||w||^2 <= tr W), which
+    # _finish zeroes as residue, so the user is served by transmitter 0 alone.
+    h0, h1 = np.array([0.6, 0.8j]), np.array([1.0 + 0j, 0.0])
+    prob = CoordinationProblem(make_channels([[h0, h1]], [1.0]), loose_hardware(2), (1.0,))
+    w = repair_rank([[2.0 * np.eye(2, dtype=complex), 1e-9 * np.eye(2, dtype=complex)]], prob)
+    assert np.linalg.norm(w[1][:, 0]) ** 2 == pytest.approx(1e-9, rel=1e-12)
+    sol = _finish(w, prob)
+    assert np.all(sol.w[1] == 0.0)
+    assert np.array_equal(sol.w[0], w[0])
+    assert sol.serving == [(0,)]
+    assert sol.objective_dynamic == pytest.approx(2.0 * 2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("rank", [2, 3])
@@ -318,6 +323,27 @@ def test_rzf_power_lp_residue_is_not_counted_as_multiflow():
     desk = run_trial(desk_config(seed=202), "qos", 1.0, "rzf", 5)
     assert desk.status == "optimal"
     assert desk.n_multiflow == 0
+
+
+@pytest.mark.parametrize("qos,trial,algorithm,fallback", [
+    (2.0, 0, "optimal", False), (2.0, 4, "optimal", True), (2.0, 0, "rzf", False)])
+def test_finish_evaluates_each_returned_solution_once(monkeypatch, qos, trial, algorithm,
+                                                      fallback):
+    # Fast path, relaxation fallback and rzf all leave the one evaluation of
+    # their final beams, after the residue rule, to _finish.
+    cfg = replace(desk_config(seed=202), qos_targets=(qos,) * 6)
+    prob = CoordinationProblem(realize_scenario(cfg, trial=trial), cfg.hardware, cfg.qos_targets)
+    seen, relaxations = [], []
+    evaluate_ = coordination.evaluate
+    build = coordination.build_relaxation
+    monkeypatch.setattr(coordination, "evaluate",
+                        lambda w, *args: seen.append(w) or evaluate_(w, *args))
+    monkeypatch.setattr(coordination, "build_relaxation",
+                        lambda problem: relaxations.append(problem) or build(problem))
+    sol = rzf_solve(prob) if algorithm == "rzf" else solve_optimal(prob)[0]
+    assert len(relaxations) == int(fallback)
+    assert len(seen) == 1
+    assert all(np.array_equal(a, b) for a, b in zip(seen[0], sol.w))
 
 
 @pytest.mark.parametrize("excess,certifies", [(1e-9, True), (1e-5, False)])

@@ -50,6 +50,13 @@ def test_sweep_spec_validation():
         spec_for(base, algorithms=("optimal", "genie"))
     with pytest.raises(InvalidInputError):
         spec_for(base, algorithms=())
+    # int() would truncate 8.5 to 8 antennas while the record kept 8.5.
+    with pytest.raises(InvalidInputError, match="n_bs values must be integers"):
+        spec_for(base, values=(8.5,))
+    with pytest.raises(InvalidInputError, match="n_sca values must be integers"):
+        spec_for(base, axis="n_sca", values=(0, 1.5))
+    assert spec_for(base, values=(8.0,)).values == (8.0,)
+    assert spec_for(base, axis="qos", values=(0.5, 2.5)).values == (0.5, 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +211,19 @@ def test_config_and_paper_setup_are_mutually_exclusive(tmp_path, capsys):
                  "--config", str(cfg), "--full-paper-setup"])
     assert code == 2
     assert "mutually exclusive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--sweep", "n_bs", "--values", "8.5"], "n_bs values must be integers, got '8.5'"),
+    (["--sweep", "qos", "--values", "1", "--workers", "0"], "workers must be >= 1"),
+], ids=["fractional_n_bs", "zero_workers"])
+def test_cli_reports_bad_arguments_without_a_traceback(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--trials", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: softcell-sim")
+    assert f"softcell-sim: error: {message}" in err
 
 
 def test_cli_runs_a_sweep_from_a_config_file(tmp_path, capsys):
