@@ -16,6 +16,18 @@ transmitter), solve it with the conic engine, take every block to rank one in
 closed form (repair_rank: w = W h / sqrt(h^H W h), which keeps every relaxed
 row at no higher cost), and extract beamforming vectors and dual certificates.
 
+The optimum promotes exclusive assignment, so almost every per-antenna cap is
+slack there, and the relaxation first carries only the caps that matter (one
+round of row generation, Kelley's cutting planes, 1960): the QoS rows and the
+caps that the fast path's beams left active or violated.  Leaving caps out
+relaxes the full program, so an answer that meets every left-out cap
+(sum_k W_{k,j}[l,l] <= q_j) is the full optimum (mu = 0 on those caps
+completes its dual certificate), and an infeasible subset certifies an
+infeasible full program.  An answer that breaks a left-out cap, or that the
+conic solver returns at reduced precision, gives way to the full program, as
+does a fast path that formed no beams: there the program holds every cap from
+the start.
+
 Either way, as for the rzf heuristic, _finish is the one place where beams
 become a solution: it alone zeroes interior-point residue, and one evaluate
 of the result gives the power reported, verifies every target and cap, and
@@ -140,14 +152,22 @@ class AssignmentReport:
         return sum(1 for a in self.assignments if a.case == case)
 
 
-def build_relaxation(problem: CoordinationProblem) -> Relaxation:
+def antenna_caps(problem: CoordinationProblem) -> list:
+    """Every per-antenna cap (j, l) of the relaxation, in its row order."""
+    ch = problem.channels
+    return [(j, l) for j in problem.active_transmitters() for l in range(ch.antennas(j))]
+
+
+def build_relaxation(problem: CoordinationProblem, caps=None) -> Relaxation:
     """Relaxed program: one PSD block per (QoS user, active transmitter).
 
     Objective sum_j rho_j sum_k tr W_{k,j}; QoS row of user k reads
     sum_j h_{k,j}^H [(1 + 1/gt_k) W_{k,j} - sum_i W_{i,j}] h_{k,j} >= sigma_k^2,
     whose own-block coefficient collapses to (1/gt_k) h h^H; per-antenna rows
-    cap sum_k W_{k,j}[l,l].  Users with gamma = 0 carry no variables (their
-    optimal blocks are zero).  Static power is not part of the program.
+    cap sum_k W_{k,j}[l,l], for every cap (j, l) of antenna_caps or, given a
+    set caps, only for those (in the same order).  Users with gamma = 0 carry
+    no variables (their optimal blocks are zero).  Static power is not part of
+    the program.
     """
     ch, gt = problem.channels, problem.gtilde
     users = problem.qos_users()
@@ -181,14 +201,14 @@ def build_relaxation(problem: CoordinationProblem) -> Relaxation:
         qos_row[k] = conic.add_constraint(coeffs, ">=", 1.0)
 
     power_row = {}
-    for j in txs:
+    for j, l in antenna_caps(problem):
+        if caps is not None and (j, l) not in caps:
+            continue
         n = ch.antennas(j)
-        q = problem.hw.per_antenna_limit[j]
-        for l in range(n):
-            Q = np.zeros((n, n), dtype=complex)
-            Q[l, l] = 1.0
-            power_row[(j, l)] = conic.add_constraint(
-                {block_of[(k, j)]: Q for k in users}, "<=", q)
+        Q = np.zeros((n, n), dtype=complex)
+        Q[l, l] = 1.0
+        power_row[(j, l)] = conic.add_constraint(
+            {block_of[(k, j)]: Q for k in users}, "<=", problem.hw.per_antenna_limit[j])
     return Relaxation(conic, block_of, qos_row, power_row)
 
 
@@ -243,7 +263,12 @@ def regularized_inverse(gram: np.ndarray, a, r) -> np.ndarray:
 
 
 def _solve_uplink(problem: CoordinationProblem):
-    """The optimum without a PSD solve, or None where it cannot be certified.
+    """The optimum without a PSD solve, as a pair (exact, caps).
+
+    exact is (solution, certificate) where the optimum is certified, and caps
+    is then None.  Otherwise exact is None and caps is the set of caps (j, l)
+    the relaxation starts from beside the QoS rows: those the fixed point's
+    beams leave active or violated, or every cap where no beams were formed.
 
     With the cap multipliers mu at 0, the dual of the relaxation is
 
@@ -267,12 +292,13 @@ def _solve_uplink(problem: CoordinationProblem):
     M[k, k] = g[k, k] / gt_k and M[k, i] = -g[k, i].  They cost at least the
     dual bound sum lambda; within CERT_GAP of it, both are optimal.
 
-    None leaves the problem to the relaxation: lambda has not settled within
-    UPLINK_MAX_ITERS, or sum lambda exceeds the power of every antenna at its
-    cap (no feasible point costs that much, so the targets are infeasible),
-    or M is singular or gives a negative power, or the cap of an emitting
-    antenna is active or violated, or _finish refuses the answer (a missed
-    target or cap, or a gap left open).
+    No beams are formed, and the problem is left to the full relaxation, where
+    lambda has not settled within UPLINK_MAX_ITERS, or sum lambda exceeds the
+    power of every antenna at its cap (no feasible point costs that much, so
+    the targets are infeasible), or M is singular or gives a negative power.
+    Beams that put an emitting antenna at or over its cap, or that _finish
+    refuses (a missed target or cap, or a gap left open), leave it to the
+    relaxation seeded with their caps.
     """
     ch, hw, gt = problem.channels, problem.hw, problem.gtilde
     K, T = ch.num_users, ch.num_transmitters
@@ -282,6 +308,7 @@ def _solve_uplink(problem: CoordinationProblem):
     G, gram = scaled_channels(ch, txs)
     rho = [hw.rho[j] for j in txs]
     ceiling = sum(hw.rho[j] * ch.antennas(j) * hw.per_antenna_limit[j] for j in txs)
+    no_beams = None, set(antenna_caps(problem))
     lam = np.zeros(K)
     for _ in range(UPLINK_MAX_ITERS):
         Y = regularized_inverse(gram, lam, rho)
@@ -289,17 +316,17 @@ def _solve_uplink(problem: CoordinationProblem):
         gain = x / (1.0 - lam[:, None] * x)
         best = gain.max(axis=1, initial=0.0)       # 0 without any active transmitter
         if np.any(best[users] <= 0.0):
-            return None
+            return no_beams
         new = lam.copy()
         new[users] = gt[users] / best[users]
         if not (np.all(np.isfinite(new)) and new.sum() <= ceiling):
-            return None
+            return no_beams
         settled = np.all(new - lam <= UPLINK_TOL * new)
         lam = new
         if settled:
             break
     else:
-        return None
+        return no_beams
 
     U = [np.zeros((ch.antennas(j), K), dtype=complex) for j in range(T)]
     for k in users:
@@ -312,20 +339,28 @@ def _solve_uplink(problem: CoordinationProblem):
     try:
         p = np.linalg.solve(M, sigma2[users])
     except np.linalg.LinAlgError:
-        return None
+        return no_beams
     if not np.all(np.isfinite(p) & (p >= 0.0)):
-        return None
+        return no_beams
     amplitude = np.zeros(K)
     amplitude[users] = np.sqrt(p)
     w = [U_j * amplitude for U_j in U]
+    slacks = check_power_constraints(w, hw)
     # A cap binds only where its antenna emits: a zero cap on a silent antenna does not.
-    if any(s.violated or (s.active and s.used_mw > 0.0) for s in check_power_constraints(w, hw)):
-        return None
-    try:
-        solution = _finish(w, problem, objective_relaxation=float(lam.sum()))
-    except NumericalFailureError:
-        return None
-    return solution, DualCertificate(lam, [np.zeros(ch.antennas(j)) for j in range(T)])
+    if not any(s.violated or (s.active and s.used_mw > 0.0) for s in slacks):
+        try:
+            solution = _finish(w, problem, objective_relaxation=float(lam.sum()))
+            return (solution, DualCertificate(lam, [np.zeros(n) for n in ch.antenna_counts])), None
+        except NumericalFailureError:
+            pass
+    return None, {(s.transmitter, s.antenna) for s in slacks if s.active or s.violated}
+
+
+def _at_target_precision(sol: cs.ConicSolution) -> bool:
+    """Whether an optimal conic solution met the solver's target tolerances,
+    rather than stopping at reduced precision within its certification bounds."""
+    return (sol.residual_primal <= cs.TOL_FEAS and sol.residual_dual <= cs.TOL_FEAS
+            and sol.residual_gap <= cs.TOL_GAP)
 
 
 def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, DualCertificate]:
@@ -333,14 +368,30 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
     fixed point where it certifies, otherwise the relaxation, whose blocks
     repair_rank takes to rank one without a further solve.
 
+    The first relaxation carries the QoS rows and only the caps that the
+    fixed point's beams left active or violated (one round of Kelley's
+    cutting planes, 1960).  Fewer caps make a relaxation of the full program:
+    an optimum that meets every left-out cap (j, l), sum_k W_{k,j}[l,l] <= q_j,
+    is the full optimum, completed to its dual certificate by mu = 0 on those
+    caps, and an infeasible subset makes the full program infeasible, with a
+    zero multiplier on each left-out row of the ray.  An optimum that breaks a
+    left-out cap, or that stops at reduced precision short of the solver's
+    targets, gives way to the full program, so at most two programs are solved
+    and the second is the one built with every cap.  (A further round for the
+    broken caps alone costs about as much as the full program at desk scale,
+    and their number grows where caps bind.)  Where the fixed point formed no
+    beams, the first program already holds every cap.
+
     Raises InfeasibleProblemError when the relaxation (hence the original
-    problem) is infeasible and NumericalFailureError when the relaxation solve
-    fails or _finish cannot certify the repaired solution (it misses a target
-    or a cap, or its cost lies beyond CERT_GAP of the relaxed optimum).
+    problem) is infeasible, with one certificate entry per QoS row and then
+    per cap in antenna_caps order.  Raises NumericalFailureError when a
+    relaxation solve fails or _finish cannot certify the repaired solution (it
+    misses a target or a cap, or its cost lies beyond CERT_GAP of the relaxed
+    optimum).
     """
-    ch = problem.channels
+    ch, hw = problem.channels, problem.hw
     K, T = ch.num_users, ch.num_transmitters
-    exact = _solve_uplink(problem)
+    exact, caps = _solve_uplink(problem)
     if exact is not None:
         return exact
     if not problem.active_transmitters():
@@ -349,21 +400,30 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
         raise InfeasibleProblemError("QoS targets unattainable without any antenna",
                                      certificate=np.ones(len(problem.qos_users())))
 
-    relax = build_relaxation(problem)
-    conic_sol = cs.solve(relax.conic)
-    if conic_sol.status == cs.INFEASIBLE:
-        raise InfeasibleProblemError(
-            "QoS targets unattainable under the power constraints (exact relaxation infeasible)",
-            certificate=conic_sol.duals)
-    if conic_sol.status != cs.OPTIMAL:
-        raise NumericalFailureError(
-            f"relaxation solve ended with status {conic_sol.status}: {conic_sol.message}",
-            {"primal": conic_sol.residual_primal, "dual": conic_sol.residual_dual,
-             "gap": conic_sol.residual_gap})
+    every_cap = antenna_caps(problem)
+    while True:
+        relax = build_relaxation(problem, caps)
+        conic_sol = cs.solve(relax.conic)
+        if conic_sol.status == cs.INFEASIBLE:
+            rows = [*relax.qos_row.values(), *map(relax.power_row.get, every_cap)]
+            raise InfeasibleProblemError(
+                "QoS targets unattainable under the power constraints (exact relaxation infeasible)",
+                certificate=np.array([0.0 if r is None else conic_sol.duals[r] for r in rows]))
+        if conic_sol.status != cs.OPTIMAL:
+            raise NumericalFailureError(
+                f"relaxation solve ended with status {conic_sol.status}: {conic_sol.message}",
+                {"primal": conic_sol.residual_primal, "dual": conic_sol.residual_dual,
+                 "gap": conic_sol.residual_gap})
+        W = [[conic_sol.block_values[relax.block_of[(k, j)]] if (k, j) in relax.block_of
+              else np.zeros((ch.antennas(j),) * 2, dtype=complex) for j in range(T)]
+             for k in range(K)]
+        left_out = [(j, l) for j, l in every_cap if (j, l) not in caps]
+        if not left_out or (_at_target_precision(conic_sol) and all(
+                sum(W[k][j][l, l].real for k in range(K)) <= hw.per_antenna_limit[j]
+                for j, l in left_out)):
+            break
+        caps = set(every_cap)
 
-    W = [[conic_sol.block_values[relax.block_of[(k, j)]] if (k, j) in relax.block_of
-          else np.zeros((ch.antennas(j),) * 2, dtype=complex) for j in range(T)]
-         for k in range(K)]
     solution = _finish(repair_rank(W, problem), problem,
                        objective_relaxation=conic_sol.primal_objective)
 

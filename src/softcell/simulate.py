@@ -14,7 +14,11 @@ The per-trial CSV schema is fixed:
     exchanged_scalars_total
 
 wall_ms is measured and kept on the in-memory records, but the CSV column is
-written as 0 so output is byte-identical across machines and worker counts.
+written as 0 so output is byte-identical for any worker count.  Across
+machines it is byte-identical only with the same numpy, scipy and BLAS
+libraries and the same BLAS thread count, since the last bits of an
+interior-point solve depend on the thread count; pin it with
+OPENBLAS_NUM_THREADS=1.
 """
 
 from __future__ import annotations
