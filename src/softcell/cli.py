@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="softcell-sim",
         description="Monte Carlo sweeps of coordinated multiflow beamforming.")
-    parser.add_argument("--config", help="JSON scenario file (defaults to the desk-scale setup)")
+    scenario = parser.add_mutually_exclusive_group()
+    scenario.add_argument("--config", help="JSON scenario file (defaults to the desk-scale setup)")
     parser.add_argument("--sweep", required=True, choices=AXES, help="sweep axis")
     parser.add_argument("--values", required=True,
                         help="comma-separated axis values, strictly increasing")
@@ -56,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument("--out", help="records CSV path (summary goes to <out>.summary.csv)")
     parser.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    parser.add_argument("--full-paper-setup", action="store_true",
-                        help="radius 0.5 km, 4 SCAs, 10 users, 100 BS antennas")
+    scenario.add_argument("--full-paper-setup", action="store_true",
+                          help="radius 0.5 km, 4 SCAs, 10 users, 100 BS antennas")
     return parser
 
 
@@ -74,10 +75,6 @@ def _parse_values(axis: str, text: str):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config and args.full_paper_setup:
-        print("--config and --full-paper-setup are mutually exclusive", file=sys.stderr)
-        return 2
-
     try:
         if args.config:
             base = load_config(args.config)

@@ -29,8 +29,9 @@ does a fast path that formed no beams: there the program holds every cap from
 the start.
 
 Either way, as for the rzf heuristic, _finish is the one place where beams
-become a solution: it alone zeroes interior-point residue, and one evaluate
-of the result gives the power reported, verifies every target and cap, and
+become a solution: it alone zeroes residue (links below SERVING_SHARE of their
+user's signal), and one evaluate of the result gives the power reported,
+verifies every target and cap, and
 lets _finish refuse a cost beyond CERT_GAP of its certified bound (sum lambda
 on the fast path, the relaxed optimum on the fallback).
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import conic_solver as cs
 from .conic_problem import PSD, Block, ConicProblem
-from .evaluation import evaluate, link_gains, link_powers, serving_sets
+from .evaluation import evaluate, link_gains, link_powers, serving_links, serving_sets
 from .exceptions import InfeasibleProblemError, InvalidInputError, NumericalFailureError
 from .power import HardwareProfile, check_power_constraints
 from .scenario import ChannelSet
@@ -95,7 +96,7 @@ class CoordinationProblem:
 @dataclass
 class BeamformingSolution:
     """Beamformer stacks w[j] and the numbers reported for them.  The link
-    powers p and serving sets are derived from w on access."""
+    powers p and serving sets (the powered links, see _finish) derive from w."""
 
     w: list                         # w[j], (antennas(j), K) complex: column k is w_{k,j} (sqrt mW)
     objective_dynamic: float        # mW
@@ -114,7 +115,7 @@ class BeamformingSolution:
     @property
     def serving(self) -> list:
         """Tuple of serving transmitter indices per user."""
-        return serving_sets(self.p)
+        return serving_sets(self.p > 0.0)
 
 
 @dataclass
@@ -222,8 +223,8 @@ def repair_rank(W: list, problem: CoordinationProblem) -> list:
     |x^H W h|^2 <= (x^H W x)(h^H W h) for every x, so w w^H <= W: no antenna
     power, no trace and no other user's gain grows, while the own signal
     h^H w w^H h = h^H W h is kept.  A block with no own signal is left at zero;
-    every other is repaired, and _finish drops what is interior-point residue
-    (||w||^2 <= tr W, so a negligible block repairs to a negligible beam).
+    every other is repaired, and _finish drops what is residue (a block below
+    SERVING_SHARE of its user's signal repairs to a beam below it).
     """
     ch = problem.channels
     w = [np.zeros((n, len(W)), dtype=complex) for n in ch.antenna_counts]
@@ -439,25 +440,22 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
 def _finish(w: list, problem: CoordinationProblem, **meta) -> BeamformingSolution:
     """The certified solution for the beamformer stacks w of any solver.
 
-    Residue: a QoS user's link (k, j) whose cost rho_j ||w_{k,j}||^2 is at most
-    1e-8 (1 + total cost) and whose own signal |h_{k,j}^H w_{k,j}|^2 is at most
-    1e-8 gt_k sigma_k^2 carries no load, yet may hold more than SERVING_SHARE
-    of a low-power user's power; it is zeroed in a copy of w.  One evaluate of
-    the copy then gives the solution's power and its verdict: every SINR
-    target within FEASIBILITY_TOL, every cap within power.CAP_TOL and, with a
-    finite objective_relaxation (the certified bound), the dynamic power P
-    within CERT_GAP * max(1, |P|, |bound|) of it.  Raises NumericalFailureError
-    on a missed target or cap or a wider gap.
+    Residue: link (k, j) serves user k only when its own signal
+    |h_{k,j}^H w_{k,j}|^2 exceeds SERVING_SHARE of the user's received own
+    signal (evaluation.serving_links, as evaluate reports); every other link
+    is zeroed in a copy of w, so the solution's powered links are its serving
+    links.  One evaluate of the copy then gives the solution's power and its
+    verdict: every SINR target within FEASIBILITY_TOL (so a drop that cost a
+    target fails), every cap within power.CAP_TOL and, with a finite
+    objective_relaxation (the certified bound), the dynamic power P within
+    CERT_GAP * max(1, |P|, |bound|) of it.  Raises NumericalFailureError on a
+    missed target or cap or a wider gap.
     """
-    ch, hw, gt = problem.channels, problem.hw, problem.gtilde
+    ch, gt = problem.channels, problem.gtilde
     K = ch.num_users
-    cost = link_powers(w) * np.asarray(hw.rho[:len(w)])
-    own = link_gains(ch.H, w)[np.arange(K), np.arange(K)]
-    floor = 1e-8 * gt * np.asarray(ch.sigma2, dtype=float)
-    keep = ((cost > 1e-8 * (1.0 + cost.sum())) | (own > floor[:, None])
-            | (np.asarray(problem.gamma) <= 0)[:, None])
+    keep = serving_links(link_gains(ch.H, w)[np.arange(K), np.arange(K)])
     w = [np.where(keep[:, j], w_j, 0.0) for j, w_j in enumerate(w)]
-    report = evaluate(w, ch, hw, problem.gamma)
+    report = evaluate(w, ch, problem.hw, problem.gamma)
     for k in problem.qos_users():
         if report.sinr[k] < gt[k] * (1.0 - FEASIBILITY_TOL):
             raise NumericalFailureError(

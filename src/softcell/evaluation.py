@@ -21,10 +21,10 @@ from .power import (HardwareProfile, check_power_constraints, circuit_power,
                     dynamic_power, mw_to_dbm)
 from .scenario import ChannelSet
 
-# A transmitter serves a user when it carries more than this share of the
-# user's total emitted power.  Interior-point solutions are never exactly zero;
-# coordination._finish zeroes the links whose cost and own signal both show
-# them as residue before any solver's serving sets are counted.
+# Link (k, j) serves user k when its own signal |h_{k,j}^H w_{k,j}|^2 is more
+# than this share of the user's received own signal sum_j |h_{k,j}^H w_{k,j}|^2.
+# Interior-point solutions are never exactly zero; coordination._finish zeroes
+# every link below the share, so a solution's powered links are its serving links.
 SERVING_SHARE = 1e-6
 
 
@@ -40,14 +40,14 @@ def link_gains(H: list, w: list) -> np.ndarray:
     return np.stack([a.real ** 2 + a.imag ** 2 for a in amp], axis=2)
 
 
-def serving_sets(p: np.ndarray) -> list:
-    """Transmitters serving each user: those above SERVING_SHARE of its power."""
-    serving = []
-    for row in p:
-        total = row.sum()
-        serving.append(tuple(int(j) for j in np.nonzero(row > SERVING_SHARE * total)[0])
-                       if total > 0 else ())
-    return serving
+def serving_links(own: np.ndarray) -> np.ndarray:
+    """(K, T) mask of the links whose own signal own[k, j] serves user k."""
+    return own > SERVING_SHARE * own.sum(axis=1, keepdims=True)
+
+
+def serving_sets(links: np.ndarray) -> list:
+    """Transmitters serving each user: the nonzero entries of its row."""
+    return [tuple(int(j) for j in np.flatnonzero(row)) for row in links]
 
 
 @dataclass
@@ -79,13 +79,14 @@ def evaluate(solution, channels: ChannelSet, hw: HardwareProfile,
 
     # gains[k, i, j] = |h_{k,j}^H w_{i,j}|^2 (receiving user, beam owner, transmitter)
     gains = link_gains(channels.H, w)
-    own = gains[np.arange(K), np.arange(K), :].sum(axis=1)
+    own_links = gains[np.arange(K), np.arange(K), :]
+    own = own_links.sum(axis=1)
     total_rx = gains.sum(axis=1).sum(axis=1)
     interference = total_rx - own
     sinr = own / (interference + np.asarray(channels.sigma2))
     rate = np.log2(1.0 + sinr)
 
-    serving = serving_sets(link_powers(w))
+    serving = serving_sets(serving_links(own_links))
     multiflow = np.array([len(s) > 1 for s in serving])
 
     p_dyn = dynamic_power(w, hw)

@@ -190,8 +190,10 @@ def test_repair_is_identity_on_rank_one_blocks():
 
 def test_a_negligible_relaxed_block_is_repaired_then_dropped_by_finish():
     # repair_rank has no residue rule of its own: the 1e-9 I block at
-    # transmitter 1 repairs to a 1e-9 mW beam (||w||^2 <= tr W), which
-    # _finish zeroes as residue, so the user is served by transmitter 0 alone.
+    # transmitter 1 repairs to a beam with the same own signal, 1e-9 mW, that
+    # is 5e-10 of the 2 mW the user receives from transmitter 0.  Below
+    # SERVING_SHARE of its user's signal, _finish zeroes it as residue, so the
+    # user is served by transmitter 0 alone.
     h0, h1 = np.array([0.6, 0.8j]), np.array([1.0 + 0j, 0.0])
     prob = CoordinationProblem(make_channels([[h0, h1]], [1.0]), loose_hardware(2), (1.0,))
     w = repair_rank([[2.0 * np.eye(2, dtype=complex), 1e-9 * np.eye(2, dtype=complex)]], prob)
@@ -290,11 +292,11 @@ def test_solutions_are_rank_one_and_objective_preserving():
 
 @pytest.mark.parametrize("along_channel", [False, True])
 def test_finish_zeroes_residue_links_in_a_copy(along_channel):
-    # User 0 is served by transmitter 0; its 5e-6 mW beam at transmitter 1 is
-    # above SERVING_SHARE of its 1.5 mW, but below 1e-8 of the total cost
-    # (user 1 draws 2e3 mW).  Orthogonal to the user's channel it delivers no
-    # signal and is residue; along the channel it delivers 5e-6 of the
-    # noise-scaled target and stays a serving link.
+    # User 0 is served by transmitter 0 with 1.5 mW of signal; user 1 draws
+    # 2e3 mW, so the cost of user 0's 5e-6 mW beam at transmitter 1 is
+    # negligible beside the total.  Orthogonal to the user's channel that beam
+    # delivers no signal and is residue; along the channel it delivers 3.3e-6
+    # of the user's signal, above SERVING_SHARE, and stays a serving link.
     e0, e1 = np.array([1.0 + 0j, 0.0]), np.array([0.0, 1.0 + 0j])
     prob = CoordinationProblem(make_channels([[e0, e0], [e1, e1]], [1.0, 1e3]),
                                loose_hardware(2), (1.0, 1.0))
@@ -311,6 +313,46 @@ def test_finish_zeroes_residue_links_in_a_copy(along_channel):
         assert sol.serving[0] == (0,)
         assert np.all(sol.w[1] == 0.0)
         assert sol.objective_dynamic == pytest.approx(2.0 * (1.5 + 2e3), rel=1e-15)
+
+
+@pytest.mark.parametrize("main,extra,served", [
+    # (channel gain, mW) of the user's link at transmitter 0, then at 1.  The
+    # extra 1e-3 mW is 6.7e-4 of the emitted power, but its 1e-7 mW of signal
+    # (far above the noise-level 1e-8 mW) is 6.7e-8 of the 1.5 mW received.
+    ((1.0, 1.5), (1e-4, 1e-3), (0,)),
+    # The mirror image: 6.7e-8 of the emitted power, 6.7e-4 of the signal.
+    ((1e-4, 1.5e4), (1.0, 1e-3), (0, 1)),
+], ids=["power_share_without_signal", "signal_share_without_power"])
+def test_a_link_serves_by_its_share_of_the_received_signal(main, extra, served):
+    e0 = np.array([1.0 + 0j, 0.0])
+    prob = CoordinationProblem(
+        make_channels([[np.sqrt(main[0]) * e0, np.sqrt(extra[0]) * e0]], [1.0]),
+        loose_hardware(2), (1.0,))
+    w = [np.sqrt(main[1]) * e0[:, None], np.sqrt(extra[1]) * e0[:, None]]
+    assert evaluate(w, prob.channels, prob.hw, prob.gamma).serving == [served]
+    sol = _finish(w, prob)
+    assert sol.serving == [served]
+    assert evaluate(sol, prob.channels, prob.hw, prob.gamma).serving == [served]
+    if served == (0,):
+        assert np.all(sol.w[1] == 0.0)
+        assert classify_assignment(sol, prob.hw).count(MULTIFLOW) == 0
+    else:
+        assert np.array_equal(sol.w[1], w[1])
+
+
+def test_a_sub_share_signal_link_is_not_counted_as_multiflow():
+    # Criterion 7's N_BS=24, two-SCA trial 13: user 1 is served by SCA 2 and
+    # its 4.2e-8 mW BS beam delivers 2.6e-8 of its signal.  Counted by emitted
+    # power, that beam made user 1 multiflow with no active cap to license it.
+    base = replace(desk_config(seed=101), n_bs=24)
+    record = run_trial(base, "n_sca", 2, "optimal", 13)
+    assert record.status == "optimal"
+    assert record.n_multiflow == 1
+    cfg = with_axis_value(base, "n_sca", 2)
+    prob = CoordinationProblem(realize_scenario(cfg, trial=13), cfg.hardware, cfg.qos_targets)
+    sol, _ = solve_optimal(prob)
+    assert sol.serving[1] == (2,)
+    assert not classify_assignment(sol, cfg.hardware).diagnostics
 
 
 def test_rzf_power_lp_residue_is_not_counted_as_multiflow():
@@ -529,8 +571,8 @@ def test_fast_path_serves_a_pool_user_from_one_transmitter_only(monkeypatch):
     # Criterion 4's pool instance 39 (N_BS=4, one user at each of two SCAs and
     # two uniform users at 1 bit/s/Hz), trial 1, with caps x100.  A power LP
     # over directions at every transmitter leaves 1.8e-6 of user 2's power on
-    # the BS, above SERVING_SHARE, and makes it a multiflow user that no
-    # active cap licenses.
+    # the BS, which once counted as serving and made it a multiflow user that
+    # no active cap licenses.
     r = 0.3 / np.sqrt(2.0)
     cfg = ScenarioConfig(cell_radius=0.5, num_users_uniform=2,
                          sca_positions=((r, r), (-r, -r)), users_per_sca=1,

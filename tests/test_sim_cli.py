@@ -207,10 +207,13 @@ def test_value_parsing_follows_the_axis_type():
 def test_config_and_paper_setup_are_mutually_exclusive(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text("{}")
-    code = main(["--sweep", "n_sca", "--values", "0,1",
-                 "--config", str(cfg), "--full-paper-setup"])
-    assert code == 2
-    assert "mutually exclusive" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--sweep", "n_sca", "--values", "0,1",
+              "--config", str(cfg), "--full-paper-setup"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: softcell-sim")
+    assert "argument --full-paper-setup: not allowed with argument --config" in err
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -241,6 +244,26 @@ def test_cli_runs_a_sweep_from_a_config_file(tmp_path, capsys):
     body = [l for l in out.strip().split("\n")
             if l and not l.startswith(("axis_value,algorithm,trial", "axis_value,algorithm,n_trials"))]
     assert {l.split(",")[0] for l in body} == {"2", "4"}
+
+
+def test_cli_runs_the_full_paper_setup(tmp_path):
+    out = tmp_path / "paper.csv"
+    assert main(["--full-paper-setup", "--sweep", "qos", "--values", "2", "--trials", "1",
+                 "--algorithms", "rzf", "--out", str(out)]) == 0
+    assert out.read_text() == records_csv([run_trial(full_paper_config(), "qos", 2.0, "rzf", 0)])
+
+
+def test_cli_takes_per_user_targets_from_a_config_file(tmp_path, capsys):
+    data = {"cell_radius": 0.5, "num_users_uniform": 2, "sca_positions": [],
+            "users_per_sca": 0, "n_bs": 4, "n_sca": 0, "qos_targets": [1.0, 2.5],
+            "seed": 5}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["--config", str(cfg), "--sweep", "n_bs", "--values", "4",
+                 "--trials", "1", "--algorithms", "optimal"]) == 0
+    record = run_trial(tiny_config(qos_targets=(1.0, 2.5)), "n_bs", 4, "optimal", 0)
+    assert record.status == "optimal"
+    assert capsys.readouterr().out.startswith(records_csv([record]))
 
 
 def test_cli_writes_files_and_honours_the_seed(tmp_path):
