@@ -396,11 +396,12 @@ def _ip_hsd(sf: _StandardForm):
     tau, kappa = 1.0, 1.0
 
     status, message = NUMERICAL_FAILURE, "iteration limit reached"
-    it = 0
     best = None
     best_history = []       # best[0] after each iteration, for the stall exit
     endgame = False
 
+    # Each iterate is evaluated once, at the top of the loop, and every exit
+    # breaks before a step, so the last evaluation is the returned iterate's.
     # Residuals are measured per row relative to the magnitudes actually
     # summed there (|r_i| <= den_i by the triangle inequality), so rows whose
     # natural scale differs by many orders share one tolerance and row
@@ -415,7 +416,8 @@ def _ip_hsd(sf: _StandardForm):
         floor = max(1e-5 * den.max(), 1e-300)
         return float((np.abs(r) / np.maximum(den, floor)).max())
 
-    def indicators():
+    for it in range(MAX_ITERS + 1):
+        mu = (x @ z + tau * kappa) / (sf.nu + 1)
         rp = A @ x - b * tau
         den_p = Aabs @ np.abs(x) + babs * tau
         pres = _relres(rp, den_p)
@@ -426,11 +428,6 @@ def _ip_hsd(sf: _StandardForm):
         dobj = (b @ y) / tau
         cgap = (x @ z) / tau ** 2
         relgap = max(cgap, abs(pobj - dobj)) / max(1.0, abs(pobj), abs(dobj))
-        return pres, dres, relgap, pobj, dobj
-
-    for it in range(MAX_ITERS + 1):
-        mu = (x @ z + tau * kappa) / (sf.nu + 1)
-        pres, dres, relgap, pobj, dobj = indicators()
         if best is None or max(pres, dres, relgap) < best[0]:
             best = (max(pres, dres, relgap), pres, dres, relgap,
                     x.copy(), y.copy(), z.copy(), tau, kappa)
@@ -480,7 +477,7 @@ def _ip_hsd(sf: _StandardForm):
             status, message = NUMERICAL_FAILURE, "stalled"
             break
 
-        r_P = b * tau - A @ x
+        r_P = -rp
         r_D = c * tau - A.T @ y - z
         r_G = c @ x - bty + kappa
 
@@ -521,7 +518,6 @@ def _ip_hsd(sf: _StandardForm):
             Each row's error is taken relative to the residual the step is
             to reduce (never below the target), and a correction is kept
             only when it lowers the larger of the two."""
-            den_p = Aabs @ np.abs(x) + babs * tau
             zero = np.zeros(n)
 
             def complete(dy, dtau):
@@ -605,9 +601,7 @@ def _ip_hsd(sf: _StandardForm):
         tau += alpha * dtau
         kappa += alpha * dkappa
 
-    pres, dres, relgap, pobj, dobj = indicators()
-    if (best is not None and status == NUMERICAL_FAILURE
-            and max(pres, dres, relgap) > best[0]):
+    if status == NUMERICAL_FAILURE and max(pres, dres, relgap) > best[0]:
         # Late iterations operating at the noise floor can degrade the
         # iterate; fall back to the best one seen.
         _, pres, dres, relgap, x, y, z, tau, kappa = best
@@ -654,9 +648,9 @@ def solve(problem: ConicProblem) -> ConicSolution:
         block_values = []
         for blk, sl in zip(problem.blocks, sf.block_slices):
             block_values.append(xhat[sl].copy() if blk.kind == NONNEG else smat(xhat[sl], blk.dim))
-        pobj = _functional(problem, problem.objective, block_values)
-        # b'y of the internal standard form equals the Lagrangian dual value of
-        # the original mixed-sense problem.
+        # c'x and b'y of the internal standard form equal the primal value
+        # and the Lagrangian dual value of the original mixed-sense problem.
+        pobj = sf.obj_scale * float(sf.c @ (x / tau))
         dobj = sf.obj_scale * float(sf.b @ (y / tau))
         return ConicSolution(OPTIMAL, block_values, -yhat, pobj, dobj, iters,
                              pres, dres, relgap, message)
@@ -670,12 +664,3 @@ def solve(problem: ConicProblem) -> ConicSolution:
     return ConicSolution(NUMERICAL_FAILURE, None, None, np.nan, np.nan, iters,
                          pres, dres, relgap, message)
 
-
-def _functional(problem: ConicProblem, coeffs: dict, block_values: list) -> float:
-    total = 0.0
-    for bidx, entry in coeffs.items():
-        if problem.blocks[bidx].kind == NONNEG:
-            total += float(np.dot(entry, block_values[bidx]))
-        else:
-            total += float(np.real(np.trace(entry.conj().T @ block_values[bidx])))
-    return total

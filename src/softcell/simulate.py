@@ -155,11 +155,6 @@ def run_trial(base: ScenarioConfig, axis: str, value, algorithm: str, trial: int
                        False, wall_ms, exchanged)
 
 
-def _trial_task(args):
-    base, axis, value, algorithm, trial = args
-    return run_trial(base, axis, value, algorithm, trial)
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1):
     """All trials of the sweep; returns (records, aggregate rows).
 
@@ -173,10 +168,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1):
              for algorithm in spec.algorithms
              for trial in range(spec.trials)]
     if workers == 1:
-        records = [_trial_task(t) for t in tasks]
+        records = [run_trial(*t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trial_task, tasks, chunksize=1))
+            records = list(pool.map(run_trial, *zip(*tasks), chunksize=1))
     order = {a: i for i, a in enumerate(spec.algorithms)}
     records.sort(key=lambda r: (spec.values.index(r.axis_value), order[r.algorithm], r.trial))
     return records, aggregate(records, spec)

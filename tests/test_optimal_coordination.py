@@ -588,12 +588,14 @@ def test_fast_path_serves_a_pool_user_from_one_transmitter_only(monkeypatch):
     assert not classify_assignment(sol, lifted).diagnostics
 
 
-def test_diverging_fixed_point_leaves_the_certificate_to_the_relaxation():
+@pytest.mark.parametrize("targets", [(2.0, 2.0), (1.0, 1.0)], ids=["sinr3", "sinr1"])
+def test_diverging_fixed_point_leaves_the_certificate_to_the_relaxation(targets):
     # Two users on one identical single-antenna channel cannot both reach
-    # SINR 3: the fixed point grows without bound and the relaxation
-    # certifies infeasibility.
+    # SINR 3, nor both SINR 1: the fixed point grows without bound (at SINR
+    # 1 by a constant each round, through all UPLINK_MAX_ITERS under these
+    # loose caps) and the relaxation certifies infeasibility.
     ch = make_channels([[np.array([1.0 + 0j])], [np.array([1.0 + 0j])]], [1.0, 1.0])
-    prob = CoordinationProblem(ch, loose_hardware(1), (2.0, 2.0))
+    prob = CoordinationProblem(ch, loose_hardware(1), targets)
     start = time.perf_counter()
     with pytest.raises(InfeasibleProblemError) as exc:
         solve_optimal(prob)
@@ -654,6 +656,31 @@ def test_paper_scale_trial_certifies_on_the_fast_path(monkeypatch):
     monkeypatch.setattr(coordination, "build_relaxation", _refuse_relaxation)
     monkeypatch.setattr(cs, "solve", _refuse_conic_solve)
     assert run_trial(full_paper_config(), "qos", 2.0, "optimal", 0).status == "optimal"
+
+
+def test_a_slow_paper_fixed_point_certifies_on_the_fast_path(monkeypatch):
+    # Paper QoS 1, trial 8: a marginal pair on one single-antenna small cell
+    # makes the fixed point take 743 rounds to settle; the relaxation, which
+    # finds the same total, would take about 10 s on a 2-vCPU Xeon.
+    monkeypatch.setattr(coordination, "build_relaxation", _refuse_relaxation)
+    monkeypatch.setattr(cs, "solve", _refuse_conic_solve)
+    record = run_trial(full_paper_config(), "qos", 1.0, "optimal", 8)
+    assert record.status == "optimal"
+    assert record.total_mw == pytest.approx(32.53550813796266, rel=0, abs=1e-9)
+
+
+def test_an_unsettled_fixed_point_answers_from_its_last_round(monkeypatch):
+    # Desk seed 202, QoS 2, trial 0 settles in 14 rounds.  Stopped after 7,
+    # its lambda is still dual feasible and its beams certify within the gap.
+    cfg = desk_config(seed=202)
+    prob = CoordinationProblem(realize_scenario(cfg, trial=0), cfg.hardware, cfg.qos_targets)
+    settled, _ = solve_optimal(prob)
+    monkeypatch.setattr(coordination, "UPLINK_MAX_ITERS", 7)
+    monkeypatch.setattr(coordination, "build_relaxation", _refuse_relaxation)
+    monkeypatch.setattr(cs, "solve", _refuse_conic_solve)
+    sol, cert = solve_optimal(prob)
+    assert sol.objective_total == pytest.approx(settled.objective_total, rel=0, abs=1e-9)
+    assert verify_duality(sol, cert, prob).ok()
 
 
 # ---------------------------------------------------------------------------
