@@ -348,8 +348,9 @@ def _max_step(sc: _Scaling, x, z, tau, kappa, dx, dz, dtau, dkappa, Dx_list, Dz_
 # ---------------------------------------------------------------------------
 
 class _NormalEquations:
-    """Cholesky solve of M = A H A^T with regularization fallback and up to
-    two steps of iterative refinement against the unregularized, formed M.
+    """Cholesky solve of M = A H A^T with up to two steps of iterative
+    refinement against the formed M.  A factorization that fails raises
+    LinAlgError, which ends the solve.
 
     Refinement against M cannot correct the error of forming M itself, which
     dominates once cond(M) nears 1/eps; the end-game of the interior-point loop
@@ -359,16 +360,7 @@ class _NormalEquations:
         M = A @ HAT
         M = 0.5 * (M + M.T)
         self.M = M
-        base = max(np.trace(M) / M.shape[0], 1e-300)
-        self.fac = None
-        for reg in (0.0, 1e-14, 1e-11, 1e-8):
-            try:
-                self.fac = la.cho_factor(M + (reg * base) * np.eye(M.shape[0]), lower=True)
-                break
-            except la.LinAlgError:
-                continue
-        if self.fac is None:
-            raise la.LinAlgError("normal equations not positive definite")
+        self.fac = la.cho_factor(M, lower=True)
 
     def solve(self, rhs):
         u = la.cho_solve(self.fac, rhs)

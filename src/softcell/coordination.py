@@ -6,10 +6,12 @@ multipliers are the fixed point of a standard interference function.  By
 uplink-downlink duality each user is then served by the one transmitter where
 its dual row is tightest, along the direction the fixed point already
 computed, and the powers that meet every target with equality solve one K x K
-linear system.  When no cap binds and their cost meets the dual bound within
-the conic solver's certification gap, both are optimal.
+linear system.  Every round's multipliers are dual feasible, so their sum
+bounds the optimum from below, and beams within every target and cap whose
+cost meets that bound within the conic solver's certification gap are
+optimal.
 
-Fallback, for every case the fast path cannot certify (a binding cap,
+Fallback, for every case the fast path cannot certify (a cap its beams break,
 infeasible targets, a cost left beyond the gap): build the relaxed
 program in the per-link matrices W_{k,j} (one PSD block per served user and
 transmitter), solve it with the conic engine, take every block to rank one in
@@ -20,20 +22,20 @@ The optimum promotes exclusive assignment, so almost every per-antenna cap is
 slack there, and the relaxation first carries only the caps that matter (one
 round of row generation, Kelley's cutting planes, 1960): the QoS rows and the
 caps that the fast path's beams left active or violated.  Leaving caps out
-relaxes the full program, so an answer that meets every left-out cap
-(sum_k W_{k,j}[l,l] <= q_j) is the full optimum (mu = 0 on those caps
-completes its dual certificate), and an infeasible subset certifies an
-infeasible full program.  An answer that breaks a left-out cap, or that the
-conic solver returns at reduced precision, gives way to the full program, as
-does a fast path that formed no beams: there the program holds every cap from
-the start.
+relaxes the full program, so its optimum is a lower bound on the full one,
+and an infeasible subset certifies an infeasible full program.  A seeded
+answer that _finish refuses (it breaks a left-out cap, say), or a seeded
+solve that does not end optimal, gives way to the full program, as does a
+fast path that formed no beams: there the program holds every cap from the
+start.
 
-Either way, as for the rzf heuristic, _finish is the one place where beams
+Each candidate answer thus comes with its own lower bound on the full
+program, and, as for the rzf heuristic, _finish is the one place where beams
 become a solution: it alone zeroes residue (links below SERVING_SHARE of their
 user's signal), and one evaluate of the result gives the power reported,
-verifies every target and cap, and
-lets _finish refuse a cost beyond CERT_GAP of its certified bound (sum lambda
-on the fast path, the relaxed optimum on the fallback).
+verifies every target and cap, and lets _finish refuse a cost beyond CERT_GAP
+of the candidate's bound (sum lambda on the fast path, the relaxed optimum on
+the fallback).
 
 The relaxation is exact: a rank-one optimal solution always exists, so an
 infeasible relaxation certifies infeasibility of the original problem and the
@@ -271,12 +273,8 @@ def regularized_inverse(gram: np.ndarray, a, r) -> np.ndarray:
 
 
 def _solve_uplink(problem: CoordinationProblem):
-    """The optimum without a PSD solve, as a pair (exact, caps).
-
-    exact is (solution, certificate) where the optimum is certified, and caps
-    is then None.  Otherwise exact is None and caps is the set of caps (j, l)
-    the relaxation starts from beside the QoS rows: those the fixed point's
-    beams leave active or violated, or every cap where no beams were formed.
+    """The uplink fixed point's beams and multipliers (w, lambda), the first
+    candidate answer of solve_optimal, or None where no beams are formed.
 
     With the cap multipliers mu at 0, the dual of the relaxation is
 
@@ -285,7 +283,8 @@ def _solve_uplink(problem: CoordinationProblem):
 
     and its optimum is the fixed point of the standard interference function
     lambda_k <- gt_k sigma_k^2 / max_j h_kj^H B_kj^-1 h_kj.  From lambda = 0
-    the iterates rise monotonically and each is dual feasible.  One batched
+    the iterates rise monotonically and each is dual feasible, whatever the
+    caps, so sum lambda bounds the full program from below.  One batched
     K x K solve per round (regularized_inverse, weights lambda, regularizer
     rho_j) serves all users at every transmitter: it gives x = h_kj^H C_j^-1 h_kj
     for C_j = B_kj + lambda_k h_kj h_kj^H / sigma_k^2, and by Sherman-Morrison
@@ -298,17 +297,14 @@ def _solve_uplink(problem: CoordinationProblem):
     g[i, k] = |h_{i,a_k}^H u_k|^2, the powers that meet every target with
     equality solve M p = sigma^2 over the QoS users, with
     M[k, k] = g[k, k] / gt_k and M[k, i] = -g[k, i].  They cost at least the
-    dual bound sum lambda; within CERT_GAP of it, both are optimal.
+    dual bound sum lambda; _finish alone decides whether they meet every cap
+    and come within CERT_GAP of it.
 
     Where lambda has not settled within UPLINK_MAX_ITERS, the last round's
-    beams are formed all the same: its lambda is still dual feasible, and the
-    gap test of _finish alone decides.  No beams are formed, and the
-    problem is left to the full relaxation, where sum lambda exceeds the
-    power of every antenna at its cap (no feasible point costs that much, so
-    the targets are infeasible), or M is singular or gives a negative power.
-    Beams that put an emitting antenna at or over its cap, or that _finish
-    refuses (a missed target or cap, or a gap left open), leave it to the
-    relaxation seeded with their caps.
+    beams are formed all the same: its lambda is still dual feasible.  No
+    beams are formed where sum lambda exceeds the power of every antenna at
+    its cap (no feasible point costs that much, so the targets are
+    infeasible), or M is singular or gives a negative power.
     """
     ch, hw, gt = problem.channels, problem.hw, problem.gtilde
     K, T = ch.num_users, ch.num_transmitters
@@ -318,7 +314,6 @@ def _solve_uplink(problem: CoordinationProblem):
     G, gram = scaled_channels(ch, txs)
     rho = [hw.rho[j] for j in txs]
     ceiling = sum(hw.rho[j] * ch.antennas(j) * hw.per_antenna_limit[j] for j in txs)
-    no_beams = None, set(antenna_caps(problem))
     lam = np.zeros(K)
     for _ in range(UPLINK_MAX_ITERS):
         Y = regularized_inverse(gram, lam, rho)
@@ -326,11 +321,11 @@ def _solve_uplink(problem: CoordinationProblem):
         gain = x / (1.0 - lam[:, None] * x)
         best = gain.max(axis=1, initial=0.0)       # 0 without any active transmitter
         if np.any(best[users] <= 0.0):
-            return no_beams
+            return None
         new = lam.copy()
         new[users] = gt[users] / best[users]
         if not (np.all(np.isfinite(new)) and new.sum() <= ceiling):
-            return no_beams
+            return None
         settled = np.all(new - lam <= UPLINK_TOL * new)
         lam = new
         if settled:
@@ -347,77 +342,77 @@ def _solve_uplink(problem: CoordinationProblem):
     try:
         p = np.linalg.solve(M, sigma2[users])
     except np.linalg.LinAlgError:
-        return no_beams
+        return None
     if not np.all(np.isfinite(p) & (p >= 0.0)):
-        return no_beams
+        return None
     amplitude = np.zeros(K)
     amplitude[users] = np.sqrt(p)
-    w = [U_j * amplitude for U_j in U]
-    slacks = check_power_constraints(w, hw)
-    # A cap binds only where its antenna emits: a zero cap on a silent antenna does not.
-    if not any(s.violated or (s.active and s.used_mw > 0.0) for s in slacks):
-        try:
-            solution = _finish(w, problem, objective_relaxation=float(lam.sum()))
-            return (solution, DualCertificate(lam, [np.zeros(n) for n in ch.antenna_counts])), None
-        except NumericalFailureError:
-            pass
-    return None, {(s.transmitter, s.antenna) for s in slacks if s.active or s.violated}
-
-
-def _at_target_precision(sol: cs.ConicSolution) -> bool:
-    """Whether an optimal conic solution met the solver's target tolerances,
-    rather than stopping at reduced precision within its certification bounds."""
-    return (sol.residual_primal <= cs.TOL_FEAS and sol.residual_dual <= cs.TOL_FEAS
-            and sol.residual_gap <= cs.TOL_GAP)
+    return [U_j * amplitude for U_j in U], lam
 
 
 def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, DualCertificate]:
-    """Exact minimum-power coordination with dual certificates: the uplink
-    fixed point where it certifies, otherwise the relaxation, whose blocks
-    repair_rank takes to rank one without a further solve.
+    """Exact minimum-power coordination with dual certificates: the first
+    candidate answer that _finish accepts against its own lower bound.
 
-    The first relaxation carries the QoS rows and only the caps that the
-    fixed point's beams left active or violated (one round of Kelley's
-    cutting planes, 1960).  Fewer caps make a relaxation of the full program:
-    an optimum that meets every left-out cap (j, l), sum_k W_{k,j}[l,l] <= q_j,
-    is the full optimum, completed to its dual certificate by mu = 0 on those
-    caps, and an infeasible subset makes the full program infeasible, with a
-    zero multiplier on each left-out row of the ray.  An optimum that breaks a
-    left-out cap, or that stops at reduced precision short of the solver's
-    targets, gives way to the full program, so at most two programs are solved
-    and the second is the one built with every cap.  (A further round for the
-    broken caps alone costs about as much as the full program at desk scale,
-    and their number grows where caps bind.)  Where the fixed point formed no
-    beams, the first program already holds every cap.
+    The candidates (_candidates) come in order: the uplink fixed point's beams
+    against sum lambda; the relaxation seeded with the caps those beams leave
+    active or violated (one round of Kelley's cutting planes, 1960), its
+    blocks taken to rank one by repair_rank, against its optimum; and the full
+    relaxation, with every cap, against its optimum.  Each bound is valid for
+    the full program: every round's lambda with mu = 0 is dual feasible, and
+    leaving caps out relaxes the program.  So an answer within every target
+    and cap and within CERT_GAP of its bound is optimal, and _finish is the
+    only test.  A refused candidate, or a seeded solve that does not end
+    optimal, gives way to the next; where the fixed point formed no beams, or
+    its beams touch every cap, the first relaxation is already the full one.
 
-    Raises InfeasibleProblemError when the relaxation (hence the original
+    Raises InfeasibleProblemError when a relaxation (hence the original
     problem) is infeasible, with one certificate entry per QoS row and then
-    per cap in antenna_caps order.  Raises NumericalFailureError when a
-    relaxation solve fails or _finish cannot certify the repaired solution (it
-    misses a target or a cap, or its cost lies beyond CERT_GAP of the relaxed
-    optimum).
+    per cap in antenna_caps order (zero on a cap the seeded program left out).
+    Raises NumericalFailureError when the full relaxation's solve fails or
+    _finish refuses its repaired beams (a missed target or cap, or a cost
+    beyond CERT_GAP of the relaxed optimum).
     """
-    ch, hw = problem.channels, problem.hw
+    for w, bound, certificate in _candidates(problem):
+        try:
+            return _finish(w, problem, objective_relaxation=bound), certificate
+        except NumericalFailureError as refusal:
+            error = refusal
+    raise error
+
+
+def _candidates(problem: CoordinationProblem):
+    """The candidate answers (w, bound, certificate) of solve_optimal, each
+    formed only once the one before it has been refused."""
+    ch = problem.channels
     K, T = ch.num_users, ch.num_transmitters
-    exact, caps = _solve_uplink(problem)
-    if exact is not None:
-        return exact
+    every_cap = set(antenna_caps(problem))
+    programs = [every_cap]
+    uplink = _solve_uplink(problem)
+    if uplink is not None:
+        w, lam = uplink
+        yield w, float(lam.sum()), DualCertificate(lam, [np.zeros(n) for n in ch.antenna_counts])
+        seed = {(s.transmitter, s.antenna) for s in check_power_constraints(w, problem.hw)
+                if s.active or s.violated}
+        if seed != every_cap:
+            programs = [seed, every_cap]
     if not problem.active_transmitters():
         # The relaxation would hold only QoS rows, each reading 0 >= 1; a unit
         # multiplier on every row is its infeasibility ray.
         raise InfeasibleProblemError("QoS targets unattainable without any antenna",
                                      certificate=np.ones(len(problem.qos_users())))
 
-    every_cap = antenna_caps(problem)
-    while True:
+    for caps in programs:
         relax = build_relaxation(problem, caps)
         conic_sol = cs.solve(relax.conic)
         if conic_sol.status == cs.INFEASIBLE:
-            rows = [*relax.qos_row.values(), *map(relax.power_row.get, every_cap)]
+            rows = [*relax.qos_row.values(), *map(relax.power_row.get, antenna_caps(problem))]
             raise InfeasibleProblemError(
                 "QoS targets unattainable under the power constraints (exact relaxation infeasible)",
                 certificate=np.array([0.0 if r is None else conic_sol.duals[r] for r in rows]))
         if conic_sol.status != cs.OPTIMAL:
+            if caps is not every_cap:
+                continue
             raise NumericalFailureError(
                 f"relaxation solve ended with status {conic_sol.status}: {conic_sol.message}",
                 {"primal": conic_sol.residual_primal, "dual": conic_sol.residual_dual,
@@ -425,23 +420,13 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
         W = [[conic_sol.block_values[relax.block_of[(k, j)]] if (k, j) in relax.block_of
               else np.zeros((ch.antennas(j),) * 2, dtype=complex) for j in range(T)]
              for k in range(K)]
-        left_out = [(j, l) for j, l in every_cap if (j, l) not in caps]
-        if not left_out or (_at_target_precision(conic_sol) and all(
-                sum(W[k][j][l, l].real for k in range(K)) <= hw.per_antenna_limit[j]
-                for j, l in left_out)):
-            break
-        caps = set(every_cap)
-
-    solution = _finish(repair_rank(W, problem), problem,
-                       objective_relaxation=conic_sol.primal_objective)
-
-    lam = np.zeros(K)
-    for k in problem.qos_users():
-        lam[k] = max(conic_sol.duals[relax.qos_row[k]], 0.0)
-    mu = [np.zeros(ch.antennas(j)) for j in range(T)]
-    for (j, l), row in relax.power_row.items():
-        mu[j][l] = max(conic_sol.duals[row], 0.0)
-    return solution, DualCertificate(lam, mu)
+        lam = np.zeros(K)
+        for k in problem.qos_users():
+            lam[k] = max(conic_sol.duals[relax.qos_row[k]], 0.0)
+        mu = [np.zeros(ch.antennas(j)) for j in range(T)]
+        for (j, l), row in relax.power_row.items():
+            mu[j][l] = max(conic_sol.duals[row], 0.0)
+        yield repair_rank(W, problem), conic_sol.primal_objective, DualCertificate(lam, mu)
 
 
 def _finish(w: list, problem: CoordinationProblem, **meta) -> BeamformingSolution:

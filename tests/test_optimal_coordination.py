@@ -371,22 +371,27 @@ def test_rzf_power_lp_residue_is_not_counted_as_multiflow():
     (2.0, 0, "optimal", False), (2.0, 4, "optimal", True), (2.0, 0, "rzf", False)])
 def test_finish_evaluates_each_returned_solution_once(monkeypatch, qos, trial, algorithm,
                                                       fallback):
-    # Fast path, relaxation fallback and rzf all leave the one evaluation of
-    # their final beams, after the residue rule, to _finish.
+    # Fast path, relaxation fallback and rzf all leave the evaluation of their
+    # beams, after the residue rule, to _finish: one per candidate tried (the
+    # refused fast-path beams of a fallback included), and the numbers
+    # returned are those of the last.
     cfg = replace(desk_config(seed=202), qos_targets=(qos,) * 6)
     prob = CoordinationProblem(realize_scenario(cfg, trial=trial), cfg.hardware, cfg.qos_targets)
     seen, relaxations = [], []
     evaluate_ = coordination.evaluate
     build = coordination.build_relaxation
     monkeypatch.setattr(coordination, "evaluate",
-                        lambda w, *args: seen.append(w) or evaluate_(w, *args))
+                        lambda w, *args: (lambda r: seen.append((w, r)) or r)(evaluate_(w, *args)))
     monkeypatch.setattr(coordination, "build_relaxation",
                         lambda problem, caps=None: relaxations.append(problem)
                         or build(problem, caps))
     sol = rzf_solve(prob) if algorithm == "rzf" else solve_optimal(prob)[0]
     assert len(relaxations) == int(fallback)
-    assert len(seen) == 1
-    assert all(np.array_equal(a, b) for a, b in zip(seen[0], sol.w))
+    assert len(seen) == 1 + len(relaxations)
+    w, report = seen[-1]
+    assert all(np.array_equal(a, b) for a, b in zip(w, sol.w))
+    assert (sol.objective_dynamic, sol.objective_total) == (report.p_dynamic_mw,
+                                                            report.p_total_mw)
 
 
 @pytest.mark.parametrize("excess,certifies", [(1e-9, True), (1e-5, False)])
@@ -397,8 +402,7 @@ def test_fallback_cost_is_certified_within_the_gap(monkeypatch, excess, certifie
     cfg = replace(desk_config(seed=202), qos_targets=(2.0,) * 6)
     prob = CoordinationProblem(realize_scenario(cfg, trial=0), cfg.hardware, cfg.qos_targets)
     repair = coordination.repair_rank
-    monkeypatch.setattr(coordination, "_solve_uplink",
-                        lambda problem: (None, set(coordination.antenna_caps(problem))))
+    monkeypatch.setattr(coordination, "_solve_uplink", lambda problem: None)
     monkeypatch.setattr(coordination, "repair_rank", lambda W, problem: [
         np.sqrt(1.0 + excess) * w_j for w_j in repair(W, problem)])
     if certifies:
@@ -565,6 +569,22 @@ def test_a_binding_cap_falls_back_to_the_relaxation(monkeypatch):
     assert built
     assert cert.mu[0][0] > 0
     assert sol.serving[0] == (0, 1)
+
+
+def test_a_cap_met_exactly_certifies_on_the_fast_path(monkeypatch):
+    # One user at 1 bit/s/Hz through a unit single-antenna channel with unit
+    # noise needs exactly the 1 mW its antenna may emit.  The beams meet the
+    # cap and the bound sum lambda = rho = 2 mW: _finish certifies them, with
+    # mu = 0, and no relaxation is built.
+    ch = make_channels([[np.array([1.0 + 0j])]], [1.0])
+    hw = HardwareProfile(rho=(2.0,), eta=(0.0,), per_antenna_limit=(1.0,))
+    prob = CoordinationProblem(ch, hw, (1.0,))
+    monkeypatch.setattr(coordination, "build_relaxation", _refuse_relaxation)
+    sol, cert = solve_optimal(prob)
+    assert sol.objective_dynamic == pytest.approx(2.0, rel=1e-12)
+    assert sol.objective_relaxation == pytest.approx(2.0, rel=1e-12)
+    assert np.array_equal(cert.mu[0], [0.0])
+    assert verify_duality(sol, cert, prob).ok()
 
 
 def test_fast_path_serves_a_pool_user_from_one_transmitter_only(monkeypatch):
@@ -742,7 +762,7 @@ def test_an_infeasible_program_without_beams_holds_every_cap(monkeypatch):
     # program is, and its infeasibility ray covers every row.
     ch = make_channels([[np.array([1.0 + 0j])], [np.array([1.0 + 0j])]], [1.0, 1.0])
     prob = CoordinationProblem(ch, loose_hardware(1), (2.0, 2.0))
-    assert coordination._solve_uplink(prob) == (None, {(0, 0)})
+    assert coordination._solve_uplink(prob) is None
     built = _recording_builds(monkeypatch)
     with pytest.raises(InfeasibleProblemError) as exc:
         solve_optimal(prob)
@@ -770,19 +790,42 @@ def test_a_left_out_cap_has_a_zero_entry_in_the_infeasibility_ray(monkeypatch):
     assert _is_infeasibility_ray(build_relaxation(prob).conic, ray)
 
 
-def test_a_reduced_precision_seeded_answer_gives_way_to_every_cap(monkeypatch):
+def test_a_reduced_precision_seeded_answer_certifies_near_a_tight_reference(monkeypatch):
     # Criterion 7's N_BS=8 sweep without small cells, trial 46: the seeded
-    # program (the QoS rows and one cap) meets every left-out cap but stops
-    # at reduced precision, so the full program is solved and answers.
+    # program (the QoS rows and one cap) stops at reduced precision, and its
+    # repaired beams meet every cap and its optimum within CERT_GAP, so they
+    # answer, 1.26e-8 relative below the optimum of the full program solved
+    # to targets 1e-13/1e-12.
     cfg = with_axis_value(replace(desk_config(seed=101), n_bs=8), "n_sca", 0)
     prob = CoordinationProblem(realize_scenario(cfg, trial=46), cfg.hardware, cfg.qos_targets)
     built, messages = _recording_builds(monkeypatch), []
     solve = cs.solve
     monkeypatch.setattr(cs, "solve", lambda p: (lambda s: messages.append(s.message) or s)(solve(p)))
     sol, cert = solve_optimal(prob)
-    assert len(built) == 2 and len(built[0][0]) < len(coordination.antenna_caps(prob))
+    assert [caps for caps, _ in built] == [{(0, 0)}]
     assert "reduced precision" in messages[0]
-    assert _same_program(built[1][1].conic, build_relaxation(prob).conic)
+    assert verify_duality(sol, cert, prob).ok()
+    monkeypatch.setattr(cs, "TOL_FEAS", 1e-13)
+    monkeypatch.setattr(cs, "TOL_GAP", 1e-12)
+    reference = solve(build_relaxation(prob).conic)
+    assert reference.status == cs.OPTIMAL
+    assert sol.objective_dynamic == pytest.approx(reference.primal_objective, rel=2e-8)
+
+
+def test_a_failed_seeded_solve_gives_way_to_every_cap(monkeypatch):
+    # Desk seed 202, QoS 2.0, trial 4 falls back with a seeded program; when
+    # that solve ends as a numerical failure, the full program answers.
+    cfg = replace(desk_config(seed=202), qos_targets=(2.0,) * 6)
+    prob = CoordinationProblem(realize_scenario(cfg, trial=4), cfg.hardware, cfg.qos_targets)
+    built = _recording_builds(monkeypatch)
+    solve = cs.solve
+    monkeypatch.setattr(cs, "solve", lambda p: replace(solve(p), status=cs.NUMERICAL_FAILURE)
+                        if len(built) == 1 else solve(p))
+    sol, cert = solve_optimal(prob)
+    full = build_relaxation(prob).conic
+    assert len(built) == 2 and built[0][1].conic.num_constraints < full.num_constraints
+    assert _same_program(built[1][1].conic, full)
+    assert sol.objective_relaxation == pytest.approx(solve(full).primal_objective, rel=1e-12)
     assert verify_duality(sol, cert, prob).ok()
 
 
