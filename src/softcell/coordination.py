@@ -29,6 +29,18 @@ solve that does not end optimal, gives way to the full program, as does a
 fast path that formed no beams: there the program holds every cap from the
 start.
 
+Each relaxation is solved in its transmitters' channel subspaces.  By
+uplink-downlink duality every optimal beam of transmitter j lies in S_j =
+span(h_{1,j}, ..., h_{K,j}, e_l for each cap (j, l) the program holds), so each
+block is Q_j X Q_j^H over an orthonormal basis Q_j of S_j, with no loss (a face
+of the PSD cone; facial reduction, Borwein and Wolkowicz 1981).  A seeded
+program's BS blocks shrink from n_j x n_j to about K x K; the full program
+holds every cap, so its S_j is the whole space and its blocks stay full.  The
+solved blocks are lifted back before repair_rank.  The certificate's lambda is
+one round of the uplink interference map at the IPM's (lambda, mu)
+(_uplink_round): the IPM bounds each multiplier's error only relative to the
+largest, and the round prices each user on its own dual row.
+
 Each candidate answer thus comes with its own lower bound on the full
 program, and, as for the rzf heuristic, _finish is the one place where beams
 become a solution: it alone zeroes residue (links below SERVING_SHARE of their
@@ -47,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 
 from . import conic_solver as cs
 from .conic_problem import PSD, Block, ConicProblem
@@ -139,10 +152,20 @@ class DualCertificate:
 
 @dataclass
 class Relaxation:
+    """A relaxed program and where its blocks and rows sit.  Block (k, j)
+    holds X with W_{k,j} = Q_j X Q_j^H for Q_j = basis[j], or W_{k,j} itself
+    where basis[j] is None."""
+
     conic: ConicProblem
     block_of: dict                  # (k, j) -> PSD block index
     qos_row: dict                   # k -> constraint index
     power_row: dict                 # (j, l) -> constraint index
+    basis: dict                     # j -> (n_j, r_j) orthonormal Q_j, or None (the identity)
+
+    def lift(self, j: int, X: np.ndarray) -> np.ndarray:
+        """The n_j x n_j block Q_j X Q_j^H of a block X of transmitter j."""
+        Q = self.basis[j]
+        return X if Q is None else Q @ X @ Q.conj().T
 
 
 @dataclass
@@ -168,6 +191,24 @@ def antenna_caps(problem: CoordinationProblem) -> list:
     return [(j, l) for j in problem.active_transmitters() for l in range(ch.antennas(j))]
 
 
+def channel_subspace(H: np.ndarray, antennas) -> np.ndarray | None:
+    """Orthonormal basis Q (n x r) of S = span(columns of H, e_l for l in
+    antennas), or None where S is the whole space (r = n).
+
+    The columns are scaled to unit norm and go through a column-pivoted QR;
+    the rank r counts the |R_ii| above max|R_ii| * max(shape) * eps, the cutoff
+    numpy.linalg.matrix_rank applies to singular values.  Where no column is
+    nonzero, Q keeps one direction (the blocks there are zero at the optimum).
+    """
+    n = H.shape[0]
+    A = np.hstack([H, np.eye(n)[:, antennas]])
+    norm = np.linalg.norm(A, axis=0)
+    Q, R, _ = la.qr(A / np.where(norm > 0.0, norm, 1.0), mode="economic", pivoting=True)
+    d = np.abs(np.diag(R))
+    r = max(np.count_nonzero(d > d.max(initial=0.0) * max(A.shape) * np.finfo(float).eps), 1)
+    return None if r >= n else Q[:, :r]
+
+
 def build_relaxation(problem: CoordinationProblem, caps=None) -> Relaxation:
     """Relaxed program: one PSD block per (QoS user, active transmitter).
 
@@ -178,20 +219,34 @@ def build_relaxation(problem: CoordinationProblem, caps=None) -> Relaxation:
     set caps, only for those (in the same order).  Users with gamma = 0 carry
     no variables (their optimal blocks are zero).  Static power is not part of
     the program.
+
+    Block (k, j) holds X with W_{k,j} = Q_j X Q_j^H, for Q_j the
+    channel_subspace of the QoS users' channels and the held caps' antennas
+    at j (None, the identity, where that is the whole space, as in the full
+    program).  With P the projector onto it, P W P keeps every row (P h = h,
+    P e_l = e_l) at no higher trace, so nothing is lost.  The QoS coefficients
+    read Q^H h, cap (j, l) reads c c^H with c = Q^H e_l (row l of Q_j,
+    conjugated), and the objective stays rho_j I, since tr(Q X Q^H) = tr X.
     """
     ch, gt = problem.channels, problem.gtilde
     users = problem.qos_users()
     txs = problem.active_transmitters()
     if any(gt[k] <= 0 for k in users):
         raise InvalidInputError("QoS row requested with nonpositive SINR target")
+    held = [(j, l) for j, l in antenna_caps(problem) if caps is None or (j, l) in caps]
+    basis = {j: channel_subspace(ch.H[j][:, users], [l for t, l in held if t == j]) for j in txs}
+    dim = {j: ch.antennas(j) if basis[j] is None else basis[j].shape[1] for j in txs}
+
+    def coordinates(j, v):
+        return v if basis[j] is None else basis[j].conj().T @ v
 
     blocks, block_of = [], {}
     for k in users:
         for j in txs:
             block_of[(k, j)] = len(blocks)
-            blocks.append(Block(PSD, ch.antennas(j)))
+            blocks.append(Block(PSD, dim[j]))
     conic = ConicProblem(blocks)
-    conic.set_objective({block_of[(k, j)]: problem.hw.rho[j] * np.eye(ch.antennas(j), dtype=complex)
+    conic.set_objective({block_of[(k, j)]: problem.hw.rho[j] * np.eye(dim[j], dtype=complex)
                          for k in users for j in txs})
 
     # QoS rows are stated per unit of noise power (both sides divided by
@@ -201,7 +256,7 @@ def build_relaxation(problem: CoordinationProblem, caps=None) -> Relaxation:
     for k in users:
         coeffs = {}
         for j in txs:
-            h = ch.H[j][:, k]
+            h = coordinates(j, ch.H[j][:, k])
             hh = np.outer(h, h.conj()) / float(ch.sigma2[k])
             # One interference coefficient shared by every other user's block,
             # symmetrized here as ConicProblem would symmetrize each copy.
@@ -211,15 +266,14 @@ def build_relaxation(problem: CoordinationProblem, caps=None) -> Relaxation:
         qos_row[k] = conic.add_constraint(coeffs, ">=", 1.0)
 
     power_row = {}
-    for j, l in antenna_caps(problem):
-        if caps is not None and (j, l) not in caps:
-            continue
-        n = ch.antennas(j)
-        Q = np.zeros((n, n), dtype=complex)
-        Q[l, l] = 1.0
+    for j, l in held:
+        e = np.zeros(ch.antennas(j), dtype=complex)
+        e[l] = 1.0
+        c = coordinates(j, e)
+        Q = np.outer(c, c.conj())
         power_row[(j, l)] = conic.add_constraint(
             {block_of[(k, j)]: Q for k in users}, "<=", problem.hw.per_antenna_limit[j])
-    return Relaxation(conic, block_of, qos_row, power_row)
+    return Relaxation(conic, block_of, qos_row, power_row, basis)
 
 
 def repair_rank(W: list, problem: CoordinationProblem) -> list:
@@ -272,6 +326,39 @@ def regularized_inverse(gram: np.ndarray, a, r) -> np.ndarray:
     return np.linalg.solve(system, np.broadcast_to(np.eye(K), system.shape))
 
 
+def _dual_gains(gram: np.ndarray, lam: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
+    """Y = regularized_inverse(gram, lam, r) and gain[k, t] = g_k^H B_kt^-1 g_k,
+    for B_kt = r[t] I + sum_{i != k} lam_i g_i g_i^H over the columns g_i of
+    G_t (gram[t] = G_t^H G_t).  With C_t = B_kt + lam_k g_k g_k^H, the K x K
+    solve gives x = g_k^H C_t^-1 g_k, and by Sherman-Morrison
+    g^H B^-1 g = x / (1 - lam_k x)."""
+    Y = regularized_inverse(gram, lam, r)
+    x = np.einsum("tki,tik->kt", gram, Y).real
+    return Y, x / (1.0 - lam[:, None] * x)
+
+
+def _uplink_round(problem: CoordinationProblem, lam: np.ndarray, mu: list) -> np.ndarray:
+    """One round of the uplink interference map at (lam, mu), the
+    relaxation's certificate: lambda_k = gt_k sigma_k^2 / max_j h_kj^H B_kj^-1 h_kj
+    over the QoS users, with
+    B_kj = rho_j I + diag mu_j + sum_{i != k} lambda_i h_ij h_ij^H / sigma_i^2.
+
+    Each lambda_k comes from its own dual row, not within the IPM's error
+    relative to the largest multiplier, and no beam is read.  With
+    D_j = rho_j I + diag mu_j and G_j = H_j / sigma, the push-through identity
+    G^H (D + G L G^H)^-1 G = F (L F + I)^-1 for F = G^H D^-1 G makes it one
+    batched K x K solve.
+    """
+    ch, hw, gt = problem.channels, problem.hw, problem.gtilde
+    users, txs = problem.qos_users(), problem.active_transmitters()
+    G, _ = scaled_channels(ch, txs)
+    F = np.array([G_t.conj().T @ (G_t / (hw.rho[j] + mu[j])[:, None]) for j, G_t in zip(txs, G)])
+    _, gain = _dual_gains(F, lam, 1.0)
+    new = np.zeros_like(lam)
+    new[users] = gt[users] / gain[users].max(axis=1)
+    return new
+
+
 def _solve_uplink(problem: CoordinationProblem):
     """The uplink fixed point's beams and multipliers (w, lambda), the first
     candidate answer of solve_optimal, or None where no beams are formed.
@@ -316,9 +403,7 @@ def _solve_uplink(problem: CoordinationProblem):
     ceiling = sum(hw.rho[j] * ch.antennas(j) * hw.per_antenna_limit[j] for j in txs)
     lam = np.zeros(K)
     for _ in range(UPLINK_MAX_ITERS):
-        Y = regularized_inverse(gram, lam, rho)
-        x = np.einsum("tki,tik->kt", gram, Y).real
-        gain = x / (1.0 - lam[:, None] * x)
+        Y, gain = _dual_gains(gram, lam, rho)
         best = gain.max(axis=1, initial=0.0)       # 0 without any active transmitter
         if np.any(best[users] <= 0.0):
             return None
@@ -417,7 +502,8 @@ def _candidates(problem: CoordinationProblem):
                 f"relaxation solve ended with status {conic_sol.status}: {conic_sol.message}",
                 {"primal": conic_sol.residual_primal, "dual": conic_sol.residual_dual,
                  "gap": conic_sol.residual_gap})
-        W = [[conic_sol.block_values[relax.block_of[(k, j)]] if (k, j) in relax.block_of
+        W = [[relax.lift(j, conic_sol.block_values[relax.block_of[(k, j)]])
+              if (k, j) in relax.block_of
               else np.zeros((ch.antennas(j),) * 2, dtype=complex) for j in range(T)]
              for k in range(K)]
         lam = np.zeros(K)
@@ -426,7 +512,8 @@ def _candidates(problem: CoordinationProblem):
         mu = [np.zeros(ch.antennas(j)) for j in range(T)]
         for (j, l), row in relax.power_row.items():
             mu[j][l] = max(conic_sol.duals[row], 0.0)
-        yield repair_rank(W, problem), conic_sol.primal_objective, DualCertificate(lam, mu)
+        yield (repair_rank(W, problem), conic_sol.primal_objective,
+               DualCertificate(_uplink_round(problem, lam, mu), mu))
 
 
 def _finish(w: list, problem: CoordinationProblem, **meta) -> BeamformingSolution:

@@ -28,7 +28,7 @@ from .conic_problem import NONNEG, Block, ConicProblem
 from .coordination import (BeamformingSolution, CoordinationProblem, _finish,
                            regularized_inverse, scaled_channels)
 from .evaluation import link_gains
-from .exceptions import InvalidInputError, NumericalFailureError, RzfInfeasibleError
+from .exceptions import NumericalFailureError, RzfInfeasibleError
 from .scenario import ChannelSet
 
 # A coupling g[i, k, j] whose worst-case received power g * n_j * q_j is below
@@ -110,10 +110,8 @@ def rzf_directions(channels: ChannelSet, hw, gtilde) -> Directions:
     K = channels.num_users
     gtilde = np.asarray(gtilde, dtype=float)
     U = [np.zeros((n, K), dtype=complex) for n in channels.antenna_counts]
-    txs = [j for j, n in enumerate(channels.antenna_counts) if n]
-    for j in txs:
-        if hw.per_antenna_limit[j] <= 0:
-            raise InvalidInputError(f"transmitter {j} has antennas but a zero power cap")
+    # A transmitter with a zero cap can carry no power: it forms no directions.
+    txs = [j for j, n in enumerate(channels.antenna_counts) if n and hw.per_antenna_limit[j] > 0]
     G, gram = scaled_channels(channels, txs)
     q = np.array([hw.per_antenna_limit[j] for j in txs], dtype=float)
     for target in np.unique(gtilde[gtilde > 0]):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import loose_hardware, make_channels
 from softcell.coordination import CoordinationProblem, solve_optimal
 from softcell.evaluation import evaluate
-from softcell.exceptions import InvalidInputError, RzfInfeasibleError
+from softcell.exceptions import RzfInfeasibleError
 from softcell.power import HardwareProfile
 from softcell.rzf import allocate_power, rzf_directions, rzf_solve
 from softcell.scenario import realize_scenario
@@ -116,11 +116,16 @@ def test_directions_match_a_per_user_solve_for_unequal_targets():
             assert np.allclose(U[j][:, k], ref / np.linalg.norm(ref), rtol=0, atol=1e-12)
 
 
-def test_zero_cap_with_antennas_is_rejected():
+def test_a_zero_cap_transmitter_forms_no_directions():
+    # A transmitter with antennas but a zero cap carries no power: its columns
+    # of U stay zero and it exchanges nothing.  Alone, it leaves the trial
+    # rzf_infeasible through the power allocation.
     ch = make_channels([[np.array([1.0 + 0j])]], [1.0])
     hw = HardwareProfile(rho=(2.0,), eta=(0.0,), per_antenna_limit=(0.0,))
-    with pytest.raises(InvalidInputError):
-        rzf_directions(ch, hw, np.array([3.0]))
+    inter = rzf_directions(ch, hw, np.array([3.0]))
+    assert not inter.U[0].any() and inter.exchanged == {0: 0}
+    with pytest.raises(RzfInfeasibleError):
+        rzf_solve(CoordinationProblem(ch, hw, (2.0,)))
 
 
 # ---------------------------------------------------------------------------
