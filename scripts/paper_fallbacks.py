@@ -2,17 +2,16 @@
 """Relaxation fallbacks of the exact solver at the paper's geometry.
 
 Runs full_paper_config() (N_BS=100, K=10, four single-antenna small cells)
-with the small-cell caps scaled down, so that the uplink fixed point's beams
-break a small-cell cap and the relaxation seeded with that cap answers.  Prints
-one line per trial that solved a relaxation: the BS block size, coordinates,
-IPM iterations and seconds of each program solved, then the trial's total
-power and its certificate's duality residual.  Exits 1 on any uncertified
-status or any duality residual above DUALITY_TOL.
+at QoS 3, trials 0-23, with the small-cell caps x0.1, so that the uplink fixed
+point's beams break a small-cell cap and the relaxation seeded with that cap
+answers.  Prints one line per trial that solved a relaxation: the BS block
+size, coordinates, IPM iterations and seconds of each program solved, then the
+trial's total power and its certificate's duality residual.  Exits 1 on any
+uncertified status or any duality residual above DUALITY_TOL.
 
-    python3 scripts/paper_fallbacks.py --qos 3 --trials 24 --cap-factor 0.1
+    python3 scripts/paper_fallbacks.py
 """
 
-import argparse
 import pathlib
 import sys
 import time
@@ -28,6 +27,8 @@ from softcell.coordination import (DUALITY_TOL, CoordinationProblem, solve_optim
 from softcell.exceptions import InfeasibleProblemError, NumericalFailureError  # noqa: E402
 from softcell.power import HardwareProfile  # noqa: E402
 from softcell.scenario import realize_scenario  # noqa: E402
+
+QOS, TRIALS, CAP_FACTOR = 3.0, 24, 0.1      # the declared corpus
 
 
 def recorded_solves(problem):
@@ -56,20 +57,13 @@ def recorded_solves(problem):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--qos", type=float, default=3.0, help="QoS target of every user")
-    parser.add_argument("--trials", type=int, default=24)
-    parser.add_argument("--cap-factor", type=float, default=0.1,
-                        help="scale of the small-cell per-antenna caps")
-    args = parser.parse_args()
-
     cfg = full_paper_config()
     hw = cfg.hardware
-    caps = hw.per_antenna_limit[:1] + tuple(args.cap_factor * q for q in hw.per_antenna_limit[1:])
-    cfg = replace(cfg, qos_targets=(args.qos,) * len(cfg.qos_targets),
+    caps = hw.per_antenna_limit[:1] + tuple(CAP_FACTOR * q for q in hw.per_antenna_limit[1:])
+    cfg = replace(cfg, qos_targets=(QOS,) * len(cfg.qos_targets),
                   hardware=HardwareProfile(hw.rho, hw.eta, caps, hw.subcarriers))
     bad = fallbacks = 0
-    for trial in range(args.trials):
+    for trial in range(TRIALS):
         problem = CoordinationProblem(realize_scenario(cfg, trial=trial), cfg.hardware,
                                       cfg.qos_targets)
         try:
@@ -90,7 +84,7 @@ def main() -> int:
                              f"{seconds:.3f} s" for bs, coords, iters, seconds in solves)
         print(f"trial {trial}: {programs}; total {solution.objective_total:.6f} mW, "
               f"duality residual {residual:.2g}")
-    print(f"{fallbacks} fallbacks in {args.trials} trials, {bad} uncertified or above "
+    print(f"{fallbacks} fallbacks in {TRIALS} trials, {bad} uncertified or above "
           f"DUALITY_TOL {DUALITY_TOL:g}")
     return 1 if bad else 0
 

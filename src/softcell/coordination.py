@@ -153,19 +153,18 @@ class DualCertificate:
 @dataclass
 class Relaxation:
     """A relaxed program and where its blocks and rows sit.  Block (k, j)
-    holds X with W_{k,j} = Q_j X Q_j^H for Q_j = basis[j], or W_{k,j} itself
-    where basis[j] is None."""
+    holds X with W_{k,j} = Q_j X Q_j^H for Q_j = basis[j]."""
 
     conic: ConicProblem
     block_of: dict                  # (k, j) -> PSD block index
     qos_row: dict                   # k -> constraint index
     power_row: dict                 # (j, l) -> constraint index
-    basis: dict                     # j -> (n_j, r_j) orthonormal Q_j, or None (the identity)
+    basis: dict                     # j -> (n_j, r_j) orthonormal Q_j
 
     def lift(self, j: int, X: np.ndarray) -> np.ndarray:
         """The n_j x n_j block Q_j X Q_j^H of a block X of transmitter j."""
         Q = self.basis[j]
-        return X if Q is None else Q @ X @ Q.conj().T
+        return Q @ X @ Q.conj().T
 
 
 @dataclass
@@ -191,14 +190,16 @@ def antenna_caps(problem: CoordinationProblem) -> list:
     return [(j, l) for j in problem.active_transmitters() for l in range(ch.antennas(j))]
 
 
-def channel_subspace(H: np.ndarray, antennas) -> np.ndarray | None:
+def channel_subspace(H: np.ndarray, antennas) -> np.ndarray:
     """Orthonormal basis Q (n x r) of S = span(columns of H, e_l for l in
-    antennas), or None where S is the whole space (r = n).
+    antennas), the identity where S is the whole space (r = n).
 
     The columns are scaled to unit norm and go through a column-pivoted QR;
     the rank r counts the |R_ii| above max|R_ii| * max(shape) * eps, the cutoff
     numpy.linalg.matrix_rank applies to singular values.  Where no column is
     nonzero, Q keeps one direction (the blocks there are zero at the optimum).
+    With the identity, every product with Q is exact, so the blocks of a whole
+    space are built and lifted bitwise as full n x n blocks.
     """
     n = H.shape[0]
     A = np.hstack([H, np.eye(n)[:, antennas]])
@@ -206,7 +207,7 @@ def channel_subspace(H: np.ndarray, antennas) -> np.ndarray | None:
     Q, R, _ = la.qr(A / np.where(norm > 0.0, norm, 1.0), mode="economic", pivoting=True)
     d = np.abs(np.diag(R))
     r = max(np.count_nonzero(d > d.max(initial=0.0) * max(A.shape) * np.finfo(float).eps), 1)
-    return None if r >= n else Q[:, :r]
+    return np.eye(n, dtype=complex) if r >= n else Q[:, :r]
 
 
 def build_relaxation(problem: CoordinationProblem, caps=None) -> Relaxation:
@@ -222,7 +223,7 @@ def build_relaxation(problem: CoordinationProblem, caps=None) -> Relaxation:
 
     Block (k, j) holds X with W_{k,j} = Q_j X Q_j^H, for Q_j the
     channel_subspace of the QoS users' channels and the held caps' antennas
-    at j (None, the identity, where that is the whole space, as in the full
+    at j (the identity where that is the whole space, as in the full
     program).  With P the projector onto it, P W P keeps every row (P h = h,
     P e_l = e_l) at no higher trace, so nothing is lost.  The QoS coefficients
     read Q^H h, cap (j, l) reads c c^H with c = Q^H e_l (row l of Q_j,
@@ -235,10 +236,7 @@ def build_relaxation(problem: CoordinationProblem, caps=None) -> Relaxation:
         raise InvalidInputError("QoS row requested with nonpositive SINR target")
     held = [(j, l) for j, l in antenna_caps(problem) if caps is None or (j, l) in caps]
     basis = {j: channel_subspace(ch.H[j][:, users], [l for t, l in held if t == j]) for j in txs}
-    dim = {j: ch.antennas(j) if basis[j] is None else basis[j].shape[1] for j in txs}
-
-    def coordinates(j, v):
-        return v if basis[j] is None else basis[j].conj().T @ v
+    dim = {j: basis[j].shape[1] for j in txs}
 
     blocks, block_of = [], {}
     for k in users:
@@ -256,7 +254,7 @@ def build_relaxation(problem: CoordinationProblem, caps=None) -> Relaxation:
     for k in users:
         coeffs = {}
         for j in txs:
-            h = coordinates(j, ch.H[j][:, k])
+            h = basis[j].conj().T @ ch.H[j][:, k]
             hh = np.outer(h, h.conj()) / float(ch.sigma2[k])
             # One interference coefficient shared by every other user's block,
             # symmetrized here as ConicProblem would symmetrize each copy.
@@ -267,9 +265,7 @@ def build_relaxation(problem: CoordinationProblem, caps=None) -> Relaxation:
 
     power_row = {}
     for j, l in held:
-        e = np.zeros(ch.antennas(j), dtype=complex)
-        e[l] = 1.0
-        c = coordinates(j, e)
+        c = basis[j][l].conj()
         Q = np.outer(c, c.conj())
         power_row[(j, l)] = conic.add_constraint(
             {block_of[(k, j)]: Q for k in users}, "<=", problem.hw.per_antenna_limit[j])

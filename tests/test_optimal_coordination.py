@@ -152,7 +152,8 @@ def test_a_rank_deficient_stack_keeps_every_channel_and_cap_direction(monkeypatc
 
     # The same program on full 4 x 4 blocks: each row and the objective read
     # at the lifted Q X Q^H what the subspace program reads at X.
-    monkeypatch.setattr(coordination, "channel_subspace", lambda H, antennas: None)
+    monkeypatch.setattr(coordination, "channel_subspace",
+                        lambda H, antennas: np.eye(H.shape[0], dtype=complex))
     full = build_relaxation(prob, {(0, 0)})
     assert [b.dim for b in full.conic.blocks] == [4, 4]
     rng = np.random.default_rng(3)
@@ -895,6 +896,21 @@ def test_a_failed_seeded_solve_gives_way_to_every_cap(monkeypatch):
     assert verify_duality(sol, cert, prob).ok()
 
 
+def _recording_rounds(monkeypatch):
+    """The IPM's lambda at each _uplink_round of the certificates."""
+    seen = []
+    uplink_round = coordination._uplink_round
+    monkeypatch.setattr(coordination, "_uplink_round",
+                        lambda p, lam, mu: seen.append(lam.copy()) or uplink_round(p, lam, mu))
+    return seen
+
+
+def _near_the_ipm_lambda(cert_lam, ipm_lam):
+    """The uplink round moves no multiplier by more than the IPM's gap target
+    relative to the largest one, the error bound of the IPM's own lambda."""
+    return np.max(np.abs(cert_lam - ipm_lam)) <= cs.TOL_GAP * np.max(ipm_lam)
+
+
 def test_a_paper_scale_seeded_fallback_solves_ten_by_ten_bs_blocks(monkeypatch):
     # The paper's setup with the small-cell caps x0.1, QoS 3, trial 5: the
     # fixed point's beams break a small-cell cap, and the relaxation seeded
@@ -907,12 +923,14 @@ def test_a_paper_scale_seeded_fallback_solves_ten_by_ten_bs_blocks(monkeypatch):
     cfg = replace(cfg, hardware=HardwareProfile(hw.rho, hw.eta, caps, hw.subcarriers))
     prob = CoordinationProblem(realize_scenario(cfg, trial=5), cfg.hardware, cfg.qos_targets)
     built = _recording_builds(monkeypatch)
+    ipm_lam = _recording_rounds(monkeypatch)
     sol, cert = solve_optimal(prob)
     assert len(built) == 1 and built[0][0] != set(coordination.antenna_caps(prob))
     relax = built[0][1]
     assert relax.conic.blocks[relax.block_of[(0, 0)]].dim == 10
     assert sum(b.svec_dim for b in relax.conic.blocks) == 1040
     assert verify_duality(sol, cert, prob).ok()
+    assert len(ipm_lam) == 1 and _near_the_ipm_lambda(cert.lam, ipm_lam[0])   # 7.2e-10 max
 
 
 def test_a_small_multiplier_is_priced_on_its_own_dual_row(monkeypatch):
@@ -925,15 +943,18 @@ def test_a_small_multiplier_is_priced_on_its_own_dual_row(monkeypatch):
     cfg = replace(desk_config(seed=202), qos_targets=(1.0,) * 6)
     prob = CoordinationProblem(realize_scenario(cfg, trial=9), cfg.hardware, cfg.qos_targets)
     built = _recording_builds(monkeypatch)
+    ipm_lam = _recording_rounds(monkeypatch)
     sol, cert = solve_optimal(prob)
     assert len(built) == 1
     assert verify_duality(sol, cert, prob).max_residual <= 1e-6
+    assert len(ipm_lam) == 1 and _near_the_ipm_lambda(cert.lam, ipm_lam[0])   # 3.8e-11 max
 
 
 def test_desk_fallbacks_keep_the_all_caps_optimum(monkeypatch):
     # Every desk fallback (seed 202, QoS 1-3, trials 0-15) first solves fewer
-    # rows than the full program.  Nine of the ten answer there, within 1e-9
-    # relative of the full optimum; QoS 2.0 trial 6 breaks a small-cell cap
+    # rows than the full program.  Nine of the ten answer there, at a dynamic
+    # power within 1e-9 relative of the full optimum solved to TOL_FEAS 1e-13 /
+    # TOL_GAP 1e-12 (5.4e-10 at most); QoS 2.0 trial 6 breaks a small-cell cap
     # the seed left out and answers from the full program.
     built = _recording_builds(monkeypatch)
     rounds = {}
@@ -949,8 +970,12 @@ def test_desk_fallbacks_keep_the_all_caps_optimum(monkeypatch):
             rounds[(qos, trial)] = len(built)
             full = build_relaxation(prob).conic
             assert built[0][1].conic.num_constraints < full.num_constraints
-            reference = cs.solve(full)
-            assert sol.objective_relaxation == pytest.approx(reference.primal_objective, rel=1e-9)
+            with monkeypatch.context() as tight:
+                tight.setattr(cs, "TOL_FEAS", 1e-13)
+                tight.setattr(cs, "TOL_GAP", 1e-12)
+                reference = cs.solve(full)
+            assert reference.status == cs.OPTIMAL
+            assert sol.objective_dynamic == pytest.approx(reference.primal_objective, rel=1e-9)
             assert verify_duality(sol, cert, prob).ok()
     assert len(rounds) == 10
     assert {key for key, n in rounds.items() if n > 1} == {(2.0, 6)}

@@ -303,14 +303,15 @@ def test_cli_creates_missing_output_directories(tmp_path):
 
 def test_a_zero_cap_small_cell_runs_through_both_solvers_and_the_cli(tmp_path):
     # Desk seed 202 with small cell 1's cap at 0: rzf leaves the cell out of
-    # its directions, the exact solver holds its cap at 0, and a sweep over
-    # the same config exits 0 with the records of run_trial.
+    # its directions, the exact solver holds its cap at 0 (8.149 mW against
+    # rzf's 12.55 mW), and a sweep over the same config exits 0 with the
+    # records of run_trial.
     base = desk_config(seed=202)
     caps = list(base.hardware.per_antenna_limit)
     caps[1] = 0.0
     cfg = replace(base, hardware=replace(base.hardware, per_antenna_limit=tuple(caps)))
     records = [run_trial(cfg, "qos", 1.0, algorithm, 0) for algorithm in ("optimal", "rzf")]
-    assert all(r.status in ("optimal", "infeasible", "rzf_infeasible") for r in records)
+    assert [r.status for r in records] == ["optimal", "optimal"]
     path, out = tmp_path / "zero_cap.json", tmp_path / "zero_cap.csv"
     path.write_text(json.dumps(asdict(cfg)))
     assert main(["--config", str(path), "--sweep", "qos", "--values", "1", "--trials", "1",
