@@ -43,7 +43,7 @@ def recorded_solves(problem):
         solves[-1] += (sol.iterations, time.perf_counter() - t0)
         return sol
 
-    def recorded_build(p, caps=None):
+    def recorded_build(p, caps):
         relax = build(p, caps)
         bs = relax.conic.blocks[min(relax.block_of.values())].dim
         solves.append((bs, sum(b.svec_dim for b in relax.conic.blocks)))

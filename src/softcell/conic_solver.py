@@ -4,8 +4,9 @@ The engine solves the standard form of :mod:`softcell.conic_problem` via a
 homogeneous self-dual embedding with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step.  Complex Hermitian PSD blocks are handled natively
 in complex arithmetic; a d x d Hermitian block occupies d^2 real coordinates
-under the isometric vectorization below.  Every row is an inequality and
-gets its own slack coordinate.  Infeasible problems are certified through the
+under the isometric vectorization below; a 1 x 1 block, the same cone as a
+nonnegative scalar, is solved as one orthant coordinate.  Every row is an
+inequality and gets its own slack coordinate.  Infeasible problems are certified through the
 embedding (tau -> 0) by a dual improving ray rather than guessed from
 divergence; the programs this package builds are bounded below on their
 feasible sets, so an unbounded problem ends as a numerical failure.
@@ -124,21 +125,19 @@ def svec(X: np.ndarray) -> np.ndarray:
     flat = X.reshape(X.shape[:-2] + (d * d,))
     out = np.empty(flat.shape)
     out[..., :d] = flat[..., ::d + 1].real
-    if d > 1:
-        off = flat[..., _triu(d)[0]]
-        out[..., d::2] = SQRT2 * off.real
-        out[..., d + 1::2] = SQRT2 * off.imag
+    off = flat[..., _triu(d)[0]]
+    out[..., d::2] = SQRT2 * off.real
+    out[..., d + 1::2] = SQRT2 * off.imag
     return out
 
 
 def smat(v: np.ndarray, d: int) -> np.ndarray:
     """Inverse of svec: (..., d^2) -> (..., d, d)."""
     X = np.zeros(v.shape[:-1] + (d * d,), dtype=complex)
-    if d > 1:
-        upper, lower = _triu(d)
-        off = (v[..., d::2] + 1j * v[..., d + 1::2]) / SQRT2
-        X[..., upper] = off
-        X[..., lower] = off.conj()
+    upper, lower = _triu(d)
+    off = (v[..., d::2] + 1j * v[..., d + 1::2]) / SQRT2
+    X[..., upper] = off
+    X[..., lower] = off.conj()
     X[..., ::d + 1] = v[..., :d]
     return X.reshape(v.shape[:-1] + (d, d))
 
@@ -168,8 +167,8 @@ def _standard_form(problem: ConicProblem) -> _StandardForm:
     pos = 0
     for blk in problem.blocks:
         block_slices.append(slice(pos, pos + blk.svec_dim))
-        if blk.kind == NONNEG:
-            nn_idx.extend(range(pos, pos + blk.dim))
+        if blk.kind == NONNEG or blk.dim == 1:
+            nn_idx.extend(range(pos, pos + blk.svec_dim))
         else:
             psd_blocks.append((pos, blk.dim))
         pos += blk.svec_dim

@@ -35,9 +35,9 @@ span(h_{1,j}, ..., h_{K,j}, e_l for each cap (j, l) the program holds), so each
 block is Q_j X Q_j^H over an orthonormal basis Q_j of S_j, with no loss (a face
 of the PSD cone; facial reduction, Borwein and Wolkowicz 1981).  A seeded
 program's BS blocks shrink from n_j x n_j to about K x K; the full program
-holds every cap, so its S_j is the whole space and its blocks stay full.  The
-solved blocks are lifted back before repair_rank.  The certificate's lambda is
-one round of the uplink interference map at the IPM's (lambda, mu)
+holds every cap, so its S_j is the whole space and its blocks stay full.
+repair_rank reads each solved block in these coordinates.  The certificate's
+lambda is one round of the uplink interference map at the IPM's (lambda, mu)
 (_uplink_round): the IPM bounds each multiplier's error only relative to the
 largest, and the round prices each user on its own dual row.
 
@@ -161,11 +161,6 @@ class Relaxation:
     power_row: dict                 # (j, l) -> constraint index
     basis: dict                     # j -> (n_j, r_j) orthonormal Q_j
 
-    def lift(self, j: int, X: np.ndarray) -> np.ndarray:
-        """The n_j x n_j block Q_j X Q_j^H of a block X of transmitter j."""
-        Q = self.basis[j]
-        return Q @ X @ Q.conj().T
-
 
 @dataclass
 class UserAssignment:
@@ -199,7 +194,7 @@ def channel_subspace(H: np.ndarray, antennas) -> np.ndarray:
     numpy.linalg.matrix_rank applies to singular values.  Where no column is
     nonzero, Q keeps one direction (the blocks there are zero at the optimum).
     With the identity, every product with Q is exact, so the blocks of a whole
-    space are built and lifted bitwise as full n x n blocks.
+    space are built and repaired bitwise as full n x n blocks.
     """
     n = H.shape[0]
     A = np.hstack([H, np.eye(n)[:, antennas]])
@@ -210,16 +205,15 @@ def channel_subspace(H: np.ndarray, antennas) -> np.ndarray:
     return np.eye(n, dtype=complex) if r >= n else Q[:, :r]
 
 
-def build_relaxation(problem: CoordinationProblem, caps=None) -> Relaxation:
+def build_relaxation(problem: CoordinationProblem, caps: set) -> Relaxation:
     """Relaxed program: one PSD block per (QoS user, active transmitter).
 
     Objective sum_j rho_j sum_k tr W_{k,j}; QoS row of user k reads
     sum_j h_{k,j}^H [(1 + 1/gt_k) W_{k,j} - sum_i W_{i,j}] h_{k,j} >= sigma_k^2,
     whose own-block coefficient collapses to (1/gt_k) h h^H; per-antenna rows
-    cap sum_k W_{k,j}[l,l], for every cap (j, l) of antenna_caps or, given a
-    set caps, only for those (in the same order).  Users with gamma = 0 carry
-    no variables (their optimal blocks are zero).  Static power is not part of
-    the program.
+    cap sum_k W_{k,j}[l,l] for each cap (j, l) of antenna_caps in the set caps,
+    in that order.  Users with gamma = 0 carry no variables (their optimal
+    blocks are zero).  Static power is not part of the program.
 
     Block (k, j) holds X with W_{k,j} = Q_j X Q_j^H, for Q_j the
     channel_subspace of the QoS users' channels and the held caps' antennas
@@ -234,7 +228,7 @@ def build_relaxation(problem: CoordinationProblem, caps=None) -> Relaxation:
     txs = problem.active_transmitters()
     if any(gt[k] <= 0 for k in users):
         raise InvalidInputError("QoS row requested with nonpositive SINR target")
-    held = [(j, l) for j, l in antenna_caps(problem) if caps is None or (j, l) in caps]
+    held = [(j, l) for j, l in antenna_caps(problem) if (j, l) in caps]
     basis = {j: channel_subspace(ch.H[j][:, users], [l for t, l in held if t == j]) for j in txs}
     dim = {j: basis[j].shape[1] for j in txs}
 
@@ -272,29 +266,30 @@ def build_relaxation(problem: CoordinationProblem, caps=None) -> Relaxation:
     return Relaxation(conic, block_of, qos_row, power_row, basis)
 
 
-def repair_rank(W: list, problem: CoordinationProblem) -> list:
+def repair_rank(relax: Relaxation, blocks: list, problem: CoordinationProblem) -> list:
     """Beamformer stacks w[j] whose rank-one blocks w_{k,j} w_{k,j}^H (column
-    k of w[j]) keep every row of the relaxed program that the blocks W[k][j]
-    satisfy, at no higher cost.
+    k of w[j]) keep every row of relax that its solved blocks satisfy (blocks[b]
+    for block b), at no higher cost.
 
-    Column k of w[j] is W h / sqrt(h^H W h) for W = W[k][j] and h = h_{k,j},
+    Column k of w[j] is W h / sqrt(h^H W h) for W = W_{k,j} and h = h_{k,j},
     whatever the rank of W.  By Cauchy-Schwarz in the inner product W,
     |x^H W h|^2 <= (x^H W x)(h^H W h) for every x, so w w^H <= W: no antenna
     power, no trace and no other user's gain grows, while the own signal
-    h^H w w^H h = h^H W h is kept.  A block with no own signal is left at zero;
-    every other is repaired, and _finish drops what is residue (a block below
+    h^H w w^H h = h^H W h is kept.  For W = Q X Q^H it is Q (X c)/sqrt(c^H X c)
+    with c = Q^H h.  A block with no own signal is left at zero; every other
+    is repaired, and _finish drops what is residue (a block below
     SERVING_SHARE of its user's signal repairs to a beam below it).
     """
     ch = problem.channels
-    w = [np.zeros((n, len(W)), dtype=complex) for n in ch.antenna_counts]
-    for k, row in enumerate(W):
-        for j, Wkj in enumerate(row):
-            h = ch.H[j][:, k]
-            Wh = Wkj @ h
-            own = float(np.real(h.conj() @ Wh))
-            if own <= 0.0:
-                continue
-            w[j][:, k] = Wh / np.sqrt(own)
+    w = [np.zeros((n, ch.num_users), dtype=complex) for n in ch.antenna_counts]
+    for (k, j), b in relax.block_of.items():
+        Q = relax.basis[j]
+        c = Q.conj().T @ ch.H[j][:, k]
+        Xc = blocks[b] @ c
+        own = float(np.real(c.conj() @ Xc))
+        if own <= 0.0:
+            continue
+        w[j][:, k] = Q @ Xc / np.sqrt(own)
     return w
 
 
@@ -466,15 +461,13 @@ def _candidates(problem: CoordinationProblem):
     """The candidate answers (w, bound, certificate) of solve_optimal, each
     formed only once the one before it has been refused."""
     ch = problem.channels
-    K, T = ch.num_users, ch.num_transmitters
     every_cap = set(antenna_caps(problem))
     programs = [every_cap]
     uplink = _solve_uplink(problem)
     if uplink is not None:
         w, lam = uplink
         yield w, float(lam.sum()), DualCertificate(lam, [np.zeros(n) for n in ch.antenna_counts])
-        seed = {(s.transmitter, s.antenna) for s in check_power_constraints(w, problem.hw)
-                if s.active or s.violated}
+        seed = binding_caps(w, problem.hw)
         if seed != every_cap:
             programs = [seed, every_cap]
     if not problem.active_transmitters():
@@ -498,18 +491,20 @@ def _candidates(problem: CoordinationProblem):
                 f"relaxation solve ended with status {conic_sol.status}: {conic_sol.message}",
                 {"primal": conic_sol.residual_primal, "dual": conic_sol.residual_dual,
                  "gap": conic_sol.residual_gap})
-        W = [[relax.lift(j, conic_sol.block_values[relax.block_of[(k, j)]])
-              if (k, j) in relax.block_of
-              else np.zeros((ch.antennas(j),) * 2, dtype=complex) for j in range(T)]
-             for k in range(K)]
-        lam = np.zeros(K)
+        lam = np.zeros(ch.num_users)
         for k in problem.qos_users():
             lam[k] = max(conic_sol.duals[relax.qos_row[k]], 0.0)
-        mu = [np.zeros(ch.antennas(j)) for j in range(T)]
+        mu = [np.zeros(n) for n in ch.antenna_counts]
         for (j, l), row in relax.power_row.items():
             mu[j][l] = max(conic_sol.duals[row], 0.0)
-        yield (repair_rank(W, problem), conic_sol.primal_objective,
+        yield (repair_rank(relax, conic_sol.block_values, problem), conic_sol.primal_objective,
                DualCertificate(_uplink_round(problem, lam, mu), mu))
+
+
+def binding_caps(w: list, hw: HardwareProfile) -> set:
+    """The caps (j, l) that the beams w meet within power.CAP_TOL or break."""
+    return {(s.transmitter, s.antenna) for s in check_power_constraints(w, hw)
+            if s.active or s.violated}
 
 
 def _finish(w: list, problem: CoordinationProblem, **meta) -> BeamformingSolution:
@@ -616,8 +611,7 @@ def classify_assignment(solution: BeamformingSolution, hw: HardwareProfile) -> A
     reported as a consistency diagnostic (it signals solver inaccuracy or an
     eigenvalue-multiplicity corner), never as an error.
     """
-    slacks = check_power_constraints(solution.w, hw)
-    active = {(s.transmitter, s.antenna) for s in slacks if s.active or s.violated}
+    active = binding_caps(solution.w, hw)
     assignments, diagnostics = [], []
     for k, serving in enumerate(solution.serving):
         case = serving_case(serving)

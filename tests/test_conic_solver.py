@@ -406,6 +406,39 @@ def test_interleaved_blocks_come_back_in_the_callers_order():
     assert abs(sol.primal_objective - total) <= 1e-8 * total
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_one_by_one_psd_block_is_solved_as_an_orthant_coordinate(seed):
+    # The same program with its scalar variable once as a 1 x 1 PSD block and
+    # once as a nonnegative entry: both cones are [0, inf), so the standard
+    # form is the same, the scalar gets no PSD group (no factorization, SVD or
+    # eigvalsh in any iteration), and the answers agree.
+    rng = np.random.default_rng(seed)
+    C, E = _rand_psd(rng, 2, 0.5), _rand_psd(rng, 2, 0.1)
+    a = rng.normal(size=2) + 1j * rng.normal(size=2)
+
+    def program(scalar):
+        prob = ConicProblem([Block(PSD, 2), scalar])
+        one = np.ones((1, 1), dtype=complex) if scalar.kind == PSD else np.ones(1)
+        prob.add_constraint({0: np.outer(a, a.conj())}, ">=", 1.0)
+        prob.add_constraint({0: E, 1: 2.0 * one}, ">=", 20.0)
+        prob.add_constraint({0: np.eye(2, dtype=complex), 1: one}, "<=", 50.0)
+        prob.set_objective({0: C, 1: 0.1 * one})
+        return prob
+
+    psd, nonneg = program(Block(PSD, 1)), program(Block(NONNEG, 1))
+    sf_psd, sf_nonneg = cs._standard_form(psd), cs._standard_form(nonneg)
+    assert [d for d, _ in sf_psd.psd_groups] == [2]
+    assert np.array_equal(sf_psd.nn_idx, sf_nonneg.nn_idx)
+    assert np.array_equal(sf_psd.A, sf_nonneg.A) and np.array_equal(sf_psd.c, sf_nonneg.c)
+    a_sol, b_sol = cs.solve(psd), cs.solve(nonneg)
+    assert a_sol.status == b_sol.status == cs.OPTIMAL
+    assert a_sol.primal_objective == pytest.approx(b_sol.primal_objective, rel=1e-9)
+    assert np.all(b_sol.duals[:2] > 1e-3)
+    assert np.allclose(a_sol.duals, b_sol.duals, rtol=1e-9, atol=1e-9 * np.abs(b_sol.duals).max())
+    assert a_sol.block_values[1].shape == (1, 1)
+    assert a_sol.block_values[1][0, 0] == pytest.approx(b_sol.block_values[1][0], rel=1e-9)
+
+
 def test_permuted_blocks_give_the_same_optimum():
     base = cs.solve(_interleaved_program(range(len(INTERLEAVED))))
     order = [5, 3, 1, 4, 0, 2]
