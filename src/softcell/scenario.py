@@ -20,6 +20,7 @@ import json
 from dataclasses import MISSING, dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import zpstrf
 
 from .exceptions import InvalidInputError
 from .power import DEFAULT_SUBCARRIERS, HardwareProfile
@@ -163,48 +164,48 @@ def path_loss_db(distance_km: float, link_kind: str) -> float:
     raise InvalidInputError(f"unknown link kind {link_kind!r}")
 
 
-def _steering_grid(n: int, azimuth: float) -> np.ndarray:
-    """Half-wavelength ULA steering vectors on a grid of 2n angles within +-10 deg."""
-    spread = np.deg2rad(10.0)
-    angles = azimuth + np.linspace(-spread, spread, 2 * n)
-    return np.exp(1j * np.pi * np.outer(np.arange(n), np.sin(angles)))
-
-
 def build_correlation(config: ScenarioConfig, positions: np.ndarray,
                       shadowing_db: np.ndarray) -> list:
     """Covariance R[k][j] = gain * (angular model for the BS, identity for SCAs).
 
-    The linear gain inverts (path loss - shadowing) dB; traces are normalized
-    to antennas(j) * gain.  The near-SCA loss formula applies to any
-    (user, SCA) pair within NEAR_SCA_KM of each other.
+    The linear gain inverts (path loss - shadowing) dB.  The near-SCA loss
+    formula applies to any (user, SCA) pair within NEAR_SCA_KM of each other.
+    The BS model S S^H / (2n) averages the half-wavelength ULA steering
+    vectors S[a, m] = exp(i pi a sin theta_m) over 2n angles within +-10 deg
+    of the user's azimuth.  It is Hermitian Toeplitz: entry (a, b) is t[a - b]
+    with t[d] = (1/2n) sum_m e_m^d and e_m = exp(i pi sin theta_m), so its
+    diagonal is exactly 1 and the trace of R is n * gain.  The powers e_m^d
+    are one running product for all users.
     """
     K = len(positions)
     if shadowing_db.shape != (K, config.num_sca + 1):
         raise InvalidInputError("need one shadowing draw per (user, transmitter) link")
     sites = [(0.0, 0.0)] + list(config.sca_positions)
-    R = []
+    gains = np.empty((K, len(sites)))
     for k in range(K):
-        row = []
         for j, site in enumerate(sites):
-            n = config.antennas(j)
-            if n == 0:
-                row.append(np.zeros((0, 0), dtype=complex))
-                continue
             delta = positions[k] - np.asarray(site)
             dist = float(np.hypot(delta[0], delta[1]))
             if dist <= 0:
                 dist = MIN_DISTANCE_KM
             kind = SCA_NEAR if (j > 0 and dist <= NEAR_SCA_KM) else MACRO
-            gain = 10.0 ** (-(path_loss_db(dist, kind) - shadowing_db[k, j]) / 10.0)
-            if j == 0:
-                steer = _steering_grid(n, float(np.arctan2(delta[1], delta[0])))
-                raw = steer @ steer.conj().T / steer.shape[1]
-                raw = 0.5 * (raw + raw.conj().T)
-                row.append(raw * (n * gain / np.real(np.trace(raw))))
-            else:
-                row.append(gain * np.eye(n, dtype=complex))
-        R.append(row)
-    return R
+            gains[k, j] = 10.0 ** (-(path_loss_db(dist, kind) - shadowing_db[k, j]) / 10.0)
+    n = config.n_bs
+    spread = np.deg2rad(10.0)
+    azimuths = np.arctan2(positions[:, 1], positions[:, 0])
+    e = np.exp(1j * np.pi * np.sin(azimuths[:, None] + np.linspace(-spread, spread, 2 * n)))
+    t = np.empty((K, n), dtype=complex)
+    t[:, 0] = 1.0
+    power = e.copy()
+    for d in range(1, n):
+        t[:, d] = power.sum(axis=1) / (2 * n)
+        power *= e
+    # Column n - 1 + d holds t[d], and t[-d] = conj(t[d]).
+    diagonals = gains[:, :1] * np.concatenate([t[:, :0:-1].conj(), t], axis=1)
+    R_bs = diagonals[:, (n - 1) + np.subtract.outer(np.arange(n), np.arange(n))]
+    return [[R_bs[k]] + [gains[k, j] * np.eye(config.antennas(j), dtype=complex)
+                         for j in range(1, len(sites))]
+            for k in range(K)]
 
 
 def draw_channels(config: ScenarioConfig, R: list, positions: np.ndarray,
@@ -213,20 +214,25 @@ def draw_channels(config: ScenarioConfig, R: list, positions: np.ndarray,
 
     fading_rng(k, j) must return the generator for link (k, j).  A small
     cell's covariance is gain * I (build_correlation), so its root is
-    sqrt(gain) I; the BS's is the eigendecomposition root with negative
-    eigenvalues clamped to zero.  Each stack H[j] is the transpose of a
-    C-order (K, n) array, so every column h_{k,j} is contiguous.
+    sqrt(gain) I.  The BS covariance is numerically low-rank: its pivoted
+    Cholesky factor R = P L L^H P^T (LAPACK ?pstrf at its default rank
+    cutoff, n * ulp * max diag; the input stays above L's diagonal) has r
+    columns, and with the thin SVD L = U S V^H the root is P U S U^H P^T.
+    Each stack H[j] is the transpose of a C-order (K, n) array, so every
+    column h_{k,j} is contiguous.
     """
     K = len(R)
     H = []
+    lower = np.tri(config.n_bs)
     for j in range(config.num_sca + 1):
         rows = np.zeros((K, config.antennas(j)), dtype=complex)
         for k in range(K):
             zr = fading_rng(k, j).normal(size=(2, rows.shape[1]))
             z = (zr[0] + 1j * zr[1]) / np.sqrt(2.0)
             if j == 0:
-                w, V = np.linalg.eigh(R[k][j])
-                rows[k] = ((V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T) @ z
+                c, piv, rank, _ = zpstrf(R[k][j], lower=1)
+                U, s, _ = np.linalg.svd(c[:, :rank] * lower[:, :rank], full_matrices=False)
+                rows[k, piv - 1] = U @ (s * (z[piv - 1] @ U.conj()))
             elif rows.shape[1]:
                 rows[k] = np.sqrt(R[k][j][0, 0].real) * z
         H.append(rows.T)

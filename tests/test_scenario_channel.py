@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softcell.cli import full_paper_config
 from softcell.coordination import CoordinationProblem, solve_optimal
 from softcell.exceptions import InvalidInputError
 from softcell.power import HardwareProfile, circuit_power
@@ -150,10 +151,89 @@ def test_fading_matches_the_covariance_in_sample_moments():
     assert norms / trials == pytest.approx(np.real(np.trace(target)), rel=0.05)
 
 
+def _steering_covariance(n, azimuth):
+    """S S^H / (2n) from the 2n steering vectors within +-10 deg of azimuth."""
+    angles = azimuth + np.linspace(-np.deg2rad(10.0), np.deg2rad(10.0), 2 * n)
+    S = np.exp(1j * np.pi * np.outer(np.arange(n), np.sin(angles)))
+    return S @ S.conj().T / (2 * n)
+
+
+def _bs_links(cfg, trials):
+    """(R, z, h) of every BS link of the given trials, as realize_scenario draws them."""
+    for trial in trials:
+        pos = drop_users(cfg, stream(cfg.seed, trial, 0))
+        shadowing = cfg.shadowing_stddev * stream(cfg.seed, trial, 1).normal(
+            size=(cfg.num_users, cfg.num_sca + 1))
+        R = build_correlation(cfg, pos, shadowing)
+        ch = realize_scenario(cfg, trial)
+        for k in range(cfg.num_users):
+            zr = stream(cfg.seed, trial, 2, k, 0).normal(size=(2, cfg.n_bs))
+            yield R[k][0], (zr[0] + 1j * zr[1]) / np.sqrt(2.0), ch.H[0][:, k]
+
+
+class _Basis:
+    """Stand-in fading generator whose z is the unit vector e_k."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def normal(self, size):
+        out = np.zeros(size)
+        out[0, self.k] = np.sqrt(2.0)
+        return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 100])
+def test_bs_covariance_is_the_steering_average_with_exact_trace(n):
+    cfg = small_config(n_bs=n)
+    rng = np.random.default_rng(n)
+    pos = rng.uniform(-0.35, 0.35, size=(cfg.num_users, 2))
+    shadowing = rng.normal(0.0, 7.0, size=(cfg.num_users, 3))
+    R = build_correlation(cfg, pos, shadowing)
+    for k in range(cfg.num_users):
+        Rk = R[k][0]
+        dist = float(np.hypot(pos[k, 0], pos[k, 1]))
+        gain = 10.0 ** (-(path_loss_db(dist, MACRO) - shadowing[k, 0]) / 10.0)
+        expected = gain * _steering_covariance(n, np.arctan2(pos[k, 1], pos[k, 0]))
+        assert np.linalg.norm(Rk - expected) <= 1e-13 * np.linalg.norm(expected)
+        # Exactly Hermitian, with every diagonal entry exactly the gain: the
+        # trace is n * gain without a normalization step.
+        assert np.array_equal(Rk, Rk.conj().T)
+        assert np.array_equal(np.diag(Rk), np.full(n, gain, dtype=complex))
+
+
+@pytest.mark.parametrize("cfg,trials", [
+    (full_paper_config(), range(3)),
+    (small_config(n_bs=16), range(5)),
+    (small_config(n_bs=1), range(5)),
+])
+def test_bs_draw_is_the_eigendecomposition_root(cfg, trials):
+    # The pivoted-Cholesky root applied to the link's own z lies within 5.4e-8
+    # of the eigh root; on paper trials 0-2 the eigh root itself moves by up
+    # to 5.7e-8 under a 1-ulp Hermitian change of R.
+    for R, z, h in _bs_links(cfg, trials):
+        w, V = np.linalg.eigh(R)
+        reference = (V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T @ z
+        assert np.linalg.norm(h - reference) <= 1e-6 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("n_bs", [1, 3, 16, 100])
+def test_bs_root_is_hermitian_and_squares_to_the_covariance(n_bs):
+    # With z = e_k for user k, column k of the drawn stack is column k of the
+    # root applied to every user's copy of one covariance.
+    cfg = small_config(n_bs=n_bs)
+    links = build_correlation(cfg, np.array([[0.2, 0.1]]), np.zeros((1, 3)))[0]
+    ch = draw_channels(cfg, [links] * n_bs, np.zeros((n_bs, 2)),
+                       lambda k, j: _Basis(0 if j else k))
+    root, R = ch.H[0], links[0]
+    assert np.linalg.norm(root - root.conj().T) <= 1e-14 * np.linalg.norm(root)
+    assert np.linalg.norm(root @ root - R) <= 1e-13 * np.linalg.norm(R)
+
+
 @pytest.mark.parametrize("n_sca", [1, 2, 4])
 def test_small_cell_draw_is_the_eigendecomposition_root(n_sca):
     # A small cell's covariance is gain * I, drawn as sqrt(gain) z: bit for bit
-    # the eigendecomposition root R^{1/2} z the BS link takes.
+    # its eigendecomposition root R^{1/2} z.
     cfg = small_config(n_sca=n_sca)
     rng = np.random.default_rng(n_sca)
     pos = rng.uniform(-0.4, 0.4, size=(3, 2))
