@@ -12,7 +12,9 @@ n_j x n_j inverse into a K x K one: one batched solve over the transmitters
 per distinct target, through coordination.regularized_inverse, the direction
 rule the exact solver shares.  Only the scalar couplings |h_{i,j}^H u_{k,j}|^2
 and |u_{k,j}[l]|^2 travel over the backhaul; the power split across transmitters
-then solves a small LP in the per-link powers p_{k,j}.  A coupling is left out
+then solves a small LP in the per-link powers p_{k,j}, first on its K QoS rows
+alone.  Its per-antenna cap rows join in a second solve only when the first
+answer breaks one, checked exactly, with no tolerance.  A coupling is left out
 (exchanged as zero) only when even the full power n_j q_j of transmitter j
 along u_{k,j} would deliver less than GAIN_FLOOR of user i's noise power.
 """
@@ -67,13 +69,22 @@ def couplings(channels, hw, U: list) -> Directions:
 def allocate_power(intermediate: Directions, hw, gtilde, sigma2) -> np.ndarray:
     """Minimum-consumption power split over the fixed directions.
 
+    One round of cutting planes (Kelley 1960): the LP is first solved on its
+    QoS rows alone, and every cap row is checked exactly against that answer,
+    row @ p <= q with no tolerance.  Only when one is broken is the LP solved
+    again with all its rows.  The QoS-only LP is a relaxation of the full one,
+    so an answer inside every cap is optimal for the full LP within the
+    solver's certified gap, and an infeasibility ray of either round is a ray
+    of the full LP.
+
     Raises RzfInfeasibleError when no power allocation meets the SINR targets
     along these directions; the full problem may still be feasible.
     """
     gtilde = np.asarray(gtilde, dtype=float)
     U = intermediate.U
     K, T = len(gtilde), len(U)
-    pk, pj = np.nonzero(np.array([U_j.any(axis=0) for U_j in U]).T)   # (k, j) order
+    # Links with a direction to a user with a target, in (k, j) order.
+    pk, pj = np.nonzero(np.array([U_j.any(axis=0) for U_j in U]).T & (gtilde > 0)[:, None])
     if not pk.size:
         if np.any(gtilde > 0):
             raise RzfInfeasibleError("no link can carry power to a user with a target")
@@ -88,13 +99,17 @@ def allocate_power(intermediate: Directions, hw, gtilde, sigma2) -> np.ndarray:
             continue
         row = np.where(pk == k, g[k, k, pj] / gtilde[k], -g[k, pk, pj]) / float(sigma2[k])
         prob.add_constraint({0: row}, ">=", 1.0)
-    for j in range(T):
-        rows = np.where(pj == j, np.abs(U[j][:, pk]) ** 2, 0.0)
-        for row in rows:
-            if np.any(row):
-                prob.add_constraint({0: row}, "<=", float(hw.per_antenna_limit[j]))
+    # Per-antenna cap rows, one per antenna that some powered link reaches.
+    caps = np.vstack([np.where(pj == j, np.abs(U_j[:, pk]) ** 2, 0.0) for j, U_j in enumerate(U)])
+    limits = np.repeat(np.asarray(hw.per_antenna_limit, dtype=float), [U_j.shape[0] for U_j in U])
+    held = caps.any(axis=1)
+    caps, limits = caps[held], limits[held]
 
     sol = cs.solve(prob)
+    if sol.status == cs.OPTIMAL and np.any(caps @ np.maximum(sol.block_values[0], 0.0) > limits):
+        for row, q in zip(caps, limits):
+            prob.add_constraint({0: row}, "<=", float(q))
+        sol = cs.solve(prob)
     if sol.status == cs.INFEASIBLE:
         raise RzfInfeasibleError("fixed directions cannot meet the SINR targets")
     if sol.status != cs.OPTIMAL:

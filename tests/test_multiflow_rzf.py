@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import loose_hardware, make_channels
+from softcell import conic_solver as cs
+from softcell import rzf
+from softcell.conic_problem import NONNEG, Block, ConicProblem
 from softcell.coordination import CoordinationProblem, solve_optimal
 from softcell.evaluation import evaluate
 from softcell.exceptions import RzfInfeasibleError
 from softcell.power import HardwareProfile
 from softcell.rzf import allocate_power, rzf_directions, rzf_solve
-from softcell.scenario import realize_scenario
+from softcell.scenario import realize_scenario, with_axis_value
 from softcell.cli import desk_config, full_paper_config
 
 
@@ -180,6 +183,97 @@ def test_fixed_directions_can_be_infeasible_when_the_optimum_exists():
     assert exact.objective_total > 0
     with pytest.raises(RzfInfeasibleError):
         rzf_solve(prob)
+
+
+def _all_rows_lp(inter, hw, gtilde, sigma2):
+    """The power LP with every QoS and every cap row in one program; returns
+    its dynamic power, or None when the program is infeasible."""
+    U, g = inter.U, inter.g
+    pk, pj = np.nonzero(np.array([U_j.any(axis=0) for U_j in U]).T)
+    rho = np.asarray(hw.rho, dtype=float)
+    prob = ConicProblem([Block(NONNEG, pk.size)])
+    prob.set_objective({0: rho[pj]})
+    for k in np.flatnonzero(gtilde > 0):
+        row = np.where(pk == k, g[k, k, pj] / gtilde[k], -g[k, pk, pj]) / sigma2[k]
+        prob.add_constraint({0: row}, ">=", 1.0)
+    for j, U_j in enumerate(U):
+        for row in np.where(pj == j, np.abs(U_j[:, pk]) ** 2, 0.0):
+            if row.any():
+                prob.add_constraint({0: row}, "<=", hw.per_antenna_limit[j])
+    sol = cs.solve(prob)
+    if sol.status == cs.INFEASIBLE:
+        return None
+    assert sol.status == cs.OPTIMAL
+    return float(rho[pj] @ np.maximum(sol.block_values[0], 0.0))
+
+
+def _log_solves(monkeypatch):
+    """Route the power LP's solves through a log of their statuses."""
+    statuses = []
+    solve = cs.solve
+
+    def logged(problem):
+        sol = solve(problem)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(rzf.cs, "solve", logged)
+    return statuses
+
+
+def test_power_allocation_equals_the_all_rows_lp(monkeypatch):
+    # Desk seed 202 at QoS 1-3 holds cap-bound trials (QoS 2.0 trials 1, 4,
+    # 6, 9 and 11 among them), so both rounds of allocate_power are compared.
+    base = desk_config(seed=202)
+    statuses = _log_solves(monkeypatch)
+    rounds = []
+    for qos in (1.0, 2.0, 3.0):
+        cfg = with_axis_value(base, "qos", qos)
+        for trial in range(16):
+            ch = realize_scenario(cfg, trial=trial)
+            prob = CoordinationProblem(ch, cfg.hardware, cfg.qos_targets)
+            inter = rzf_directions(ch, cfg.hardware, prob.gtilde)
+            ref = _all_rows_lp(inter, cfg.hardware, prob.gtilde, ch.sigma2)
+            statuses.clear()
+            try:
+                p = allocate_power(inter, cfg.hardware, prob.gtilde, ch.sigma2)
+            except RzfInfeasibleError:
+                assert ref is None, (qos, trial)
+                continue
+            assert ref is not None, (qos, trial)
+            dynamic = float(np.asarray(cfg.hardware.rho) @ p.sum(axis=0))
+            assert dynamic == pytest.approx(ref, rel=1e-9, abs=0.0), (qos, trial)
+            rounds.append(len(statuses))
+    assert 1 in rounds and 2 in rounds
+
+
+def test_paper_trials_solve_the_power_lp_once(monkeypatch):
+    # No cap binds at the paper's scale: the QoS rows alone answer each trial.
+    statuses = _log_solves(monkeypatch)
+    cfg = with_axis_value(full_paper_config(), "qos", 2.0)
+    for trial in range(8):
+        ch = realize_scenario(cfg, trial=trial)
+        rzf_solve(CoordinationProblem(ch, cfg.hardware, cfg.qos_targets))
+        assert len(statuses) == trial + 1, trial
+
+
+def test_a_cap_bound_trial_solves_the_power_lp_twice(monkeypatch):
+    statuses = _log_solves(monkeypatch)
+    cfg = with_axis_value(desk_config(seed=202), "qos", 2.0)
+    ch = realize_scenario(cfg, trial=1)
+    rzf_solve(CoordinationProblem(ch, cfg.hardware, cfg.qos_targets))
+    assert statuses == [cs.OPTIMAL, cs.OPTIMAL]
+
+
+def test_caps_alone_make_the_directions_infeasible(monkeypatch, single_user_unit_channel):
+    # The matched filter puts 0.36 and 0.64 of the power on the two antennas,
+    # and the target needs p = 3: antenna 1 would carry 1.92 against a cap of
+    # 1.5.  The QoS row alone is met, so only the second round can refuse.
+    statuses = _log_solves(monkeypatch)
+    prob = CoordinationProblem(single_user_unit_channel, loose_hardware(1, cap=1.5), (2.0,))
+    with pytest.raises(RzfInfeasibleError):
+        rzf_solve(prob)
+    assert statuses == [cs.OPTIMAL, cs.INFEASIBLE]
 
 
 @pytest.mark.parametrize("trial", [151, 231])
