@@ -36,10 +36,12 @@ block is Q_j X Q_j^H over an orthonormal basis Q_j of S_j, with no loss (a face
 of the PSD cone; facial reduction, Borwein and Wolkowicz 1981).  A seeded
 program's BS blocks shrink from n_j x n_j to about K x K; the full program
 holds every cap, so its S_j is the whole space and its blocks stay full.
-repair_rank reads each solved block in these coordinates.  The certificate's
-lambda is one round of the uplink interference map at the IPM's (lambda, mu)
-(_uplink_round): the IPM bounds each multiplier's error only relative to the
-largest, and the round prices each user on its own dual row.
+repair_rank reads each solved block in these coordinates.
+
+Both paths run one round of the uplink interference map, with uplink noise
+rho_j I + diag mu_j (_uplink_round): at mu = 0 on the fast path, to its fixed
+point, and at the IPM's (lambda, mu) for the certificate, once, since the IPM
+bounds each multiplier's error only relative to the largest.
 
 Each candidate answer thus comes with its own lower bound on the full
 program, and, as for the rzf heuristic, _finish is the one place where beams
@@ -317,37 +319,36 @@ def regularized_inverse(gram: np.ndarray, a, r) -> np.ndarray:
     return np.linalg.solve(system, np.broadcast_to(np.eye(K), system.shape))
 
 
-def _dual_gains(gram: np.ndarray, lam: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
-    """Y = regularized_inverse(gram, lam, r) and gain[k, t] = g_k^H B_kt^-1 g_k,
-    for B_kt = r[t] I + sum_{i != k} lam_i g_i g_i^H over the columns g_i of
-    G_t (gram[t] = G_t^H G_t).  With C_t = B_kt + lam_k g_k g_k^H, the K x K
-    solve gives x = g_k^H C_t^-1 g_k, and by Sherman-Morrison
-    g^H B^-1 g = x / (1 - lam_k x)."""
-    Y = regularized_inverse(gram, lam, r)
-    x = np.einsum("tki,tik->kt", gram, Y).real
-    return Y, x / (1.0 - lam[:, None] * x)
+def _uplink_grams(problem: CoordinationProblem, mu: list) -> tuple[list, np.ndarray]:
+    """Noise-scaled stacks G_t = H_t / sigma of the active transmitters and the
+    (T, K, K) stack F_t = G_t^H D_t^-1 G_t of the uplink noise
+    D_t = rho_t I + diag mu_t (mu[j] over the antennas of transmitter j)."""
+    txs, K = problem.active_transmitters(), problem.channels.num_users
+    G, _ = scaled_channels(problem.channels, txs)
+    F = [G_t.conj().T @ (G_t / (problem.hw.rho[j] + mu[j])[:, None]) for j, G_t in zip(txs, G)]
+    return G, np.array(F, dtype=complex).reshape(len(G), K, K)
 
 
-def _uplink_round(problem: CoordinationProblem, lam: np.ndarray, mu: list) -> np.ndarray:
-    """One round of the uplink interference map at (lam, mu), the
-    relaxation's certificate: lambda_k = gt_k sigma_k^2 / max_j h_kj^H B_kj^-1 h_kj
-    over the QoS users, with
-    B_kj = rho_j I + diag mu_j + sum_{i != k} lambda_i h_ij h_ij^H / sigma_i^2.
-
-    Each lambda_k comes from its own dual row, not within the IPM's error
-    relative to the largest multiplier, and no beam is read.  With
-    D_j = rho_j I + diag mu_j and G_j = H_j / sigma, the push-through identity
-    G^H (D + G L G^H)^-1 G = F (L F + I)^-1 for F = G^H D^-1 G makes it one
-    batched K x K solve.
+def _uplink_round(problem: CoordinationProblem, lam: np.ndarray, F: np.ndarray):
+    """One round of the uplink interference map at the QoS users' lambda over
+    F = _uplink_grams(problem, mu)[1]: (lambda', Y, gain), or None where a QoS
+    user has no positive gain.  lambda'_k = gt_k / max_t gain[k, t] (0 without
+    a target), gain[k, t] = g^H B^-1 g for g = h_kt / sigma_k and
+    B = D_t + sum_{i != k} lambda_i g_it g_it^H.  By the push-through identity
+    (D + G L G^H)^-1 G = D^-1 G (L F + I)^-1, Y = regularized_inverse(F, lambda, 1)
+    gives C_t^-1 G_t = D_t^-1 G_t Y[t] for C = B + lambda_k g g^H, x = g^H C^-1 g
+    is the diagonal of F Y, and by Sherman-Morrison g^H B^-1 g = x / (1 - lambda_k x).
     """
-    ch, hw, gt = problem.channels, problem.hw, problem.gtilde
-    users, txs = problem.qos_users(), problem.active_transmitters()
-    G, _ = scaled_channels(ch, txs)
-    F = np.array([G_t.conj().T @ (G_t / (hw.rho[j] + mu[j])[:, None]) for j, G_t in zip(txs, G)])
-    _, gain = _dual_gains(F, lam, 1.0)
+    users = problem.qos_users()
+    Y = regularized_inverse(F, lam, 1.0)
+    x = np.einsum("tki,tik->kt", F, Y).real
+    gain = x / (1.0 - lam[:, None] * x)
+    best = gain[users].max(axis=1, initial=0.0)     # 0 without any active transmitter
+    if np.any(best <= 0.0):
+        return None
     new = np.zeros_like(lam)
-    new[users] = gt[users] / gain[users].max(axis=1)
-    return new
+    new[users] = problem.gtilde[users] / best
+    return new, Y, gain
 
 
 def _solve_uplink(problem: CoordinationProblem):
@@ -360,46 +361,39 @@ def _solve_uplink(problem: CoordinationProblem):
         B_kj = rho_j I + sum_{i != k} lambda_i h_ij h_ij^H / sigma_i^2,
 
     and its optimum is the fixed point of the standard interference function
-    lambda_k <- gt_k sigma_k^2 / max_j h_kj^H B_kj^-1 h_kj.  From lambda = 0
-    the iterates rise monotonically and each is dual feasible, whatever the
-    caps, so sum lambda bounds the full program from below.  One batched
-    K x K solve per round (regularized_inverse, weights lambda, regularizer
-    rho_j) serves all users at every transmitter: it gives x = h_kj^H C_j^-1 h_kj
-    for C_j = B_kj + lambda_k h_kj h_kj^H / sigma_k^2, and by Sherman-Morrison
-    h^H B^-1 h = x / (1 - lambda_k x / sigma_k^2).
+    lambda_k <- gt_k sigma_k^2 / max_j h_kj^H B_kj^-1 h_kj, iterated here by
+    _uplink_round at mu = 0 over Grams formed once.  From lambda = 0 the
+    iterates rise monotonically and each is dual feasible, whatever the caps,
+    so sum lambda bounds the full program from below.
 
-    By uplink-downlink duality user k's beam at j is parallel to C_j^-1 h_kj,
-    and by complementary slackness only a transmitter whose dual row is tight
-    may serve k; user k takes the one with the largest gain, a_k, and only that
-    direction is formed.  With unit directions u_k and
-    g[i, k] = |h_{i,a_k}^H u_k|^2, the powers that meet every target with
-    equality solve M p = sigma^2 over the QoS users, with
+    By uplink-downlink duality user k's beam at j is parallel to
+    C_j^-1 h_kj = G_j Y[j][:, k] / rho_j, and by complementary slackness only a
+    transmitter whose dual row is tight may serve k; user k takes the one with
+    the largest gain, a_k, and only that direction is formed.  With unit
+    directions u_k and g[i, k] = |h_{i,a_k}^H u_k|^2, the powers that meet
+    every target with equality solve M p = sigma^2 over the QoS users, with
     M[k, k] = g[k, k] / gt_k and M[k, i] = -g[k, i].  They cost at least the
     dual bound sum lambda; _finish alone decides whether they meet every cap
     and come within CERT_GAP of it.
 
     Where lambda has not settled within UPLINK_MAX_ITERS, the last round's
     beams are formed all the same: its lambda is still dual feasible.  No
-    beams are formed where sum lambda exceeds the power of every antenna at
-    its cap (no feasible point costs that much, so the targets are
-    infeasible), or M is singular or gives a negative power.
+    beams are formed where a QoS user has no positive gain, sum lambda exceeds
+    the power of every antenna at its cap (no feasible point costs that much,
+    so the targets are infeasible), or M is singular or gives a negative power.
     """
     ch, hw, gt = problem.channels, problem.hw, problem.gtilde
     K, T = ch.num_users, ch.num_transmitters
-    users = problem.qos_users()
-    txs = problem.active_transmitters()
+    users, txs = problem.qos_users(), problem.active_transmitters()
     sigma2 = np.asarray(ch.sigma2, dtype=float)
-    G, gram = scaled_channels(ch, txs)
-    rho = [hw.rho[j] for j in txs]
+    G, F = _uplink_grams(problem, [np.zeros(n) for n in ch.antenna_counts])
     ceiling = sum(hw.rho[j] * ch.antennas(j) * hw.per_antenna_limit[j] for j in txs)
     lam = np.zeros(K)
     for _ in range(UPLINK_MAX_ITERS):
-        Y, gain = _dual_gains(gram, lam, rho)
-        best = gain.max(axis=1, initial=0.0)       # 0 without any active transmitter
-        if np.any(best[users] <= 0.0):
+        step = _uplink_round(problem, lam, F)
+        if step is None:
             return None
-        new = lam.copy()
-        new[users] = gt[users] / best[users]
+        new, Y, gain = step
         if not (np.all(np.isfinite(new)) and new.sum() <= ceiling):
             return None
         settled = np.all(new - lam <= UPLINK_TOL * new)
@@ -497,8 +491,9 @@ def _candidates(problem: CoordinationProblem):
         mu = [np.zeros(n) for n in ch.antenna_counts]
         for (j, l), row in relax.power_row.items():
             mu[j][l] = max(conic_sol.duals[row], 0.0)
+        lam, _, _ = _uplink_round(problem, lam, _uplink_grams(problem, mu)[1])
         yield (repair_rank(relax, conic_sol.block_values, problem), conic_sol.primal_objective,
-               DualCertificate(_uplink_round(problem, lam, mu), mu))
+               DualCertificate(lam, mu))
 
 
 def binding_caps(w: list, hw: HardwareProfile) -> set:

@@ -165,8 +165,9 @@ def path_loss_db(distance_km: float, link_kind: str) -> float:
 
 
 def build_correlation(config: ScenarioConfig, positions: np.ndarray,
-                      shadowing_db: np.ndarray) -> list:
-    """Covariance R[k][j] = gain * (angular model for the BS, identity for SCAs).
+                      shadowing_db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, T) link gains and the (K, n, n) BS covariances
+    R[k] = gain[k, 0] * (angular model); a small cell's covariance is gain * I.
 
     The linear gain inverts (path loss - shadowing) dB.  The near-SCA loss
     formula applies to any (user, SCA) pair within NEAR_SCA_KM of each other.
@@ -202,26 +203,23 @@ def build_correlation(config: ScenarioConfig, positions: np.ndarray,
         power *= e
     # Column n - 1 + d holds t[d], and t[-d] = conj(t[d]).
     diagonals = gains[:, :1] * np.concatenate([t[:, :0:-1].conj(), t], axis=1)
-    R_bs = diagonals[:, (n - 1) + np.subtract.outer(np.arange(n), np.arange(n))]
-    return [[R_bs[k]] + [gains[k, j] * np.eye(config.antennas(j), dtype=complex)
-                         for j in range(1, len(sites))]
-            for k in range(K)]
+    return gains, diagonals[:, (n - 1) + np.subtract.outer(np.arange(n), np.arange(n))]
 
 
-def draw_channels(config: ScenarioConfig, R: list, positions: np.ndarray,
-                  fading_rng) -> ChannelSet:
-    """h_{k,j} = R^{1/2} z with z standard circular complex Gaussian.
+def draw_channels(config: ScenarioConfig, gains: np.ndarray, R_bs: np.ndarray,
+                  positions: np.ndarray, fading_rng) -> ChannelSet:
+    """h_{k,j} = R^{1/2} z with z standard circular complex Gaussian, for the
+    gains and BS covariances of build_correlation.
 
     fading_rng(k, j) must return the generator for link (k, j).  A small
-    cell's covariance is gain * I (build_correlation), so its root is
-    sqrt(gain) I.  The BS covariance is numerically low-rank: its pivoted
-    Cholesky factor R = P L L^H P^T (LAPACK ?pstrf at its default rank
-    cutoff, n * ulp * max diag; the input stays above L's diagonal) has r
+    cell's root is sqrt(gain) I.  The BS covariance is numerically low-rank:
+    its pivoted Cholesky factor R = P L L^H P^T (LAPACK ?pstrf at its default
+    rank cutoff, n * ulp * max diag; the input stays above L's diagonal) has r
     columns, and with the thin SVD L = U S V^H the root is P U S U^H P^T.
     Each stack H[j] is the transpose of a C-order (K, n) array, so every
     column h_{k,j} is contiguous.
     """
-    K = len(R)
+    K = len(gains)
     H = []
     lower = np.tri(config.n_bs)
     for j in range(config.num_sca + 1):
@@ -230,11 +228,11 @@ def draw_channels(config: ScenarioConfig, R: list, positions: np.ndarray,
             zr = fading_rng(k, j).normal(size=(2, rows.shape[1]))
             z = (zr[0] + 1j * zr[1]) / np.sqrt(2.0)
             if j == 0:
-                c, piv, rank, _ = zpstrf(R[k][j], lower=1)
+                c, piv, rank, _ = zpstrf(R_bs[k], lower=1)
                 U, s, _ = np.linalg.svd(c[:, :rank] * lower[:, :rank], full_matrices=False)
                 rows[k, piv - 1] = U @ (s * (z[piv - 1] @ U.conj()))
             elif rows.shape[1]:
-                rows[k] = np.sqrt(R[k][j][0, 0].real) * z
+                rows[k] = np.sqrt(gains[k, j]) * z
         H.append(rows.T)
     sigma2 = np.full(K, config.noise_variance_mw)
     return ChannelSet(H=H, sigma2=sigma2, user_positions=np.asarray(positions))
@@ -245,9 +243,9 @@ def realize_scenario(config: ScenarioConfig, trial: int = 0) -> ChannelSet:
     positions = drop_users(config, stream(config.seed, trial, _STREAM_DROPS))
     shadowing = config.shadowing_stddev * stream(config.seed, trial, _STREAM_SHADOWING).normal(
         size=(config.num_users, config.num_sca + 1))
-    R = build_correlation(config, positions, shadowing)
+    gains, R_bs = build_correlation(config, positions, shadowing)
     return draw_channels(
-        config, R, positions,
+        config, gains, R_bs, positions,
         lambda k, j: stream(config.seed, trial, _STREAM_FADING, k, j))
 
 

@@ -324,6 +324,21 @@ def test_repair_in_a_seeded_basis_matches_lift_then_repair():
         assert np.linalg.norm(w[j][:, k] - lifted) <= 1e-14 * np.linalg.norm(lifted)
 
 
+@pytest.mark.parametrize("null", ["zero", "orthogonal_to_h"])
+def test_a_block_without_own_signal_repairs_to_no_beam(null):
+    # The block at transmitter 1 gives the user no signal, h^H W h = 0 with
+    # h = e_0: W = 0, or W = 3 e_1 e_1^H.  The only beam with w w^H <= W and
+    # that own signal is zero, so its column stays zero; it is never divided
+    # by sqrt(0) (a RuntimeWarning fails the test).  Transmitter 0 is repaired.
+    h0, h1 = np.array([0.6, 0.8j]), np.array([1.0 + 0j, 0.0])
+    prob = CoordinationProblem(make_channels([[h0, h1]], [1.0]), loose_hardware(2), (1.0,))
+    W1 = {"zero": np.zeros((2, 2), dtype=complex),
+          "orthogonal_to_h": np.diag([0.0, 3.0]).astype(complex)}[null]
+    w = _repair_full(prob, [[2.0 * np.eye(2, dtype=complex), W1]])
+    assert np.all(w[1][:, 0] == 0.0)
+    assert np.linalg.norm(w[0][:, 0]) ** 2 == pytest.approx(2.0, rel=1e-12)
+
+
 def test_gain_maximization_under_trace_budget_concentrates_power():
     # max h^H V h with tr V <= 2 puts everything on the channel direction.
     from softcell import conic_solver as cs
@@ -605,25 +620,34 @@ def test_duality_check_flags_a_wrong_certificate():
     assert verify_duality(sol, DualCertificate(cert.lam, mu), prob).max_residual > 1e-4
 
 
-def test_one_uplink_round_matches_the_antenna_domain_map():
+@pytest.mark.parametrize("caps", ["fast_path", "random"])
+def test_one_uplink_round_matches_the_antenna_domain_map(caps):
     # _uplink_round's K x K form against gt_k / max_j g_kj^H B_kj^-1 g_kj
-    # (g = h / sigma) formed with n x n matrices, at a random (lambda, mu)
-    # with about half the caps' mu at zero and one user without a target.
+    # (g = h / sigma) formed with n x n matrices, at a random lambda with one
+    # user without a target: at mu = 0, the fast path's round, and at a random
+    # mu with about half the caps' mu at zero, the certificate's.  Its gains
+    # are the per-link table, and D^-1 G Y are the columns C^-1 g.
     rng = np.random.default_rng(17)
     antennas = (12, 3, 1)
     prob = rand_instance(rng, 4, antennas, (1.0, 0.0, 0.5, 2.0), sigma2=0.7)
     lam = rng.uniform(0.1, 2.0, size=4) * (np.asarray(prob.gamma) > 0)
     mu = [rng.uniform(0.0, 3.0, size=n) * (rng.random(n) < 0.5) for n in antennas]
-    best = np.zeros(4)
+    if caps == "fast_path":
+        mu = [np.zeros(n) for n in antennas]
+    new, Y, gain = coordination._uplink_round(prob, lam, coordination._uplink_grams(prob, mu)[1])
+    G = [H_j / np.sqrt(prob.channels.sigma2) for H_j in prob.channels.H]
+    reference = np.zeros((4, len(antennas)))
     for j in range(len(antennas)):
-        G = prob.channels.H[j] / np.sqrt(prob.channels.sigma2)
+        D = np.diag(prob.hw.rho[j] + mu[j])
+        C = D + (G[j] * lam) @ G[j].conj().T
+        assert np.allclose(np.linalg.solve(D, G[j] @ Y[j]), np.linalg.solve(C, G[j]),
+                           rtol=1e-10, atol=0)
         for k in range(4):
             others = np.arange(4) != k
-            B = (np.diag(prob.hw.rho[j] + mu[j]) +
-                 (G[:, others] * lam[others]) @ G[:, others].conj().T)
-            best[k] = max(best[k], (G[:, k].conj() @ np.linalg.solve(B, G[:, k])).real)
-    assert np.allclose(coordination._uplink_round(prob, lam, mu), prob.gtilde / best,
-                       rtol=1e-10, atol=0)
+            B = D + (G[j][:, others] * lam[others]) @ G[j][:, others].conj().T
+            reference[k, j] = (G[j][:, k].conj() @ np.linalg.solve(B, G[j][:, k])).real
+    assert np.allclose(gain, reference, rtol=1e-10, atol=0)
+    assert np.allclose(new, prob.gtilde / reference.max(axis=1), rtol=1e-10, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -931,12 +955,17 @@ def test_a_failed_seeded_solve_gives_way_to_every_cap(monkeypatch):
 
 
 def _recording_rounds(monkeypatch):
-    """The IPM's lambda at each _uplink_round of the certificates."""
-    seen = []
+    """The lambda into and out of the last _uplink_round, the certificate's:
+    the fast path's rounds all come before it."""
+    last = []
     uplink_round = coordination._uplink_round
-    monkeypatch.setattr(coordination, "_uplink_round",
-                        lambda p, lam, mu: seen.append(lam.copy()) or uplink_round(p, lam, mu))
-    return seen
+
+    def record(problem, lam, F):
+        step = uplink_round(problem, lam, F)
+        last[:] = [lam.copy(), None if step is None else step[0]]
+        return step
+    monkeypatch.setattr(coordination, "_uplink_round", record)
+    return last
 
 
 def _near_the_ipm_lambda(cert_lam, ipm_lam):
@@ -957,14 +986,16 @@ def test_a_paper_scale_seeded_fallback_solves_ten_by_ten_bs_blocks(monkeypatch):
     cfg = replace(cfg, hardware=HardwareProfile(hw.rho, hw.eta, caps, hw.subcarriers))
     prob = CoordinationProblem(realize_scenario(cfg, trial=5), cfg.hardware, cfg.qos_targets)
     built = _recording_builds(monkeypatch)
-    ipm_lam = _recording_rounds(monkeypatch)
+    last_round = _recording_rounds(monkeypatch)
     sol, cert = solve_optimal(prob)
     assert len(built) == 1 and built[0][0] != set(coordination.antenna_caps(prob))
     relax = built[0][1]
     assert relax.conic.blocks[relax.block_of[(0, 0)]].dim == 10
     assert sum(b.svec_dim for b in relax.conic.blocks) == 1040
     assert verify_duality(sol, cert, prob).ok()
-    assert len(ipm_lam) == 1 and _near_the_ipm_lambda(cert.lam, ipm_lam[0])   # 7.2e-10 max
+    ipm_lam, round_lam = last_round
+    assert np.array_equal(cert.lam, round_lam)
+    assert _near_the_ipm_lambda(cert.lam, ipm_lam)      # 7.2e-10 max
 
 
 def test_a_small_multiplier_is_priced_on_its_own_dual_row(monkeypatch):
@@ -977,11 +1008,13 @@ def test_a_small_multiplier_is_priced_on_its_own_dual_row(monkeypatch):
     cfg = replace(desk_config(seed=202), qos_targets=(1.0,) * 6)
     prob = CoordinationProblem(realize_scenario(cfg, trial=9), cfg.hardware, cfg.qos_targets)
     built = _recording_builds(monkeypatch)
-    ipm_lam = _recording_rounds(monkeypatch)
+    last_round = _recording_rounds(monkeypatch)
     sol, cert = solve_optimal(prob)
     assert len(built) == 1
     assert verify_duality(sol, cert, prob).max_residual <= 1e-6
-    assert len(ipm_lam) == 1 and _near_the_ipm_lambda(cert.lam, ipm_lam[0])   # 3.8e-11 max
+    ipm_lam, round_lam = last_round
+    assert np.array_equal(cert.lam, round_lam)
+    assert _near_the_ipm_lambda(cert.lam, ipm_lam)      # 3.8e-11 max
 
 
 def test_desk_fallbacks_keep_the_all_caps_optimum(monkeypatch):

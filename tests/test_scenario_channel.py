@@ -99,29 +99,29 @@ def test_config_counts_and_antenna_lookup():
 def test_covariances_are_hermitian_psd_with_normalized_trace():
     cfg = small_config(shadowing_stddev=0.0)
     pos = drop_users(cfg, stream(cfg.seed, 0, 0))
-    R = build_correlation(cfg, pos, np.zeros((cfg.num_users, 3)))
+    gains, R = build_correlation(cfg, pos, np.zeros((cfg.num_users, 3)))
+    assert gains.shape == (cfg.num_users, 3)
+    assert R.shape == (cfg.num_users, cfg.n_bs, cfg.n_bs)
     for k in range(cfg.num_users):
         d_bs = float(np.hypot(pos[k, 0], pos[k, 1]))
         gain = 10.0 ** (-path_loss_db(d_bs, MACRO) / 10.0)
-        Rk0 = R[k][0]
+        assert gains[k, 0] == pytest.approx(gain, rel=1e-12)
+        Rk0 = R[k]
         assert np.abs(Rk0 - Rk0.conj().T).max() < 1e-14
         assert np.linalg.eigvalsh(Rk0)[0] >= -1e-12 * np.real(np.trace(Rk0))
         assert np.real(np.trace(Rk0)) == pytest.approx(cfg.n_bs * gain, rel=1e-12)
-        for j in (1, 2):
-            # SCA covariances are scaled identities.
-            Rkj = R[k][j]
-            assert np.abs(Rkj - Rkj[0, 0] * np.eye(cfg.n_sca)).max() < 1e-15
-            assert Rkj[0, 0].real > 0
+        # SCA covariances are gain * I: only the gain is built.
+        assert np.all(gains[k, 1:] > 0)
 
 
 def test_near_rule_switches_the_loss_model_at_the_boundary():
     cfg = small_config(num_users_uniform=2, users_per_sca=0, qos_targets=(2.0, 2.0))
     at = np.array([[0.3 + 0.04, 0.0], [0.3 + 0.0401, 0.0]])
-    R = build_correlation(cfg, at, np.zeros((2, 3)))
+    gains, _ = build_correlation(cfg, at, np.zeros((2, 3)))
     near_gain = 10.0 ** (-path_loss_db(0.04, SCA_NEAR) / 10.0)
     far_gain = 10.0 ** (-path_loss_db(0.0401, MACRO) / 10.0)
-    assert R[0][1][0, 0].real == pytest.approx(near_gain, rel=1e-12)
-    assert R[1][1][0, 0].real == pytest.approx(far_gain, rel=1e-12)
+    assert gains[0, 1] == pytest.approx(near_gain, rel=1e-12)
+    assert gains[1, 1] == pytest.approx(far_gain, rel=1e-12)
 
 
 def test_shadowing_shape_is_validated():
@@ -135,13 +135,13 @@ def test_fading_matches_the_covariance_in_sample_moments():
     cfg = small_config(num_users_uniform=1, users_per_sca=0, n_bs=2,
                        qos_targets=(2.0,), shadowing_stddev=0.0)
     pos = np.array([[0.2, 0.1]])
-    R = build_correlation(cfg, pos, np.zeros((1, 3)))
-    target = R[0][0]
+    gains, R = build_correlation(cfg, pos, np.zeros((1, 3)))
+    target = R[0]
     trials = 4000
     acc = np.zeros((2, 2), dtype=complex)
     norms = 0.0
     for t in range(trials):
-        ch = draw_channels(cfg, R, pos, lambda k, j: stream(7, t, 2, k, j))
+        ch = draw_channels(cfg, gains, R, pos, lambda k, j: stream(7, t, 2, k, j))
         v = ch.H[0][:, 0]
         acc += np.outer(v, v.conj())
         norms += float(np.vdot(v, v).real)
@@ -164,11 +164,11 @@ def _bs_links(cfg, trials):
         pos = drop_users(cfg, stream(cfg.seed, trial, 0))
         shadowing = cfg.shadowing_stddev * stream(cfg.seed, trial, 1).normal(
             size=(cfg.num_users, cfg.num_sca + 1))
-        R = build_correlation(cfg, pos, shadowing)
+        _, R = build_correlation(cfg, pos, shadowing)
         ch = realize_scenario(cfg, trial)
         for k in range(cfg.num_users):
             zr = stream(cfg.seed, trial, 2, k, 0).normal(size=(2, cfg.n_bs))
-            yield R[k][0], (zr[0] + 1j * zr[1]) / np.sqrt(2.0), ch.H[0][:, k]
+            yield R[k], (zr[0] + 1j * zr[1]) / np.sqrt(2.0), ch.H[0][:, k]
 
 
 class _Basis:
@@ -189,9 +189,9 @@ def test_bs_covariance_is_the_steering_average_with_exact_trace(n):
     rng = np.random.default_rng(n)
     pos = rng.uniform(-0.35, 0.35, size=(cfg.num_users, 2))
     shadowing = rng.normal(0.0, 7.0, size=(cfg.num_users, 3))
-    R = build_correlation(cfg, pos, shadowing)
+    _, R = build_correlation(cfg, pos, shadowing)
     for k in range(cfg.num_users):
-        Rk = R[k][0]
+        Rk = R[k]
         dist = float(np.hypot(pos[k, 0], pos[k, 1]))
         gain = 10.0 ** (-(path_loss_db(dist, MACRO) - shadowing[k, 0]) / 10.0)
         expected = gain * _steering_covariance(n, np.arctan2(pos[k, 1], pos[k, 0]))
@@ -222,10 +222,10 @@ def test_bs_root_is_hermitian_and_squares_to_the_covariance(n_bs):
     # With z = e_k for user k, column k of the drawn stack is column k of the
     # root applied to every user's copy of one covariance.
     cfg = small_config(n_bs=n_bs)
-    links = build_correlation(cfg, np.array([[0.2, 0.1]]), np.zeros((1, 3)))[0]
-    ch = draw_channels(cfg, [links] * n_bs, np.zeros((n_bs, 2)),
-                       lambda k, j: _Basis(0 if j else k))
-    root, R = ch.H[0], links[0]
+    gains, R = build_correlation(cfg, np.array([[0.2, 0.1]]), np.zeros((1, 3)))
+    ch = draw_channels(cfg, np.repeat(gains, n_bs, axis=0), np.repeat(R, n_bs, axis=0),
+                       np.zeros((n_bs, 2)), lambda k, j: _Basis(0 if j else k))
+    root, R = ch.H[0], R[0]
     assert np.linalg.norm(root - root.conj().T) <= 1e-14 * np.linalg.norm(root)
     assert np.linalg.norm(root @ root - R) <= 1e-13 * np.linalg.norm(R)
 
@@ -237,13 +237,13 @@ def test_small_cell_draw_is_the_eigendecomposition_root(n_sca):
     cfg = small_config(n_sca=n_sca)
     rng = np.random.default_rng(n_sca)
     pos = rng.uniform(-0.4, 0.4, size=(3, 2))
-    R = build_correlation(cfg, pos, rng.normal(0.0, 8.0, size=(3, 3)))
-    ch = draw_channels(cfg, R, pos, lambda k, j: stream(9, 0, 2, k, j))
+    gains, R = build_correlation(cfg, pos, rng.normal(0.0, 8.0, size=(3, 3)))
+    ch = draw_channels(cfg, gains, R, pos, lambda k, j: stream(9, 0, 2, k, j))
     for k in range(3):
         for j in (1, 2):
             zr = stream(9, 0, 2, k, j).normal(size=(2, n_sca))
             z = (zr[0] + 1j * zr[1]) / np.sqrt(2.0)
-            w, V = np.linalg.eigh(R[k][j])
+            w, V = np.linalg.eigh(gains[k, j] * np.eye(n_sca, dtype=complex))
             root = (V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T
             assert np.array_equal(ch.H[j][:, k], root @ z)
 
