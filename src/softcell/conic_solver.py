@@ -32,10 +32,14 @@ scaling, the H operator, the scaled steps, the step length and the corrector
 make one batched LAPACK or matmul call per distinct size; each block keeps its
 coordinates and its own arithmetic in the order of a per-block call, so the
 iterates are bitwise those of a per-block loop.  Only the blocks whose
-Cholesky factor fails take the clamped eigh.  H applied to the m rows of the
-Schur assembly stacks at most max(1, _STACK_COORDS // (m d^2)) blocks per
-call, and a single block through its plain slice, so large blocks keep their
-temporaries bounded.
+Cholesky factor fails take the clamped eigh.
+
+Schur complement from rank-one terms.  Each stored PSD coefficient is
+factored once by eigh, keeping the eigenpairs above numpy's matrix_rank cutoff
+(|w| > max|w| d eps), so a row reads sum_t s_t f_t f_t^H on a block, with its
+sense and scales folded into s_t.  M = A H A^T is then (A_nn w^2) A_nn^T plus,
+per size group, s_p s_q |f_p^H W f_q|^2 scattered to the rows of its terms
+(DSDP's rank-one technique); H itself is applied only to single vectors.
 
 Design targets: dense block sizes up to a few hundred, residuals certified per
 row relative to the summed coefficient magnitudes, determinism for a fixed
@@ -76,11 +80,6 @@ MAX_ITERS = 200         # a solve that reaches it ends as a numerical failure
 _ENDGAME_STEP = 1e-2
 _REFINE_STEPS = 3
 _STALL_WINDOW = 5
-
-# Bound on the coordinates (rows x blocks x d^2) of one stacked call of the H
-# operator (see the module docstring): desk-scale blocks stack fully, 100 x 100
-# blocks on a hundred rows go one at a time.
-_STACK_COORDS = 2 ** 17
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -153,6 +152,7 @@ class _StandardForm:
     c: np.ndarray                  # (n,) scaled objective
     nn_idx: np.ndarray             # orthant coordinate indices
     psd_groups: list               # (d, (B, d^2) coordinate indices) per distinct block size d
+    psd_terms: list                # per size group: factors F (B, d, t), weights s (B, t), rows (B, t)
     block_slices: list             # slice per user block into the coordinate vector
     row_scale: np.ndarray          # y_orig = obj_scale * row_scale * y_scaled
     col_scale: np.ndarray          # x_orig = col_scale * x_scaled
@@ -165,12 +165,12 @@ def _standard_form(problem: ConicProblem) -> _StandardForm:
 
     nn_idx, psd_blocks, block_slices = [], [], []
     pos = 0
-    for blk in problem.blocks:
+    for bidx, blk in enumerate(problem.blocks):
         block_slices.append(slice(pos, pos + blk.svec_dim))
         if blk.kind == NONNEG or blk.dim == 1:
             nn_idx.extend(range(pos, pos + blk.svec_dim))
         else:
-            psd_blocks.append((pos, blk.dim))
+            psd_blocks.append((pos, blk.dim, bidx))
         pos += blk.svec_dim
     slack_off = pos
     nn_idx.extend(range(pos, pos + m))
@@ -207,7 +207,7 @@ def _standard_form(problem: ConicProblem) -> _StandardForm:
             d = np.where(nb > 0, 1.0 / np.sqrt(np.where(nb > 0, nb, 1.0)), 1.0)
             A[:, nn_arr] *= d
             col_scale[nn_arr] *= d
-        for off, dim in psd_blocks:
+        for off, dim, _ in psd_blocks:
             sl = slice(off, off + dim * dim)
             nb = np.abs(A[:, sl]).max()
             if nb > 0:
@@ -223,26 +223,33 @@ def _standard_form(problem: ConicProblem) -> _StandardForm:
     obj_scale = max(1.0, np.abs(c).max())
     c = c / obj_scale
 
-    nu = len(nn_idx) + sum(d for _, d in psd_blocks)
-    psd_groups = [(d, np.array([np.arange(off, off + d * d) for off, dim in psd_blocks if dim == d]))
-                  for d in sorted({dim for _, dim in psd_blocks})]
-    return _StandardForm(A, b, c, np.asarray(nn_idx, dtype=int), psd_groups,
+    # Signed rank-one terms (s, row, f) per PSD block; a coefficient shared by
+    # several rows or blocks is factored once.
+    factors, terms = {}, {bidx: [] for _, _, bidx in psd_blocks}
+    for i, con in enumerate(problem.constraints):
+        for bidx in terms.keys() & con.coeffs.keys():
+            C = con.coeffs[bidx]
+            if id(C) not in factors:
+                w, V = np.linalg.eigh(C)
+                keep = np.abs(w) > np.abs(w).max() * len(w) * np.finfo(float).eps
+                factors[id(C)] = w[keep], V[:, keep].T
+            scale = (-1.0 if con.sense == ">=" else 1.0) * row_scale[i] * col_scale[block_slices[bidx].start]
+            terms[bidx] += [(scale * wt, i, f) for wt, f in zip(*factors[id(C)])]
+
+    nu = len(nn_idx) + sum(d for _, d, _ in psd_blocks)
+    psd_groups, psd_terms = [], []
+    for d in sorted({dim for _, dim, _ in psd_blocks}):
+        group = [(off, bidx) for off, dim, bidx in psd_blocks if dim == d]
+        psd_groups.append((d, np.array([np.arange(off, off + d * d) for off, _ in group])))
+        t = max(len(terms[bidx]) for _, bidx in group)
+        F = np.zeros((len(group), d, t), dtype=complex)
+        s, rows = np.zeros((len(group), t)), np.zeros((len(group), t), dtype=int)
+        for g, (_, bidx) in enumerate(group):
+            for k, (wt, i, f) in enumerate(terms[bidx]):
+                s[g, k], rows[g, k], F[g, :, k] = wt, i, f
+        psd_terms.append((F, s, rows))
+    return _StandardForm(A, b, c, np.asarray(nn_idx, dtype=int), psd_groups, psd_terms,
                          block_slices, row_scale, col_scale, obj_scale, nu)
-
-
-def _chunks(idx: np.ndarray, rows: int):
-    """Split one size group, idx of shape (B, d^2), for the H operator on
-    `rows` rows into pieces (blocks, key) of at most _STACK_COORDS coordinates:
-    R[key] is the (rows, b, d^2) stack of the blocks idx[blocks], taken through
-    the block's plain slice when b = 1."""
-    B, dd = idx.shape
-    step = max(1, _STACK_COORDS // (rows * dd))
-    for lo in range(0, B, step):
-        hi = min(lo + step, B)
-        if hi - lo == 1:
-            yield slice(lo, hi), np.s_[:, None, idx[lo, 0]:idx[lo, 0] + dd]
-        else:
-            yield slice(lo, hi), np.s_[:, idx[lo:hi]]
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +306,25 @@ class _Scaling:
                     for d, idx in sf.psd_groups]
 
     def apply_H(self, v: np.ndarray) -> np.ndarray:
-        return self.apply_H_rows(v[None])[0]
-
-    def apply_H_rows(self, R: np.ndarray) -> np.ndarray:
-        """Apply H to each row of R (m, n); returns (m, n)."""
-        out = np.empty_like(R)
-        out[:, self.sf.nn_idx] = R[:, self.sf.nn_idx] * self.w_nn ** 2
+        out = np.empty_like(v)
+        out[self.sf.nn_idx] = v[self.sf.nn_idx] * self.w_nn ** 2
         for d, idx, _G, _Gi, _lam, W in self.psd:
-            for blocks, key in _chunks(idx, len(R)):
-                Wb = W[blocks, None]
-                out[key] = svec(Wb @ smat(R[key].swapaxes(0, 1), d) @ Wb).swapaxes(0, 1)
+            out[idx] = svec(W @ smat(v[idx], d) @ W)
         return out
+
+    def schur(self) -> np.ndarray:
+        """M = A H A^T from the orthant columns of A and the rank-one terms of
+        each size group (see the module docstring)."""
+        sf = self.sf
+        A_nn = sf.A[:, sf.nn_idx]
+        M = (A_nn * self.w_nn ** 2) @ A_nn.T
+        m = len(M)
+        for (_d, _idx, _G, _Gi, _lam, W), (F, s, rows) in zip(self.psd, sf.psd_terms):
+            P = _ct(F) @ W @ F
+            P = (s[:, :, None] * s[:, None, :]) * (P.real ** 2 + P.imag ** 2)
+            pairs = rows[:, :, None] * m + rows[:, None, :]
+            M += np.bincount(pairs.ravel(), P.ravel(), m * m).reshape(m, m)
+        return M
 
     def scaled_steps(self, dv: np.ndarray, side: str) -> list:
         """Per size group, the stack of scaled directions G^{-1} dX G^{-H}
@@ -355,10 +370,8 @@ class _NormalEquations:
     dominates once cond(M) nears 1/eps; the end-game of the interior-point loop
     refines against the unformed Newton system instead."""
 
-    def __init__(self, A, HAT):
-        M = A @ HAT
-        M = 0.5 * (M + M.T)
-        self.M = M
+    def __init__(self, M):
+        self.M = M = 0.5 * (M + M.T)
         self.fac = la.cho_factor(M, lower=True)
 
     def solve(self, rhs):
@@ -474,14 +487,13 @@ def _ip_hsd(sf: _StandardForm):
 
         sc = _Scaling(sf, x, z)
         try:
-            HAT = sc.apply_H_rows(A)            # rows: H applied to each a_i
-            neq = _NormalEquations(A, HAT.T)
+            neq = _NormalEquations(sc.schur())
             Hc = sc.apply_H(c)
             y1 = neq.solve(b + A @ Hc)
         except (la.LinAlgError, ValueError):
             status, message = failure("singular normal equations")
             break
-        x1 = HAT.T @ y1 - Hc
+        x1 = sc.apply_H(A.T @ y1) - Hc
         denom_tau = b @ y1 - c @ x1 + kappa / tau
         if abs(denom_tau) < 1e-300 or not np.isfinite(denom_tau):
             status, message = NUMERICAL_FAILURE, "degenerate tau step"
@@ -493,7 +505,7 @@ def _ip_hsd(sf: _StandardForm):
             dx + H dz = v,  kappa dtau + tau dkappa = t."""
             Hd = sc.apply_H(d)
             y0 = neq.solve(p - A @ (v - Hd))
-            x0 = HAT.T @ y0 + v - Hd
+            x0 = sc.apply_H(A.T @ y0) + v - Hd
             dtau = (g + c @ x0 - b @ y0 + t / tau) / denom_tau
             dx = x0 + dtau * x1
             dy = y0 + dtau * y1

@@ -147,9 +147,10 @@ def run_trial(base: ScenarioConfig, axis: str, value, algorithm: str, trial: int
         exchanged = sum(solution.exchanged_scalars.values())
     else:
         exchanged = _channel_scalars(channels)
+    total = float(solution.objective_total)
     return TrialRecord(value, algorithm, trial, status,
                        float(solution.objective_dynamic), float(solution.objective_static),
-                       float(solution.objective_total), float(mw_to_dbm(solution.objective_total)),
+                       total, mw_to_dbm(total) if total > 0 else float("-inf"),
                        cases.count(MULTIFLOW), cases.count(BS_ONLY), cases.count(SINGLE_SCA),
                        _sca_multiuser(solution.serving, channels.num_transmitters),
                        False, wall_ms, exchanged)
@@ -192,7 +193,9 @@ def aggregate(records, spec: SweepSpec):
             feasible = [r for r in group if not r.infeasible]
             dbm = np.array([r.total_dbm for r in feasible])
             mean = float(dbm.mean()) if feasible else float("nan")
-            std = float(dbm.std(ddof=1)) if len(feasible) > 1 else 0.0
+            # A zero-power trial reads -inf dBm; a group holds only such trials
+            # (zero targets and zero static power) or none, so -inf has no spread.
+            std = float(dbm.std(ddof=1)) if len(feasible) > 1 and np.isfinite(mean) else 0.0
             multi = (sum(r.n_multiflow for r in feasible) / (len(feasible) * num_users)
                      if feasible else 0.0)
             sca_multi = (sum(r.n_sca_multiuser for r in feasible) / (len(feasible) * num_sca)

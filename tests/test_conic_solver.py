@@ -449,30 +449,33 @@ def test_permuted_blocks_give_the_same_optimum():
         assert np.abs(perm.block_values[pos] - base.block_values[o]).max() <= 1e-6
 
 
-@pytest.mark.parametrize("stack_coords", [1, 48])
-def test_stack_bound_leaves_the_solve_bitwise_unchanged(monkeypatch, stack_coords):
-    # Five 2x2 blocks and six rows.  The bound 1 takes every block alone
-    # through its slice; 48 = 2 * 6 * 2^2 stacks pairs, then a single block.
-    rng = np.random.default_rng(59)
+def test_schur_complement_matches_h_applied_row_by_row():
+    # Orthant, 1x1, 2x2 and 3x3 blocks; rank-one, full-rank, indefinite and
+    # zero coefficients; one coefficient on two rows and two blocks; both
+    # senses.  At a random interior point the Schur complement assembled from
+    # the rows' rank-one terms is A H A^T formed row by row.
+    rng = np.random.default_rng(67)
+    prob = ConicProblem([Block(NONNEG, 2), Block(PSD, 1), Block(PSD, 2),
+                         Block(PSD, 3), Block(PSD, 3), Block(PSD, 2)])
+    a = rng.normal(size=3) + 1j * rng.normal(size=3)
+    shared = np.outer(a, a.conj())
+    indefinite = _rand_psd(rng, 3) - _rand_psd(rng, 3)
+    prob.add_constraint({0: np.array([1.0, 2.0]), 3: shared, 4: shared}, ">=", 1.0)
+    prob.add_constraint({1: np.ones((1, 1)), 2: _rand_psd(rng, 2, 0.5), 3: shared}, "<=", 5.0)
+    prob.add_constraint({2: np.eye(2, dtype=complex), 4: indefinite,
+                         5: np.zeros((2, 2), dtype=complex)}, ">=", 0.5)
+    prob.add_constraint({0: np.array([0.0, 3.0]), 5: _rand_psd(rng, 2)}, "<=", 2.0)
+    sf = cs._standard_form(prob)
+    assert [d for d, _ in sf.psd_groups] == [2, 3]
 
-    def program():
-        prob = ConicProblem([Block(PSD, 2) for _ in range(5)])
-        for b in range(5):
-            a = rng.normal(size=2) + 1j * rng.normal(size=2)
-            prob.add_constraint({b: np.outer(a, a.conj())}, ">=", 1.0)
-        prob.add_constraint({b: _rand_psd(rng, 2, 0.1) for b in range(5)}, "<=", 50.0)
-        prob.set_objective({b: _rand_psd(rng, 2, 0.5) for b in range(5)})
-        return prob
-
-    prob = program()
-    full = cs.solve(prob)
-    monkeypatch.setattr(cs, "_STACK_COORDS", stack_coords)
-    chunked = cs.solve(prob)
-    assert full.status == chunked.status == cs.OPTIMAL
-    assert chunked.iterations == full.iterations
-    assert chunked.primal_objective == full.primal_objective
-    for X, Y in zip(full.block_values, chunked.block_values):
-        assert np.array_equal(X, Y)
+    x, z = np.zeros(sf.A.shape[1]), np.zeros(sf.A.shape[1])
+    for v in (x, z):
+        v[sf.nn_idx] = rng.uniform(0.5, 2.0, len(sf.nn_idx))
+        for d, idx in sf.psd_groups:
+            v[idx] = cs.svec(np.stack([_rand_psd(rng, d, 0.1) for _ in idx]))
+    sc = cs._Scaling(sf, x, z)
+    reference = np.array([sf.A @ sc.apply_H(row) for row in sf.A])
+    assert np.abs(sc.schur() - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_psd_factor_takes_eigh_only_for_the_block_whose_cholesky_fails(monkeypatch):

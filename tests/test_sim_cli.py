@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -317,6 +318,24 @@ def test_a_zero_cap_small_cell_runs_through_both_solvers_and_the_cli(tmp_path):
     assert main(["--config", str(path), "--sweep", "qos", "--values", "1", "--trials", "1",
                  "--algorithms", "optimal,rzf", "--out", str(out)]) == 0
     assert out.read_text() == records_csv(records)
+
+
+def test_a_zero_power_sweep_reads_minus_infinity_dbm(tmp_path):
+    # QoS 0 with every eta 0 costs exactly 0 mW: the records read -inf dBm,
+    # and the summary a mean of -inf with no spread, with no RuntimeWarning.
+    base = tiny_config(qos_targets=(0.0, 0.0))
+    cfg = replace(base, hardware=replace(base.hardware, eta=(0.0,) * len(base.hardware.eta)))
+    path, out = tmp_path / "zero_power.json", tmp_path / "zero_power.csv"
+    path.write_text(json.dumps(asdict(cfg)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(path), "--sweep", "qos", "--values", "0", "--trials", "2",
+                     "--algorithms", "optimal,rzf", "--out", str(out)]) == 0
+    records = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(records) == 4
+    assert all(float(r[6]) == 0.0 and r[7] == "-inf" for r in records)
+    summary = [line.split(",") for line in Path(f"{out}.summary.csv").read_text().splitlines()[1:]]
+    assert [(r[3], r[5], r[6]) for r in summary] == [("2", "-inf", "0.0")] * 2
 
 
 def test_topology_script_writes_records_and_summaries(tmp_path):
