@@ -29,10 +29,13 @@ does not meet the bounds is never returned as optimal.
 Blocks stacked by size.  The PSD blocks of one size d are one (B, d, d) stack
 (_StandardForm.psd_groups holds their (B, d^2) coordinate indices), so NT
 scaling, the H operator, the scaled steps, the step length and the corrector
-make one batched LAPACK or matmul call per distinct size; each block keeps its
-coordinates and its own arithmetic in the order of a per-block call, so the
-iterates are bitwise those of a per-block loop.  Only the blocks whose
-Cholesky factor fails take the clamped eigh.
+make one batched LAPACK or matmul call per distinct size; x and z share one
+smat per size, and the primal and dual steps one eigvalsh.  Each block keeps
+its coordinates and its own arithmetic in the order of a per-block call, so
+the iterates are bitwise those of a per-block loop.  X and Z are factored by
+one Cholesky call each, and only the blocks whose factor fails take the
+clamped eigh.  svec and smat are one gather each, and the normal equations
+go to LAPACK's potrf/potrs directly, without scipy's per-call wrappers.
 
 Schur complement from rank-one terms.  Each stored PSD coefficient is
 factored once by eigh, keeping the eigenpairs above numpy's matrix_rank cutoff
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as la
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .conic_problem import NONNEG, ConicProblem
 from .exceptions import InvalidInputError
@@ -107,37 +110,41 @@ class ConicSolution:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _triu(d: int) -> tuple:
-    """Flat indices into a row-major d x d matrix of its strict upper triangle
-    and of the mirrored lower entries, computed once per d and shared
-    read-only by every call."""
+def _vec_index(d: int) -> tuple:
+    """The two gathers of the vectorization, computed once per d and shared
+    read-only by every call: svec's positions in the float view of a
+    row-major complex d x d matrix (each real diagonal entry, then Re and Im
+    of each strict upper entry), and smat's positions in [diag, off,
+    conj(off)] of each row-major entry."""
     iu, ju = np.triu_indices(d, 1)
-    flat = (iu * d + ju, ju * d + iu)
-    for idx in flat:
+    upper, lower = iu * d + ju, ju * d + iu
+    diag, k = np.arange(d), np.arange(len(iu))
+    gather = np.empty(d * d, dtype=np.intp)
+    gather[:d] = 2 * diag * (d + 1)
+    gather[d::2] = 2 * upper
+    gather[d + 1::2] = 2 * upper + 1
+    scatter = np.empty(d * d, dtype=np.intp)
+    scatter[diag * (d + 1)] = diag
+    scatter[upper] = d + k
+    scatter[lower] = d + len(k) + k
+    for idx in (gather, scatter):
         idx.flags.writeable = False
-    return flat
+    return gather, scatter
 
 
 def svec(X: np.ndarray) -> np.ndarray:
     """Vectorize a Hermitian matrix (d, d), or a stack (..., d, d), to (..., d^2)."""
     d = X.shape[-1]
-    flat = X.reshape(X.shape[:-2] + (d * d,))
-    out = np.empty(flat.shape)
-    out[..., :d] = flat[..., ::d + 1].real
-    off = flat[..., _triu(d)[0]]
-    out[..., d::2] = SQRT2 * off.real
-    out[..., d + 1::2] = SQRT2 * off.imag
+    flat = np.ascontiguousarray(X, dtype=complex).view(float)
+    out = flat.reshape(X.shape[:-2] + (2 * d * d,)).take(_vec_index(d)[0], axis=-1)
+    out[..., d:] *= SQRT2
     return out
 
 
 def smat(v: np.ndarray, d: int) -> np.ndarray:
     """Inverse of svec: (..., d^2) -> (..., d, d)."""
-    X = np.zeros(v.shape[:-1] + (d * d,), dtype=complex)
-    upper, lower = _triu(d)
     off = (v[..., d::2] + 1j * v[..., d + 1::2]) / SQRT2
-    X[..., upper] = off
-    X[..., lower] = off.conj()
-    X[..., ::d + 1] = v[..., :d]
+    X = np.concatenate((v[..., :d], off, off.conj()), axis=-1).take(_vec_index(d)[1], axis=-1)
     return X.reshape(v.shape[:-1] + (d, d))
 
 
@@ -151,6 +158,7 @@ class _StandardForm:
     b: np.ndarray                  # (m,) scaled rhs
     c: np.ndarray                  # (n,) scaled objective
     nn_idx: np.ndarray             # orthant coordinate indices
+    A_nn: np.ndarray               # A[:, nn_idx]
     psd_groups: list               # (d, (B, d^2) coordinate indices) per distinct block size d
     psd_terms: list                # per size group: factors F (B, d, t), weights s (B, t), rows (B, t)
     block_slices: list             # slice per user block into the coordinate vector
@@ -248,7 +256,7 @@ def _standard_form(problem: ConicProblem) -> _StandardForm:
             for k, (wt, i, f) in enumerate(terms[bidx]):
                 s[g, k], rows[g, k], F[g, :, k] = wt, i, f
         psd_terms.append((F, s, rows))
-    return _StandardForm(A, b, c, np.asarray(nn_idx, dtype=int), psd_groups, psd_terms,
+    return _StandardForm(A, b, c, nn_arr, A[:, nn_arr], psd_groups, psd_terms,
                          block_slices, row_scale, col_scale, obj_scale, nu)
 
 
@@ -301,13 +309,14 @@ class _Scaling:
     def __init__(self, sf: _StandardForm, x: np.ndarray, z: np.ndarray):
         self.sf = sf
         self.w_nn = np.sqrt(x[sf.nn_idx] / z[sf.nn_idx])
+        self.w2_nn = self.w_nn ** 2
         self.lam_nn = np.sqrt(x[sf.nn_idx] * z[sf.nn_idx])
-        self.psd = [(d, idx) + _nt_scaling(smat(x[idx], d), smat(z[idx], d))
-                    for d, idx in sf.psd_groups]
+        xz = np.stack((x, z))
+        self.psd = [(d, idx) + _nt_scaling(*smat(xz[:, idx], d)) for d, idx in sf.psd_groups]
 
     def apply_H(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
-        out[self.sf.nn_idx] = v[self.sf.nn_idx] * self.w_nn ** 2
+        out[self.sf.nn_idx] = v[self.sf.nn_idx] * self.w2_nn
         for d, idx, _G, _Gi, _lam, W in self.psd:
             out[idx] = svec(W @ smat(v[idx], d) @ W)
         return out
@@ -316,8 +325,7 @@ class _Scaling:
         """M = A H A^T from the orthant columns of A and the rank-one terms of
         each size group (see the module docstring)."""
         sf = self.sf
-        A_nn = sf.A[:, sf.nn_idx]
-        M = (A_nn * self.w_nn ** 2) @ A_nn.T
+        M = (sf.A_nn * self.w2_nn) @ sf.A_nn.T
         m = len(M)
         for (_d, _idx, _G, _Gi, _lam, W), (F, s, rows) in zip(self.psd, sf.psd_terms):
             P = _ct(F) @ W @ F
@@ -339,21 +347,15 @@ class _Scaling:
 
 def _max_step(sc: _Scaling, x, z, tau, kappa, dx, dz, dtau, dkappa, Dx_list, Dz_list):
     """Largest a with (x, z, tau, kappa) + a*step still in the cone closure."""
-    ratios = [np.inf]
-    for val, step in ((x[sc.sf.nn_idx], dx[sc.sf.nn_idx]), (z[sc.sf.nn_idx], dz[sc.sf.nn_idx])):
-        neg = step < 0
-        if np.any(neg):
-            ratios.append(np.min(-val[neg] / step[neg]))
-    for scalar, step in ((tau, dtau), (kappa, dkappa)):
-        if step < 0:
-            ratios.append(-scalar / step)
+    nn = sc.sf.nn_idx
+    val = np.concatenate((x[nn], z[nn], (tau, kappa)))
+    step = np.concatenate((dx[nn], dz[nn], (dtau, dkappa)))
+    neg = step < 0
+    ratios = [np.min(-val[neg] / step[neg], initial=np.inf)]
     for (_d, _idx, _G, _Gi, lam, _W), Dx, Dz in zip(sc.psd, Dx_list, Dz_list):
         denom = np.sqrt(lam[:, :, None] * lam[:, None, :])
-        for D in (Dx, Dz):
-            emin = np.linalg.eigvalsh(D / denom)[:, 0]
-            neg = emin < 0
-            if np.any(neg):
-                ratios.append(np.min(-1.0 / emin[neg]))
+        emin = np.linalg.eigvalsh(np.stack((Dx, Dz)) / denom)[..., 0]
+        ratios.append(np.min(-1.0 / emin[emin < 0], initial=np.inf))
     return min(ratios)
 
 
@@ -363,8 +365,9 @@ def _max_step(sc: _Scaling, x, z, tau, kappa, dx, dz, dtau, dkappa, Dx_list, Dz_
 
 class _NormalEquations:
     """Cholesky solve of M = A H A^T with up to two steps of iterative
-    refinement against the formed M.  A factorization that fails raises
-    LinAlgError, which ends the solve.
+    refinement against the formed M, through LAPACK's potrf/potrs directly.
+    A non-finite M or right-hand side raises ValueError and a factorization
+    that fails raises LinAlgError; either ends the solve.
 
     Refinement against M cannot correct the error of forming M itself, which
     dominates once cond(M) nears 1/eps; the end-game of the interior-point loop
@@ -372,15 +375,24 @@ class _NormalEquations:
 
     def __init__(self, M):
         self.M = M = 0.5 * (M + M.T)
-        self.fac = la.cho_factor(M, lower=True)
+        if not np.isfinite(M).all():
+            raise ValueError("non-finite normal equations")
+        self.L, info = dpotrf(M, lower=1, clean=0)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"M is not positive definite (potrf info {info})")
+
+    def _potrs(self, rhs):
+        if not np.isfinite(rhs).all():
+            raise ValueError("non-finite right-hand side")
+        return dpotrs(self.L, rhs, lower=1)[0]
 
     def solve(self, rhs):
-        u = la.cho_solve(self.fac, rhs)
+        u = self._potrs(rhs)
         for _ in range(2):
             r = rhs - self.M @ u
             if np.abs(r).max() <= 1e-14 * max(np.abs(rhs).max(), 1e-300):
                 break
-            u = u + la.cho_solve(self.fac, r)
+            u = u + self._potrs(r)
         return u
 
 
@@ -490,7 +502,7 @@ def _ip_hsd(sf: _StandardForm):
             neq = _NormalEquations(sc.schur())
             Hc = sc.apply_H(c)
             y1 = neq.solve(b + A @ Hc)
-        except (la.LinAlgError, ValueError):
+        except (np.linalg.LinAlgError, ValueError):
             status, message = failure("singular normal equations")
             break
         x1 = sc.apply_H(A.T @ y1) - Hc
@@ -550,7 +562,7 @@ def _ip_hsd(sf: _StandardForm):
                 dx, dy, dz, dtau, dkappa = newton(*rhs)
                 if endgame:
                     dx, dy, dz, dtau, dkappa = refined(*rhs, dy, dtau)
-            except (la.LinAlgError, ValueError):
+            except (np.linalg.LinAlgError, ValueError):
                 return None
             if not (np.isfinite(dx).all() and np.isfinite(dz).all()
                     and np.isfinite(dtau) and np.isfinite(dkappa)):

@@ -305,7 +305,7 @@ def scaled_channels(channels: ChannelSet, txs: list) -> tuple[list, np.ndarray]:
 
 def regularized_inverse(gram: np.ndarray, a, r) -> np.ndarray:
     """Y[t] = (diag(a) gram[t] + r[t] I)^{-1} for a (T, K, K) stack of Grams
-    gram[t] = G_t^H G_t, in one batched K x K solve.
+    gram[t] = G_t^H G_t, in one batched K x K inverse.
 
     By the push-through identity (G diag(a) G^H + r I)^{-1} G = G Y, column k
     of G_t Y[t] is the regularized direction of user k at transmitter t, and
@@ -316,7 +316,7 @@ def regularized_inverse(gram: np.ndarray, a, r) -> np.ndarray:
     a = np.broadcast_to(np.asarray(a, dtype=float), K)
     r = np.broadcast_to(np.asarray(r, dtype=float), gram.shape[:1])
     system = a[:, None] * gram + r[:, None, None] * np.eye(K)
-    return np.linalg.solve(system, np.broadcast_to(np.eye(K), system.shape))
+    return np.linalg.inv(system)
 
 
 def _uplink_grams(problem: CoordinationProblem, mu: list) -> tuple[list, np.ndarray]:

@@ -38,6 +38,129 @@ def test_svec_isometry_and_roundtrip(seed, d, B):
     assert np.abs(cs.smat(V, d) - S).max() < 1e-12
 
 
+def _svec_by_parts(X):
+    """svec as three writes: the real diagonal, then sqrt(2) Re and sqrt(2) Im
+    of the strict upper triangle."""
+    d = X.shape[-1]
+    iu, ju = np.triu_indices(d, 1)
+    flat = X.reshape(X.shape[:-2] + (d * d,))
+    out = np.empty(flat.shape)
+    out[..., :d] = flat[..., ::d + 1].real
+    off = flat[..., iu * d + ju]
+    out[..., d::2] = cs.SQRT2 * off.real
+    out[..., d + 1::2] = cs.SQRT2 * off.imag
+    return out
+
+
+def _smat_by_parts(v, d):
+    """smat as three writes into a zero matrix: upper, mirrored lower, diagonal."""
+    iu, ju = np.triu_indices(d, 1)
+    X = np.zeros(v.shape[:-1] + (d * d,), dtype=complex)
+    off = (v[..., d::2] + 1j * v[..., d + 1::2]) / cs.SQRT2
+    X[..., iu * d + ju] = off
+    X[..., ju * d + iu] = off.conj()
+    X[..., ::d + 1] = v[..., :d]
+    return X.reshape(v.shape[:-1] + (d, d))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_vectorization_gathers_are_bitwise_the_elementwise_formulas(d):
+    rng = np.random.default_rng(100 + d)
+    for shape in [(), (3,), (2, 4)]:
+        X = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+        X = X + np.swapaxes(X.conj(), -1, -2)
+        assert np.array_equal(cs.svec(X), _svec_by_parts(X))
+        # Entries over sixteen orders of magnitude.
+        v = rng.normal(size=shape + (d * d,)) * 10.0 ** rng.uniform(-8, 8, size=shape + (d * d,))
+        assert np.array_equal(cs.smat(v, d), _smat_by_parts(v, d))
+        assert cs.svec(X).flags.c_contiguous and cs.smat(v, d).flags.c_contiguous
+    # Real input, as at the interior-point start.
+    assert np.array_equal(cs.svec(np.eye(d)), _svec_by_parts(np.eye(d)))
+
+
+# ---------------------------------------------------------------------------
+# Interior-point kernels
+# ---------------------------------------------------------------------------
+
+def test_normal_equations_fail_and_solve_as_the_cholesky_wrappers():
+    rng = np.random.default_rng(71)
+    # cond(M) near 1e13, so the refinement steps run.
+    Q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+    M = (Q * np.logspace(0, 13, 9)) @ Q.T
+    rhs = rng.normal(size=9)
+    neq = cs._NormalEquations(M)
+    sym = 0.5 * (M + M.T)
+    fac = sla.cho_factor(sym, lower=True)
+    u = sla.cho_solve(fac, rhs)
+    for _ in range(2):
+        r = rhs - sym @ u
+        if np.abs(r).max() <= 1e-14 * max(np.abs(rhs).max(), 1e-300):
+            break
+        u = u + sla.cho_solve(fac, r)
+    assert np.array_equal(neq.solve(rhs), u)
+
+    with pytest.raises(np.linalg.LinAlgError):
+        cs._NormalEquations(np.diag([1.0, -1.0, 2.0]))
+    bad = M.copy()
+    bad[0, 3] = bad[3, 0] = np.nan         # an off-diagonal NaN leaves potrf's info at 0
+    with pytest.raises(ValueError):
+        cs._NormalEquations(bad)
+    rhs[4] = np.nan
+    with pytest.raises(ValueError):
+        neq.solve(rhs)
+
+
+def test_step_length_is_the_minimum_over_both_sides():
+    # Orthant coordinates and 2x2 and 3x3 blocks at a random interior pair:
+    # the step taken on both sides at once equals the ratio test run side by
+    # side, for random directions and for directions where only one part (x
+    # or z on the orthant, tau, kappa, X or Z on the PSD blocks) bounds it.
+    rng = np.random.default_rng(73)
+    prob = ConicProblem([Block(NONNEG, 3), Block(PSD, 2), Block(PSD, 3), Block(PSD, 2)])
+    prob.add_constraint({0: np.array([1.0, 2.0, 0.5]), 1: _rand_psd(rng, 2)}, ">=", 1.0)
+    prob.add_constraint({2: _rand_psd(rng, 3), 3: _rand_psd(rng, 2, 0.5)}, "<=", 4.0)
+    sf = cs._standard_form(prob)
+    n, nn = sf.A.shape[1], sf.nn_idx
+    psd = np.concatenate([idx.ravel() for _, idx in sf.psd_groups])
+    x, z = np.zeros(n), np.zeros(n)
+    for v in (x, z):
+        v[nn] = rng.uniform(0.5, 2.0, len(nn))
+        for d, idx in sf.psd_groups:
+            v[idx] = cs.svec(np.stack([_rand_psd(rng, d, 0.1) for _ in idx]))
+    sc = cs._Scaling(sf, x, z)
+    tau, kappa = 1.3, 0.7
+
+    def side_by_side(dx, dz, dtau, dkappa, Dx, Dz):
+        ratios = [np.inf]
+        for val, step in ((x[nn], dx[nn]), (z[nn], dz[nn]),
+                          (np.array([tau, kappa]), np.array([dtau, dkappa]))):
+            if np.any(step < 0):
+                ratios.append(np.min(-val[step < 0] / step[step < 0]))
+        for (_d, _idx, _G, _Gi, lam, _W), Dx_b, Dz_b in zip(sc.psd, Dx, Dz):
+            denom = np.sqrt(lam[:, :, None] * lam[:, None, :])
+            for D in (Dx_b, Dz_b):
+                emin = np.linalg.eigvalsh(D / denom)[:, 0]
+                if np.any(emin < 0):
+                    ratios.append(np.min(-1.0 / emin[emin < 0]))
+        return min(ratios)
+
+    for bound in ("all", "x", "z", "tau", "kappa", "X", "Z"):
+        dx, dz = 3.0 * rng.normal(size=n), 3.0 * rng.normal(size=n)
+        dtau, dkappa = -0.4, -0.9
+        if bound != "all":
+            dx[nn] = np.abs(dx[nn]) * (-1.0 if bound == "x" else 1.0)
+            dz[nn] = np.abs(dz[nn]) * (-1.0 if bound == "z" else 1.0)
+            dtau, dkappa = (-0.4 if bound == "tau" else 0.4), (-0.9 if bound == "kappa" else 0.9)
+            if bound != "X":
+                dx[psd] = 0.0
+            if bound != "Z":
+                dz[psd] = 0.0
+        Dx, Dz = sc.scaled_steps(dx, "x"), sc.scaled_steps(dz, "z")
+        step = cs._max_step(sc, x, z, tau, kappa, dx, dz, dtau, dkappa, Dx, Dz)
+        assert np.isfinite(step)
+        assert step == side_by_side(dx, dz, dtau, dkappa, Dx, Dz)
+
+
 # ---------------------------------------------------------------------------
 # Analytic instances
 # ---------------------------------------------------------------------------

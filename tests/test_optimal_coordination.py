@@ -762,6 +762,9 @@ def test_push_through_kernel_matches_the_antenna_domain_solve(weights):
     gram = np.array([G_t.conj().T @ G_t for G_t in G]).reshape(len(G), K, K)
     Y = regularized_inverse(gram, a, r)
     assert Y.shape == (len(G), K, K)
+    # The inverse is the solve against the identity, bit for bit.
+    system = a[:, None] * gram + r[:, None, None] * np.eye(K)
+    assert np.array_equal(Y, np.linalg.solve(system, np.broadcast_to(np.eye(K), system.shape)))
     for G_t, Y_t, r_t in zip(G, Y, r):
         ref = np.linalg.solve((G_t * a) @ G_t.conj().T + r_t * np.eye(G_t.shape[0]), G_t)
         assert np.linalg.norm(G_t @ Y_t - ref) <= 1e-10 * np.linalg.norm(ref)
