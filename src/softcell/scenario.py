@@ -20,7 +20,7 @@ import json
 from dataclasses import MISSING, dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import zpstrf
+from scipy.linalg.lapack import dpstrf
 
 from .exceptions import InvalidInputError
 from .power import DEFAULT_SUBCARRIERS, HardwareProfile
@@ -212,25 +212,34 @@ def draw_channels(config: ScenarioConfig, gains: np.ndarray, R_bs: np.ndarray,
     gains and BS covariances of build_correlation.
 
     fading_rng(k, j) must return the generator for link (k, j).  A small
-    cell's root is sqrt(gain) I.  The BS covariance is numerically low-rank:
-    its pivoted Cholesky factor R = P L L^H P^T (LAPACK ?pstrf at its default
-    rank cutoff, n * ulp * max diag; the input stays above L's diagonal) has r
-    columns, and with the thin SVD L = U S V^H the root is P U S U^H P^T.
+    cell's root is sqrt(gain) I.  The BS covariance R is Hermitian Toeplitz,
+    hence centro-Hermitian (J conj(R) J = R, J the exchange matrix), so the
+    unitary U = (I + iJ)/sqrt(2) takes it to T = U^H R U = Re R - (Im R) J,
+    real and exactly symmetric, and R^{1/2} = U T^{1/2} U^H.  T is
+    numerically low-rank: its pivoted Cholesky factor T = P L L^T P^T (LAPACK
+    dpstrf at its default rank cutoff, n * ulp * max diag; the input stays
+    above L's diagonal) has r columns, and with the real thin SVD
+    L = V S W^T the root of T is P V S V^T P^T.  U^H z = (z - i Jz)/sqrt(2)
+    and U y = (y + i Jy)/sqrt(2) are flips, so no complex n x n product is
+    formed.
     Each stack H[j] is the transpose of a C-order (K, n) array, so every
     column h_{k,j} is contiguous.
     """
     K = len(gains)
     H = []
     lower = np.tri(config.n_bs)
+    T = R_bs.real - R_bs.imag[..., ::-1]
     for j in range(config.num_sca + 1):
         rows = np.zeros((K, config.antennas(j)), dtype=complex)
         for k in range(K):
             zr = fading_rng(k, j).normal(size=(2, rows.shape[1]))
             z = (zr[0] + 1j * zr[1]) / np.sqrt(2.0)
             if j == 0:
-                c, piv, rank, _ = zpstrf(R_bs[k], lower=1)
-                U, s, _ = np.linalg.svd(c[:, :rank] * lower[:, :rank], full_matrices=False)
-                rows[k, piv - 1] = U @ (s * (z[piv - 1] @ U.conj()))
+                c, piv, rank, _ = dpstrf(T[k], lower=1)
+                V, s, _ = np.linalg.svd(c[:, :rank] * lower[:, :rank], full_matrices=False)
+                y = np.empty_like(z)
+                y[piv - 1] = V @ (s * ((z - 1j * z[::-1])[piv - 1] @ V))
+                rows[k] = (y + 1j * y[::-1]) / 2.0
             elif rows.shape[1]:
                 rows[k] = np.sqrt(gains[k, j]) * z
         H.append(rows.T)

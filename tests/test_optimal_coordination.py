@@ -922,8 +922,8 @@ def test_a_reduced_precision_seeded_answer_certifies_near_a_tight_reference(monk
     # Criterion 7's N_BS=8 sweep without small cells, trial 46: the seeded
     # program (the QoS rows and one cap) stops at reduced precision, and its
     # repaired beams meet every cap and its optimum within CERT_GAP, so they
-    # answer, 2.1e-10 relative above the optimum of the full program solved
-    # to targets 1e-13/1e-12.
+    # answer, within 1.6e-9 relative of the optimum of the full program
+    # solved to targets 1e-13/1e-12.
     cfg = with_axis_value(replace(desk_config(seed=101), n_bs=8), "n_sca", 0)
     prob = CoordinationProblem(realize_scenario(cfg, trial=46), cfg.hardware, cfg.qos_targets)
     built, messages = _recording_builds(monkeypatch), []
@@ -1078,7 +1078,13 @@ def test_stalling_relaxations_certify_within_an_iteration_budget(seed, gamma, tr
     assert sol.iterations <= 50
 
 
-@pytest.mark.parametrize("seed,gamma,trial", STALLING_POOL_INSTANCES)
+# Pool instances of the same shape whose full relaxations end through the
+# stall exit (24 iterations each).  Which instances reach it depends on the
+# channel's last bits, so a change to the draw may have to re-pin them.
+STALL_EXIT_INSTANCES = [(7088, 2.0, 1), (7089, 3.0, 2)]
+
+
+@pytest.mark.parametrize("seed,gamma,trial", STALL_EXIT_INSTANCES)
 def test_stall_exit_returns_a_certified_iterate(seed, gamma, trial):
     sol = cs.solve(_pool_relaxation(seed, gamma, trial))
     # These solves end through the stall exit, short of the target tolerances.
@@ -1101,8 +1107,8 @@ def test_stall_without_a_certified_iterate_is_a_numerical_failure(monkeypatch):
 
 
 def test_antenna_sweep_trial_with_a_higher_rank_block_certifies():
-    # Criterion 7's sweep at N_BS=24 with one SCA, trial 13.  The relaxation
-    # exits at reduced precision after 31 iterations, and its block (5, 0)
+    # Criterion 7's sweep at N_BS=24 with one SCA, trial 13.  The seeded
+    # program (19 iterations) gives way to the full one (33), and its block (5, 0)
     # (24x24) is not numerically rank-one.  A program that maximizes that
     # block's own gain under its caps and interference ends at the
     # interior-point iteration limit; the closed-form repair solves nothing,

@@ -208,8 +208,9 @@ def test_bs_covariance_is_the_steering_average_with_exact_trace(n):
     (small_config(n_bs=1), range(5)),
 ])
 def test_bs_draw_is_the_eigendecomposition_root(cfg, trials):
-    # The pivoted-Cholesky root applied to the link's own z lies within 5.4e-8
-    # of the eigh root; on paper trials 0-2 the eigh root itself moves by up
+    # The real pivoted-Cholesky root of U^H R U, applied to the link's own z,
+    # lies within 5.4e-8 of the eigh root on paper trials 0-2 and within
+    # 3.3e-8 at n = 16; on paper trials 0-2 the eigh root itself moves by up
     # to 5.7e-8 under a 1-ulp Hermitian change of R.
     for R, z, h in _bs_links(cfg, trials):
         w, V = np.linalg.eigh(R)
@@ -217,7 +218,24 @@ def test_bs_draw_is_the_eigendecomposition_root(cfg, trials):
         assert np.linalg.norm(h - reference) <= 1e-6 * np.linalg.norm(reference)
 
 
-@pytest.mark.parametrize("n_bs", [1, 3, 16, 100])
+@pytest.mark.parametrize("n", [1, 2, 3, 25, 100])
+def test_the_toeplitz_covariance_is_real_symmetric_in_the_exchange_basis(n):
+    # R is Hermitian Toeplitz, so J conj(R) J = R, and U = (I + iJ)/sqrt(2)
+    # takes it to T = Re R - (Im R) J: exactly symmetric, and U^H R U to
+    # roundoff.  Odd n has a fixed middle row under J.
+    cfg = small_config(n_bs=n)
+    rng = np.random.default_rng(n)
+    pos = rng.uniform(-0.35, 0.35, size=(cfg.num_users, 2))
+    _, R = build_correlation(cfg, pos, rng.normal(0.0, 7.0, size=(cfg.num_users, 3)))
+    T = R.real - R.imag[..., ::-1]
+    U = (np.eye(n) + 1j * np.eye(n)[::-1]) / np.sqrt(2.0)
+    for Rk, Tk in zip(R, T):
+        assert np.array_equal(Rk[::-1, ::-1].conj(), Rk)
+        assert np.array_equal(Tk, Tk.T)
+        assert np.linalg.norm(U.conj().T @ Rk @ U - Tk) <= 1e-15 * np.linalg.norm(Rk)
+
+
+@pytest.mark.parametrize("n_bs", [1, 2, 3, 16, 25, 100])
 def test_bs_root_is_hermitian_and_squares_to_the_covariance(n_bs):
     # With z = e_k for user k, column k of the drawn stack is column k of the
     # root applied to every user's copy of one covariance.
