@@ -334,27 +334,27 @@ class _Scaling:
             M += np.bincount(pairs.ravel(), P.ravel(), m * m).reshape(m, m)
         return M
 
-    def scaled_steps(self, dv: np.ndarray, side: str) -> list:
-        """Per size group, the stack of scaled directions G^{-1} dX G^{-H}
-        (primal) or G^H dZ G (dual)."""
-        mats = []
+    def scaled_steps(self, dx: np.ndarray, dz: np.ndarray) -> list:
+        """Per size group, the (2, B, d, d) stack of the scaled primal and
+        dual steps G^{-1} dX G^{-H} and G^H dZ G."""
+        steps = []
         for d, idx, G, Gi, _lam, _W in self.psd:
-            D = smat(dv[idx], d)
-            M = Gi @ D @ _ct(Gi) if side == "x" else _ct(G) @ D @ G
-            mats.append(0.5 * (M + _ct(M)))
-        return mats
+            D = smat(np.stack((dx[idx], dz[idx])), d)
+            M = np.stack((Gi @ D[0] @ _ct(Gi), _ct(G) @ D[1] @ G))
+            steps.append(0.5 * (M + _ct(M)))
+        return steps
 
 
-def _max_step(sc: _Scaling, x, z, tau, kappa, dx, dz, dtau, dkappa, Dx_list, Dz_list):
+def _max_step(sc: _Scaling, x, z, tau, kappa, dx, dz, dtau, dkappa, steps):
     """Largest a with (x, z, tau, kappa) + a*step still in the cone closure."""
     nn = sc.sf.nn_idx
     val = np.concatenate((x[nn], z[nn], (tau, kappa)))
     step = np.concatenate((dx[nn], dz[nn], (dtau, dkappa)))
     neg = step < 0
     ratios = [np.min(-val[neg] / step[neg], initial=np.inf)]
-    for (_d, _idx, _G, _Gi, lam, _W), Dx, Dz in zip(sc.psd, Dx_list, Dz_list):
+    for (_d, _idx, _G, _Gi, lam, _W), D in zip(sc.psd, steps):
         denom = np.sqrt(lam[:, :, None] * lam[:, None, :])
-        emin = np.linalg.eigvalsh(np.stack((Dx, Dz)) / denom)[..., 0]
+        emin = np.linalg.eigvalsh(D / denom)[..., 0]
         ratios.append(np.min(-1.0 / emin[emin < 0], initial=np.inf))
     return min(ratios)
 
@@ -437,7 +437,8 @@ def _ip_hsd(sf: _StandardForm):
         rp = A @ x - b * tau
         den_p = Aabs @ np.abs(x) + babs * tau
         pres = _relres(rp, den_p)
-        rd = A.T @ y + z - c * tau
+        ATy_z = A.T @ y + z
+        rd = ATy_z - c * tau
         den_d = Aabs.T @ np.abs(y) + np.abs(z) + cabs * tau
         dres = _relres(rd, den_d)
         pobj = (c @ x) / tau
@@ -462,7 +463,7 @@ def _ip_hsd(sf: _StandardForm):
         bty = b @ y
 
         def ray_certificate(quality):
-            if bty > 0 and np.abs(A.T @ y + z).max() <= quality * bty:
+            if bty > 0 and np.abs(ATy_z).max() <= quality * bty:
                 return INFEASIBLE, "dual improving ray found"
             return None
 
@@ -556,55 +557,52 @@ def _ip_hsd(sf: _StandardForm):
             return step
 
         def direction(sigma, v, t_rhs):
+            """The step for centring weight sigma, its scaled steps and its
+            largest step to the cone boundary; None if it is not finite."""
             eta = 1.0 - sigma
             rhs = (eta * r_P, eta * r_D, eta * r_G, v, t_rhs)
             try:
-                dx, dy, dz, dtau, dkappa = newton(*rhs)
+                step = newton(*rhs)
                 if endgame:
-                    dx, dy, dz, dtau, dkappa = refined(*rhs, dy, dtau)
+                    step = refined(*rhs, step[1], step[3])
             except (np.linalg.LinAlgError, ValueError):
                 return None
+            dx, _dy, dz, dtau, dkappa = step
             if not (np.isfinite(dx).all() and np.isfinite(dz).all()
                     and np.isfinite(dtau) and np.isfinite(dkappa)):
                 return None
-            return dx, dy, dz, dtau, dkappa
+            steps = sc.scaled_steps(dx, dz)
+            return step, steps, _max_step(sc, x, z, tau, kappa, dx, dz, dtau, dkappa, steps)
 
         # Predictor (affine scaling).
         pred = direction(0.0, -x, -tau * kappa)
         if pred is None:
             status, message = failure("non-finite search direction")
             break
-        dxa, dya, dza, dtaua, dkappaa = pred
-        Dxa = sc.scaled_steps(dxa, "x")
-        Dza = sc.scaled_steps(dza, "z")
-        a_aff = min(1.0, _max_step(sc, x, z, tau, kappa, dxa, dza, dtaua, dkappaa, Dxa, Dza))
+        (dxa, _dya, dza, dtaua, dkappaa), Da, a_max = pred
+        a_aff = min(1.0, a_max)
         mu_aff = ((x + a_aff * dxa) @ (z + a_aff * dza)
                   + (tau + a_aff * dtaua) * (kappa + a_aff * dkappaa)) / (sf.nu + 1)
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
-        # Corrector right-hand side in the scaled space.
+        # Corrector right-hand side in the scaled space.  A non-finite v
+        # reaches the normal equations, whose solve refuses it.
         v = np.zeros(n)
         nn = sf.nn_idx
         v[nn] = (sc.w_nn / sc.lam_nn) * (sigma * mu - dxa[nn] * dza[nn]) - x[nn]
-        for (d, idx, G, _Gi, lam, _W), Dx_b, Dz_b in zip(sc.psd, Dxa, Dza):
+        for (d, idx, G, _Gi, lam, _W), (Dx_b, Dz_b) in zip(sc.psd, Da):
             # Per block, in this order: (sigma mu I - diag(lam^2)) - corr.
             corr = 0.5 * (Dx_b @ Dz_b + Dz_b @ Dx_b)
             R = sigma * mu * np.eye(d) - lam[:, :, None] ** 2 * np.eye(d) - corr
             R *= 2.0 / (lam[:, :, None] + lam[:, None, :])
             v[idx] = svec(G @ R @ _ct(G))
-        t_rhs = sigma * mu - tau * kappa - dtaua * dkappaa
-        if not (np.isfinite(v).all() and np.isfinite(t_rhs)):
-            status, message = failure("non-finite search direction")
-            break
 
-        full = direction(sigma, v, t_rhs)
+        full = direction(sigma, v, sigma * mu - tau * kappa - dtaua * dkappaa)
         if full is None:
             status, message = failure("non-finite search direction")
             break
-        dx, dy, dz, dtau, dkappa = full
-        Dx = sc.scaled_steps(dx, "x")
-        Dz = sc.scaled_steps(dz, "z")
-        alpha = min(1.0, STEP_FRACTION * _max_step(sc, x, z, tau, kappa, dx, dz, dtau, dkappa, Dx, Dz))
+        (dx, dy, dz, dtau, dkappa), _D, a_max = full
+        alpha = min(1.0, STEP_FRACTION * a_max)
         if not np.isfinite(alpha) or alpha <= 1e-13:
             status, message = NUMERICAL_FAILURE, "step length collapsed"
             break

@@ -129,14 +129,22 @@ def test_step_length_is_the_minimum_over_both_sides():
             v[idx] = cs.svec(np.stack([_rand_psd(rng, d, 0.1) for _ in idx]))
     sc = cs._Scaling(sf, x, z)
     tau, kappa = 1.3, 0.7
+    # The NT point maps X and Z to the same diagonal: G^{-1} X G^{-H} =
+    # G^H Z G = diag(lam), so the scaled steps of (x, z) are that diagonal,
+    # the primal one first.
+    for (_d, _idx, _G, _Gi, lam, _W), D in zip(sc.psd, sc.scaled_steps(x, 2.0 * z)):
+        assert D.shape == (2,) + lam.shape + lam.shape[-1:]
+        diag = lam[:, :, None] * np.eye(lam.shape[-1])
+        assert np.abs(D[0] - diag).max() < 1e-12 * lam.max()
+        assert np.abs(D[1] - 2.0 * diag).max() < 1e-12 * lam.max()
 
-    def side_by_side(dx, dz, dtau, dkappa, Dx, Dz):
+    def side_by_side(dx, dz, dtau, dkappa, steps):
         ratios = [np.inf]
         for val, step in ((x[nn], dx[nn]), (z[nn], dz[nn]),
                           (np.array([tau, kappa]), np.array([dtau, dkappa]))):
             if np.any(step < 0):
                 ratios.append(np.min(-val[step < 0] / step[step < 0]))
-        for (_d, _idx, _G, _Gi, lam, _W), Dx_b, Dz_b in zip(sc.psd, Dx, Dz):
+        for (_d, _idx, _G, _Gi, lam, _W), (Dx_b, Dz_b) in zip(sc.psd, steps):
             denom = np.sqrt(lam[:, :, None] * lam[:, None, :])
             for D in (Dx_b, Dz_b):
                 emin = np.linalg.eigvalsh(D / denom)[:, 0]
@@ -155,10 +163,10 @@ def test_step_length_is_the_minimum_over_both_sides():
                 dx[psd] = 0.0
             if bound != "Z":
                 dz[psd] = 0.0
-        Dx, Dz = sc.scaled_steps(dx, "x"), sc.scaled_steps(dz, "z")
-        step = cs._max_step(sc, x, z, tau, kappa, dx, dz, dtau, dkappa, Dx, Dz)
+        steps = sc.scaled_steps(dx, dz)
+        step = cs._max_step(sc, x, z, tau, kappa, dx, dz, dtau, dkappa, steps)
         assert np.isfinite(step)
-        assert step == side_by_side(dx, dz, dtau, dkappa, Dx, Dz)
+        assert step == side_by_side(dx, dz, dtau, dkappa, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +421,67 @@ def test_iteration_cap_reports_failure_with_residuals(monkeypatch):
     assert sol.status == cs.NUMERICAL_FAILURE
     assert "iteration limit" in sol.message
     assert np.isfinite(sol.residual_primal) and sol.residual_primal > 0
+
+
+def _small_mixed_program():
+    rng = np.random.default_rng(41)
+    prob = ConicProblem([Block(NONNEG, 2), Block(PSD, 2), Block(PSD, 3)])
+    prob.add_constraint({0: np.array([1.0, 0.5]), 1: _rand_psd(rng, 2)}, ">=", 1.0)
+    prob.add_constraint({2: _rand_psd(rng, 3, 0.1)}, ">=", 2.0)
+    prob.add_constraint({1: np.eye(2, dtype=complex), 2: np.eye(3, dtype=complex)}, "<=", 50.0)
+    prob.set_objective({0: np.ones(2), 1: np.eye(2, dtype=complex), 2: _rand_psd(rng, 3, 0.5)})
+    return prob
+
+
+# Normal-equation solves of the first iteration, in order: the tau column's
+# y1, the predictor's y0, the corrector's y0.  "factor" fails the Cholesky
+# factorization itself.
+@pytest.mark.parametrize("fail_at,outcome,message", [
+    ("factor", "raise", "singular normal equations"),
+    (0, "raise", "singular normal equations"),
+    (0, "nan", "degenerate tau step"),
+    (1, "raise", "non-finite search direction"),
+    (1, "nan", "non-finite search direction"),
+    (2, "raise", "non-finite search direction"),
+    (2, "nan", "non-finite search direction"),
+])
+def test_failed_normal_equations_end_the_solve_with_the_start_residuals(
+        monkeypatch, fail_at, outcome, message):
+    prob = _small_mixed_program()
+    with monkeypatch.context() as m:
+        m.setattr(cs, "MAX_ITERS", 0)
+        start = cs.solve(prob)          # the start point's residuals
+    assert start.message == "iteration limit reached"
+
+    calls = []
+
+    class Failing(cs._NormalEquations):
+        def __init__(self, M):
+            if fail_at == "factor":
+                raise np.linalg.LinAlgError("factorization refused")
+            super().__init__(M)
+
+        def solve(self, rhs):
+            calls.append(len(calls))
+            if calls[-1] == fail_at:
+                if outcome == "raise":
+                    raise ValueError("non-finite right-hand side")
+                return np.full_like(rhs, np.nan)
+            return super().solve(rhs)
+
+    monkeypatch.setattr(cs, "_NormalEquations", Failing)
+    sol = cs.solve(prob)
+    assert sol.status == cs.NUMERICAL_FAILURE
+    assert sol.message == message
+    assert len(calls) == (0 if fail_at == "factor" else fail_at + 1)
+    assert sol.iterations == 0
+    assert sol.block_values is None and sol.duals is None
+    residuals = (sol.residual_primal, sol.residual_dual, sol.residual_gap)
+    assert residuals == (start.residual_primal, start.residual_dual, start.residual_gap)
+    assert all(np.isfinite(r) and r > 0 for r in residuals)
+    # Unpatched, the same program solves.
+    monkeypatch.undo()
+    assert cs.solve(prob).status == cs.OPTIMAL
 
 
 def test_a_problem_without_constraints_is_refused():
