@@ -29,13 +29,15 @@ does not meet the bounds is never returned as optimal.
 Blocks stacked by size.  The PSD blocks of one size d are one (B, d, d) stack
 (_StandardForm.psd_groups holds their (B, d^2) coordinate indices), so NT
 scaling, the H operator, the scaled steps, the step length and the corrector
-make one batched LAPACK or matmul call per distinct size; x and z share one
-smat per size, and the primal and dual steps one eigvalsh.  Each block keeps
-its coordinates and its own arithmetic in the order of a per-block call, so
-the iterates are bitwise those of a per-block loop.  X and Z are factored by
-one Cholesky call each, and only the blocks whose factor fails take the
-clamped eigh.  svec and smat are one gather each, and the normal equations
-go to LAPACK's potrf/potrs directly, without scipy's per-call wrappers.
+make one batched LAPACK or matmul call per distinct size, in each block's own
+order of arithmetic, so the iterates are bitwise those of a per-block loop.
+x and z share one smat per size, as do a direction's two steps, whose scaled
+steps are one (2, B, d, d) stack read by one eigvalsh and by the corrector.
+Outside the end-game an iteration applies H five times (to c, to A'y1, once
+to r_D for both directions, once per Newton solve) and scales each direction
+once.  X and Z are factored by one Cholesky call each; only blocks whose
+factor fails take the clamped eigh.  svec and smat are one gather each, and
+the normal equations go to LAPACK's potrf/potrs without scipy's wrappers.
 
 Schur complement from rank-one terms.  Each stored PSD coefficient is
 factored once by eigh, keeping the eigenpairs above numpy's matrix_rank cutoff
@@ -401,13 +403,10 @@ def _ip_hsd(sf: _StandardForm):
     m, n = A.shape
 
     x = np.zeros(n)
-    z = np.zeros(n)
     x[sf.nn_idx] = 1.0
-    z[sf.nn_idx] = 1.0
     for d, idx in sf.psd_groups:
-        ident = svec(np.eye(d))
-        x[idx] = ident
-        z[idx] = ident
+        x[idx] = svec(np.eye(d))
+    z = x.copy()
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
@@ -511,14 +510,14 @@ def _ip_hsd(sf: _StandardForm):
         if abs(denom_tau) < 1e-300 or not np.isfinite(denom_tau):
             status, message = NUMERICAL_FAILURE, "degenerate tau step"
             break
+        HrD = sc.apply_H(r_D)
 
-        def newton(p, d, g, v, t):
+        def newton(p, d, g, u, t):
             """Solve the linearized embedding through the factored M:
             A dx - b dtau = p,  A'dy + dz - c dtau = d,  b'dy - c'dx - dkappa = g,
-            dx + H dz = v,  kappa dtau + tau dkappa = t."""
-            Hd = sc.apply_H(d)
-            y0 = neq.solve(p - A @ (v - Hd))
-            x0 = sc.apply_H(A.T @ y0) + v - Hd
+            dx + H dz = v,  kappa dtau + tau dkappa = t,  given u = v - H d."""
+            y0 = neq.solve(p - A @ u)
+            x0 = sc.apply_H(A.T @ y0) + u
             dtau = (g + c @ x0 - b @ y0 + t / tau) / denom_tau
             dx = x0 + dtau * x1
             dy = y0 + dtau * y1
@@ -560,11 +559,11 @@ def _ip_hsd(sf: _StandardForm):
             """The step for centring weight sigma, its scaled steps and its
             largest step to the cone boundary; None if it is not finite."""
             eta = 1.0 - sigma
-            rhs = (eta * r_P, eta * r_D, eta * r_G, v, t_rhs)
+            p, d, g = eta * r_P, eta * r_D, eta * r_G
             try:
-                step = newton(*rhs)
+                step = newton(p, d, g, v - eta * HrD, t_rhs)
                 if endgame:
-                    step = refined(*rhs, step[1], step[3])
+                    step = refined(p, d, g, v, t_rhs, step[1], step[3])
             except (np.linalg.LinAlgError, ValueError):
                 return None
             dx, _dy, dz, dtau, dkappa = step

@@ -922,7 +922,7 @@ def test_a_reduced_precision_seeded_answer_certifies_near_a_tight_reference(monk
     # Criterion 7's N_BS=8 sweep without small cells, trial 46: the seeded
     # program (the QoS rows and one cap) stops at reduced precision, and its
     # repaired beams meet every cap and its optimum within CERT_GAP, so they
-    # answer, within 1.6e-9 relative of the optimum of the full program
+    # answer, within 1.4e-8 relative of the optimum of the full program
     # solved to targets 1e-13/1e-12.
     cfg = with_axis_value(replace(desk_config(seed=101), n_bs=8), "n_sca", 0)
     prob = CoordinationProblem(realize_scenario(cfg, trial=46), cfg.hardware, cfg.qos_targets)
@@ -1120,6 +1120,40 @@ def test_antenna_sweep_trial_with_a_higher_rank_block_certifies():
     sol, cert = solve_optimal(prob)
     assert abs(sol.objective_dynamic - sol.objective_relaxation) <= 1e-6 * sol.objective_relaxation
     assert verify_duality(sol, cert, prob).ok()
+
+
+def test_each_iteration_applies_h_five_times_and_scales_each_direction_once(monkeypatch):
+    # Outside the end-game an iteration applies H to c, to A'y1, to r_D and
+    # once in each direction's Newton solve, and forms each direction's
+    # scaled steps in one call.  This full desk relaxation (QoS 2, trial 0,
+    # 17 iterations) never takes a step shorter than _ENDGAME_STEP; the
+    # end-game is switched off all the same, so the count cannot depend on
+    # where a chaotic solve first takes a short step.
+    cfg = with_axis_value(desk_config(seed=202), "qos", 2.0)
+    prob = CoordinationProblem(realize_scenario(cfg, trial=0), cfg.hardware, cfg.qos_targets)
+    conic = full_relaxation(prob).conic
+    scalings = []
+
+    class Counted(cs._Scaling):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.calls = {"apply_H": 0, "scaled_steps": 0}
+            scalings.append(self)
+
+        def apply_H(self, *args):
+            self.calls["apply_H"] += 1
+            return super().apply_H(*args)
+
+        def scaled_steps(self, *args):
+            self.calls["scaled_steps"] += 1
+            return super().scaled_steps(*args)
+
+    monkeypatch.setattr(cs, "_Scaling", Counted)
+    monkeypatch.setattr(cs, "_ENDGAME_STEP", 0.0)
+    sol = cs.solve(conic)
+    assert sol.status == cs.OPTIMAL and sol.message == ""
+    assert len(scalings) == sol.iterations > 10
+    assert all(s.calls == {"apply_H": 5, "scaled_steps": 2} for s in scalings)
 
 
 # ---------------------------------------------------------------------------
