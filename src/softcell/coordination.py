@@ -59,6 +59,7 @@ repaired rank-one objective matches the relaxed optimum to solver accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as la
@@ -311,12 +312,20 @@ def regularized_inverse(gram: np.ndarray, a, r) -> np.ndarray:
     of G_t Y[t] is the regularized direction of user k at transmitter t, and
     (gram[t] Y[t])[k, k] is its quadratic form g_k^H (G diag(a) G^H + r I)^{-1} g_k,
     whatever the antenna count n_t.  Both solvers take their directions from it.
+    a is a scalar or one weight per user, r a scalar or one per transmitter;
+    the system is formed by broadcasting against an identity shared per K.
     """
-    K = gram.shape[-1]
-    a = np.broadcast_to(np.asarray(a, dtype=float), K)
-    r = np.broadcast_to(np.asarray(r, dtype=float), gram.shape[:1])
-    system = a[:, None] * gram + r[:, None, None] * np.eye(K)
-    return np.linalg.inv(system)
+    a = np.asarray(a, dtype=float).reshape(-1, 1)
+    r = np.asarray(r, dtype=float).reshape(-1, 1, 1)
+    return np.linalg.inv(a * gram + r * _identity(gram.shape[-1]))
+
+
+@lru_cache(maxsize=None)
+def _identity(K: int) -> np.ndarray:
+    """The K x K identity, computed once per K and shared read-only."""
+    eye = np.eye(K)
+    eye.flags.writeable = False
+    return eye
 
 
 def _uplink_grams(problem: CoordinationProblem, mu: list) -> tuple[list, np.ndarray]:

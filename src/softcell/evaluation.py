@@ -47,7 +47,7 @@ def serving_links(own: np.ndarray) -> np.ndarray:
 
 def serving_sets(links: np.ndarray) -> list:
     """Transmitters serving each user: the nonzero entries of its row."""
-    return [tuple(int(j) for j in np.flatnonzero(row)) for row in links]
+    return [tuple(j for j, on in enumerate(row) if on) for row in links.tolist()]
 
 
 @dataclass

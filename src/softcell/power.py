@@ -8,6 +8,8 @@ indices 1..S are the small-cell access points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +70,7 @@ class HardwareProfile:
         )
 
 
-@dataclass(frozen=True)
-class ConstraintSlack:
+class ConstraintSlack(NamedTuple):
     """Slack report for one per-antenna constraint (transmitter j, antenna l)."""
 
     transmitter: int
@@ -104,16 +105,18 @@ def check_power_constraints(w: list, hw: HardwareProfile) -> list[ConstraintSlac
 
     A constraint is active when |slack| <= CAP_TOL*q and violated when
     slack < -CAP_TOL*q; with q = 0 the comparisons fall back to absolute CAP_TOL.
+    Usage, slack and both flags are computed per transmitter as arrays, and
+    the records are built from their Python values.
     """
     report = []
     for j, w_j in enumerate(w):
         q = hw.per_antenna_limit[j]
         margin = CAP_TOL * q if q > 0 else CAP_TOL
-        for antenna, u in enumerate((np.abs(w_j) ** 2).sum(axis=1)):
-            slack = q - float(u)
-            report.append(ConstraintSlack(j, antenna, float(u), q, slack,
-                                          active=abs(slack) <= margin,
-                                          violated=slack < -margin))
+        used = (np.abs(w_j) ** 2).sum(axis=1)
+        slack = q - used
+        report.extend(map(ConstraintSlack, repeat(j), range(len(used)), used.tolist(),
+                          repeat(q), slack.tolist(), (abs(slack) <= margin).tolist(),
+                          (slack < -margin).tolist()))
     return report
 
 

@@ -222,27 +222,29 @@ def draw_channels(config: ScenarioConfig, gains: np.ndarray, R_bs: np.ndarray,
     L = V S W^T the root of T is P V S V^T P^T.  U^H z = (z - i Jz)/sqrt(2)
     and U y = (y + i Jy)/sqrt(2) are flips, so no complex n x n product is
     formed.
-    Each stack H[j] is the transpose of a C-order (K, n) array, so every
-    column h_{k,j} is contiguous.
+    Each link keeps its own stream: z is drawn per link, and the flips, the
+    recombination and the small cells' sqrt(gain) z are each one array
+    operation over all users; only the factorization, the SVD and the two
+    products with V run per user.  Each stack H[j] is the transpose of a
+    C-order (K, n) array, so every column h_{k,j} is contiguous.
     """
-    K = len(gains)
-    H = []
-    lower = np.tri(config.n_bs)
+    K, n, m, S = len(gains), config.n_bs, config.n_sca, config.num_sca
+    lower = np.tri(n)
     T = R_bs.real - R_bs.imag[..., ::-1]
-    for j in range(config.num_sca + 1):
-        rows = np.zeros((K, config.antennas(j)), dtype=complex)
-        for k in range(K):
-            zr = fading_rng(k, j).normal(size=(2, rows.shape[1]))
-            z = (zr[0] + 1j * zr[1]) / np.sqrt(2.0)
-            if j == 0:
-                c, piv, rank, _ = dpstrf(T[k], lower=1)
-                V, s, _ = np.linalg.svd(c[:, :rank] * lower[:, :rank], full_matrices=False)
-                y = np.empty_like(z)
-                y[piv - 1] = V @ (s * ((z - 1j * z[::-1])[piv - 1] @ V))
-                rows[k] = (y + 1j * y[::-1]) / 2.0
-            elif rows.shape[1]:
-                rows[k] = np.sqrt(gains[k, j]) * z
-        H.append(rows.T)
+    zr = np.array([fading_rng(k, 0).normal(size=(2, n)) for k in range(K)]).reshape(K, 2, n)
+    z = (zr[:, 0] + 1j * zr[:, 1]) / np.sqrt(2.0)
+    u = z - 1j * z[:, ::-1]
+    y = np.empty_like(z)
+    for k in range(K):
+        c, piv, rank, _ = dpstrf(T[k], lower=1)
+        V, s, _ = np.linalg.svd(c[:, :rank] * lower[:, :rank], full_matrices=False)
+        y[k, piv - 1] = V @ (s * (u[k, piv - 1] @ V))
+    H = [((y + 1j * y[:, ::-1]) / 2.0).T]
+    # (S, K, 2, m): the draws of small cell j + 1 form one C-order (K, m) slab.
+    zs = np.array([[fading_rng(k, j).normal(size=(2, m)) for k in range(K)]
+                   for j in range(1, S + 1)]).reshape(S, K, 2, m)
+    rows = np.sqrt(gains[:, 1:].T)[..., None] * ((zs[:, :, 0] + 1j * zs[:, :, 1]) / np.sqrt(2.0))
+    H.extend(rows_j.T for rows_j in rows)
     sigma2 = np.full(K, config.noise_variance_mw)
     return ChannelSet(H=H, sigma2=sigma2, user_positions=np.asarray(positions))
 

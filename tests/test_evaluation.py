@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import loose_hardware, make_channels, stacks
-from softcell.evaluation import evaluate, link_powers
+from softcell.evaluation import evaluate, link_powers, serving_sets
 from softcell.exceptions import InvalidInputError
 from softcell.power import HardwareProfile, check_power_constraints, dynamic_power
 
@@ -124,6 +124,17 @@ def test_sinrs_match_a_per_link_loop():
         assert s.slack_mw == pytest.approx(q - u, rel=1e-12, abs=1e-12)
         assert s.violated == (u > q * (1.0 + 1e-6))
     assert any(s.violated for s in slacks) and not all(s.violated for s in slacks)
+
+
+def test_serving_sets_are_the_flatnonzero_loop():
+    # Rows with no, one and several serving links, a (K, 0) mask and an
+    # empty one; each set is a tuple of Python ints, as the loop builds it.
+    rng = np.random.default_rng(3)
+    masks = [rng.random((40, 5)) < p for p in (0.0, 0.2, 0.5, 1.0)]
+    masks += [np.zeros((3, 0), dtype=bool), np.zeros((0, 5), dtype=bool)]
+    for links in masks:
+        reference = [tuple(int(j) for j in np.flatnonzero(row)) for row in links]
+        assert repr(serving_sets(links)) == repr(reference)
 
 
 def test_dimension_mismatches_are_rejected():

@@ -650,6 +650,39 @@ def test_one_uplink_round_matches_the_antenna_domain_map(caps):
     assert np.allclose(new, prob.gtilde / reference.max(axis=1), rtol=1e-10, atol=0)
 
 
+def _broadcast_inverse(gram, a, r):
+    """regularized_inverse in its np.broadcast_to form."""
+    K = gram.shape[-1]
+    a = np.broadcast_to(np.asarray(a, dtype=float), K)
+    r = np.broadcast_to(np.asarray(r, dtype=float), gram.shape[:1])
+    return np.linalg.inv(a[:, None] * gram + r[:, None, None] * np.eye(K))
+
+
+@pytest.mark.parametrize("cfg", [desk_config(seed=202), full_paper_config()])
+def test_uplink_rounds_are_the_broadcast_to_form_bit_for_bit(cfg, monkeypatch):
+    # Eight rounds of the fast path's fixed point from lambda = 0, then a
+    # round at a random mu as the certificate's, each against the same round
+    # through the broadcast_to inverse; and rzf's form, a scalar a with one
+    # r per transmitter.
+    rng = np.random.default_rng(8)
+    prob = CoordinationProblem(realize_scenario(cfg, 1), cfg.hardware, cfg.qos_targets)
+    antennas = prob.channels.antenna_counts
+    zero = [np.zeros(n) for n in antennas]
+    mu = [rng.uniform(0.0, 3.0, size=n) * (rng.random(n) < 0.5) for n in antennas]
+    F0, F = coordination._uplink_grams(prob, zero)[1], coordination._uplink_grams(prob, mu)[1]
+    lam = np.zeros(prob.channels.num_users)
+    for grams in [F0] * 8 + [F]:
+        step = coordination._uplink_round(prob, lam, grams)
+        with monkeypatch.context() as m:
+            m.setattr(coordination, "regularized_inverse", _broadcast_inverse)
+            reference = coordination._uplink_round(prob, lam, grams)
+        for got, ref in zip(step, reference):
+            assert got.tobytes() == ref.tobytes()
+        lam = step[0]
+    r = rng.uniform(0.5, 2.0, size=len(F))
+    assert regularized_inverse(F, 1.0, r).tobytes() == _broadcast_inverse(F, 1.0, r).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Uplink fixed point: the exact path that needs no PSD solve
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softcell.exceptions import InvalidInputError
-from softcell.power import (HardwareProfile, check_power_constraints, circuit_power,
-                            dbm_to_mw, dynamic_power, mw_to_dbm)
+from softcell.power import (CAP_TOL, ConstraintSlack, HardwareProfile,
+                            check_power_constraints, circuit_power, dbm_to_mw,
+                            dynamic_power, mw_to_dbm)
 
 
 def test_default_profile_carries_the_hardware_table():
@@ -89,6 +90,52 @@ def test_zero_cap_uses_absolute_tolerance():
     loud = [np.array([[1e-2 + 0j]])]
     assert not check_power_constraints(quiet, hw)[0].violated
     assert check_power_constraints(loud, hw)[0].violated
+
+
+def _loop_slacks(w, hw):
+    """check_power_constraints in its per-antenna loop form."""
+    report = []
+    for j, w_j in enumerate(w):
+        q = hw.per_antenna_limit[j]
+        margin = CAP_TOL * q if q > 0 else CAP_TOL
+        for antenna, u in enumerate((np.abs(w_j) ** 2).sum(axis=1)):
+            slack = q - float(u)
+            report.append(ConstraintSlack(j, antenna, float(u), q, slack,
+                                          active=abs(slack) <= margin,
+                                          violated=slack < -margin))
+    return report
+
+
+def test_array_slacks_are_the_per_antenna_loop_bit_for_bit():
+    # Usage around every cap: well inside, within CAP_TOL either side, and
+    # beyond it; a zero cap read at the absolute tolerance, one of its
+    # antennas exactly on it, and a transmitter without antennas.  repr
+    # tells apart -0.0, numpy scalars and numpy bools.
+    rng = np.random.default_rng(5)
+    caps = (66.0, 0.08, 0.0, 0.08, 3.0)
+    antennas, K = (40, 3, 4, 0, 2), 6
+    hw = HardwareProfile(rho=(2.0,) * 5, eta=(0.0,) * 5, per_antenna_limit=caps)
+    scale = np.array([0.2, 1.0 - 0.9e-6, 1.0 + 0.9e-6, 1.0 + 1.1e-6, 1.5])
+    w = []
+    for q, n in zip(caps, antennas):
+        w_j = rng.normal(size=(n, K)) + 1j * rng.normal(size=(n, K))
+        used = (np.abs(w_j) ** 2).sum(axis=1)
+        target = (q or 1.0) * scale[np.arange(n) % 5]
+        w.append(w_j * np.sqrt(target / used)[:, None])
+    w[2][0] = 0.0
+    w[2][1] *= np.sqrt(1e-9 / (np.abs(w[2][1]) ** 2).sum())
+    w[2][3] = 0.0
+    w[2][3, 0] = 1e-3               # usage exactly CAP_TOL: active, on the boundary
+    report = check_power_constraints(w, hw)
+    reference = _loop_slacks(w, hw)
+    assert repr(report) == repr(reference) and report == reference
+    assert len(report) == sum(antennas)
+    flags = {(s.active, s.violated) for s in report}
+    assert flags == {(False, False), (True, False), (False, True)}
+    zero_cap = [s for s in report if s.transmitter == 2]
+    assert [(s.active, s.violated) for s in zero_cap] == [(True, False), (True, False),
+                                                          (False, True), (True, False)]
+    assert zero_cap[3].slack_mw == -CAP_TOL
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,13 +1,15 @@
 """Scenario generation: geometry, propagation, covariances, reproducibility."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpstrf
 
-from softcell.cli import full_paper_config
+from softcell.cli import desk_config, full_paper_config
 from softcell.coordination import CoordinationProblem, solve_optimal
 from softcell.exceptions import InvalidInputError
 from softcell.power import HardwareProfile, circuit_power
@@ -264,6 +266,53 @@ def test_small_cell_draw_is_the_eigendecomposition_root(n_sca):
             w, V = np.linalg.eigh(gains[k, j] * np.eye(n_sca, dtype=complex))
             root = (V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T
             assert np.array_equal(ch.H[j][:, k], root @ z)
+
+
+def _loop_draw(cfg, gains, R, fading_rng):
+    """draw_channels in its per-link loop form: every link's z, flips and
+    root applied one user at a time, each stack filled row by row."""
+    K, H = len(gains), []
+    lower = np.tri(cfg.n_bs)
+    T = R.real - R.imag[..., ::-1]
+    for j in range(cfg.num_sca + 1):
+        rows = np.zeros((K, cfg.antennas(j)), dtype=complex)
+        for k in range(K):
+            zr = fading_rng(k, j).normal(size=(2, rows.shape[1]))
+            z = (zr[0] + 1j * zr[1]) / np.sqrt(2.0)
+            if j == 0:
+                c, piv, rank, _ = dpstrf(T[k], lower=1)
+                V, s, _ = np.linalg.svd(c[:, :rank] * lower[:, :rank], full_matrices=False)
+                y = np.empty_like(z)
+                y[piv - 1] = V @ (s * ((z - 1j * z[::-1])[piv - 1] @ V))
+                rows[k] = (y + 1j * y[::-1]) / 2.0
+            elif rows.shape[1]:
+                rows[k] = np.sqrt(gains[k, j]) * z
+        H.append(rows.T)
+    return H
+
+
+@pytest.mark.parametrize("cfg", [desk_config(seed=202), full_paper_config()])
+@pytest.mark.parametrize("n_sca", [None, 0, 1])
+def test_array_draw_is_the_per_link_loop_bit_for_bit(cfg, n_sca):
+    # The array form draws each link from its own stream and changes no
+    # arithmetic: every stack is byte-identical to the loop's, and each is
+    # still the transpose of a C-order (K, n) array.
+    if n_sca is not None:
+        cfg = with_axis_value(cfg, "n_sca", n_sca)
+    for trial in range(3):
+        pos = drop_users(cfg, stream(cfg.seed, trial, 0))
+        shadowing = cfg.shadowing_stddev * stream(cfg.seed, trial, 1).normal(
+            size=(cfg.num_users, cfg.num_sca + 1))
+        gains, R = build_correlation(cfg, pos, shadowing)
+        links = partial(stream, cfg.seed, trial, 2)
+        H = draw_channels(cfg, gains, R, pos, links).H
+        reference = _loop_draw(cfg, gains, R, links)
+        assert [H_j.shape for H_j in H] == [H_j.shape for H_j in reference]
+        for H_j, ref_j in zip(H, reference):
+            assert H_j.tobytes() == ref_j.tobytes()
+            assert H_j.T.flags.c_contiguous
+        assert all(realized.tobytes() == H_j.tobytes()
+                   for realized, H_j in zip(realize_scenario(cfg, trial).H, H))
 
 
 # ---------------------------------------------------------------------------
