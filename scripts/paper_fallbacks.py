@@ -3,9 +3,11 @@
 
 Runs full_paper_config() (N_BS=100, K=10, four single-antenna small cells)
 at QoS 3, trials 0-23, with the small-cell caps x0.1, so that the uplink fixed
-point's beams break a small-cell cap and the relaxation seeded with that cap
-answers.  Prints one line per trial that solved a relaxation: the BS block
-size, coordinates, IPM iterations and seconds of each program solved, then the
+point's beams break a small-cell cap and a fallback answers: the cap ascent on
+that cap's multiplier, or the relaxation seeded with the caps the beams touch.
+Prints one line per trial that fell back: the candidate that answered, the
+ascent's evaluations of the uplink fixed point, the BS block size,
+coordinates, IPM iterations and seconds of each program solved, then the
 trial's total power and its certificate's duality residual.  Exits 1 on any
 uncertified status or any duality residual above DUALITY_TOL.
 
@@ -32,10 +34,13 @@ QOS, TRIALS, CAP_FACTOR = 3.0, 24, 0.1      # the declared corpus
 
 
 def recorded_solves(problem):
-    """solve_optimal(problem) with each relaxation it solves recorded as
-    (BS block size, coordinates, iterations, seconds)."""
-    solves = []
+    """solve_optimal(problem) with its fallbacks recorded: the uplink fixed
+    points the cap ascent evaluated, whether it formed a candidate (None where
+    it did not run), and each relaxation solved as (BS block size,
+    coordinates, iterations, seconds)."""
+    solves, ascent = [], {"evaluations": 0, "formed": None}
     build, solve = coordination.build_relaxation, cs.solve
+    cap_ascent, solve_uplink = coordination._cap_ascent, coordination._solve_uplink
 
     def timed_solve(conic):
         t0 = time.perf_counter()
@@ -49,11 +54,22 @@ def recorded_solves(problem):
         solves.append((bs, sum(b.svec_dim for b in relax.conic.blocks)))
         return relax
 
+    def counted_ascent(*args):
+        candidate = cap_ascent(*args)
+        ascent["formed"] = candidate is not None
+        return candidate
+
+    def counted_uplink(p, mu=None, lam=None):
+        ascent["evaluations"] += mu is not None
+        return solve_uplink(p, mu, lam)
+
     coordination.build_relaxation, cs.solve = recorded_build, timed_solve
+    coordination._cap_ascent, coordination._solve_uplink = counted_ascent, counted_uplink
     try:
-        return solve_optimal(problem), solves
+        return solve_optimal(problem), ascent, solves
     finally:
         coordination.build_relaxation, cs.solve = build, solve
+        coordination._cap_ascent, coordination._solve_uplink = cap_ascent, solve_uplink
 
 
 def main() -> int:
@@ -67,7 +83,7 @@ def main() -> int:
         problem = CoordinationProblem(realize_scenario(cfg, trial=trial), cfg.hardware,
                                       cfg.qos_targets)
         try:
-            (solution, certificate), solves = recorded_solves(problem)
+            (solution, certificate), ascent, solves = recorded_solves(problem)
         except InfeasibleProblemError:
             print(f"trial {trial}: infeasible (certified)")
             continue
@@ -75,15 +91,17 @@ def main() -> int:
             print(f"trial {trial}: numerical failure: {exc}")
             bad += 1
             continue
-        if not solves:
+        if ascent["formed"] is None and not solves:
             continue
         fallbacks += 1
         residual = verify_duality(solution, certificate, problem).max_residual
         bad += residual > DUALITY_TOL
-        programs = "; ".join(f"BS blocks {bs}x{bs}, {coords} coordinates, {iters} iterations, "
-                             f"{seconds:.3f} s" for bs, coords, iters, seconds in solves)
-        print(f"trial {trial}: {programs}; total {solution.objective_total:.6f} mW, "
-              f"duality residual {residual:.2g}")
+        answer = "relaxation" if solves else "cap ascent"
+        steps = [] if ascent["formed"] is None else [f"ascent {ascent['evaluations']} evaluations"]
+        steps += [f"BS blocks {bs}x{bs}, {coords} coordinates, {iters} iterations, {seconds:.3f} s"
+                  for bs, coords, iters, seconds in solves]
+        print(f"trial {trial}: {answer}; {'; '.join(steps)}; "
+              f"total {solution.objective_total:.6f} mW, duality residual {residual:.2g}")
     print(f"{fallbacks} fallbacks in {TRIALS} trials, {bad} uncertified or above "
           f"DUALITY_TOL {DUALITY_TOL:g}")
     return 1 if bad else 0

@@ -11,7 +11,18 @@ bounds the optimum from below, and beams within every target and cap whose
 cost meets that bound within the conic solver's certification gap are
 optimal.
 
-Fallback, for every case the fast path cannot certify (a cap its beams break,
+Cap ascent next (_cap_ascent), where the fast path's beams break some caps
+but do not touch all of them.  The dual of the relaxation adds one multiplier
+mu per cap, and its value g(mu) = sum lambda(mu) - sum mu q is the fixed
+point at uplink noise rho_j I + diag mu_j, minus the priced caps.  The ascent
+prices the one cap broken most: a one-dimensional search for the root of
+g's slope, the cap's usage minus q (Yu and Lan, 2007; Dahrouj and Yu, 2010).
+Where a user switches transmitter on the way, it stops at that user's tie and
+splits the user's power over both links so that the cap binds: the multiflow
+user that a binding cap licenses.  Every point it evaluates is dual feasible,
+so its answer is checked against g like any other.
+
+Relaxations last, for every case neither certifies (a second cap that binds,
 infeasible targets, a cost left beyond the gap): build the relaxed
 program in the per-link matrices W_{k,j} (one PSD block per served user and
 transmitter), solve it with the conic engine, take every block to rank one in
@@ -38,18 +49,20 @@ program's BS blocks shrink from n_j x n_j to about K x K; the full program
 holds every cap, so its S_j is the whole space and its blocks stay full.
 repair_rank reads each solved block in these coordinates.
 
-Both paths run one round of the uplink interference map, with uplink noise
-rho_j I + diag mu_j (_uplink_round): at mu = 0 on the fast path, to its fixed
-point, and at the IPM's (lambda, mu) for the certificate, once, since the IPM
-bounds each multiplier's error only relative to the largest.
+Every candidate runs the uplink interference map, with uplink noise
+rho_j I + diag mu_j (_uplink_round): to its fixed point at mu = 0 on the fast
+path and at each mu the ascent evaluates (one loop, _solve_uplink, and one
+beam-forming routine, _form_beams), and once at the IPM's (lambda, mu) for a
+relaxation's certificate, since the IPM bounds each multiplier's error only
+relative to the largest.
 
 Each candidate answer thus comes with its own lower bound on the full
 program, and, as for the rzf heuristic, _finish is the one place where beams
 become a solution: it alone zeroes residue (links below SERVING_SHARE of their
 user's signal), and one evaluate of the result gives the power reported,
 verifies every target and cap, and lets _finish refuse a cost beyond CERT_GAP
-of the candidate's bound (sum lambda on the fast path, the relaxed optimum on
-the fallback).
+of the candidate's bound (sum lambda on the fast path, g on the ascent, the
+relaxed optimum on a relaxation).
 
 The relaxation is exact: a rank-one optimal solution always exists, so an
 infeasible relaxation certifies infeasibility of the original problem and the
@@ -60,6 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as la
@@ -68,7 +82,9 @@ from . import conic_solver as cs
 from .conic_problem import PSD, Block, ConicProblem
 from .evaluation import evaluate, link_gains, link_powers, serving_links, serving_sets
 from .exceptions import InfeasibleProblemError, InvalidInputError, NumericalFailureError
-from .power import HardwareProfile, check_power_constraints
+# check_power_constraints is not called here, but perfbench/tracing.py traces it
+# under this module's name.
+from .power import HardwareProfile, cap_usage, check_power_constraints  # noqa: F401
 from .scenario import ChannelSet
 
 BS_ONLY = "bs_only"
@@ -360,44 +376,52 @@ def _uplink_round(problem: CoordinationProblem, lam: np.ndarray, F: np.ndarray):
     return new, Y, gain
 
 
-def _solve_uplink(problem: CoordinationProblem):
-    """The uplink fixed point's beams and multipliers (w, lambda), the first
-    candidate answer of solve_optimal, or None where no beams are formed.
+class _UplinkPoint(NamedTuple):
+    """The uplink fixed point at cap multipliers mu (mu[j] over the antennas
+    of transmitter j): its lambda, the noise-scaled stacks G, the last round's
+    Y and gain, and the beams w formed from them."""
 
-    With the cap multipliers mu at 0, the dual of the relaxation is
+    mu: list
+    lam: np.ndarray
+    G: list
+    Y: np.ndarray
+    gain: np.ndarray
+    w: list
 
-        max sum_k lambda_k  s.t.  lambda_k h_kj^H B_kj^-1 h_kj / sigma_k^2 <= gt_k  for all j,
-        B_kj = rho_j I + sum_{i != k} lambda_i h_ij h_ij^H / sigma_i^2,
 
-    and its optimum is the fixed point of the standard interference function
-    lambda_k <- gt_k sigma_k^2 / max_j h_kj^H B_kj^-1 h_kj, iterated here by
-    _uplink_round at mu = 0 over Grams formed once.  From lambda = 0 the
-    iterates rise monotonically and each is dual feasible, whatever the caps,
-    so sum lambda bounds the full program from below.
+def _solve_uplink(problem: CoordinationProblem, mu: list | None = None,
+                  lam: np.ndarray | None = None) -> _UplinkPoint | None:
+    """The uplink fixed point at cap multipliers mu (0 by default) and its beams,
+    or None where no beams are formed.  At mu = 0 it is the first candidate
+    answer of solve_optimal; each step of the cap ascent is one more.
 
-    By uplink-downlink duality user k's beam at j is parallel to
-    C_j^-1 h_kj = G_j Y[j][:, k] / rho_j, and by complementary slackness only a
-    transmitter whose dual row is tight may serve k; user k takes the one with
-    the largest gain, a_k, and only that direction is formed.  With unit
-    directions u_k and g[i, k] = |h_{i,a_k}^H u_k|^2, the powers that meet
-    every target with equality solve M p = sigma^2 over the QoS users, with
-    M[k, k] = g[k, k] / gt_k and M[k, i] = -g[k, i].  They cost at least the
-    dual bound sum lambda; _finish alone decides whether they meet every cap
-    and come within CERT_GAP of it.
+    The dual of the relaxation is
+
+        max sum_k lambda_k - sum_{j,l} mu_jl q_j  s.t.
+            lambda_k h_kj^H B_kj^-1 h_kj / sigma_k^2 <= gt_k  for all j,
+        B_kj = D_j + sum_{i != k} lambda_i h_ij h_ij^H / sigma_i^2,  D_j = rho_j I + diag mu_j,
+
+    and at fixed mu its optimum is the fixed point of the standard interference
+    function lambda_k <- gt_k sigma_k^2 / max_j h_kj^H B_kj^-1 h_kj, iterated
+    here by _uplink_round over Grams formed once.  From lambda = 0, or from the
+    fixed point at any mu' <= mu (the fixed point rises with the uplink noise),
+    the iterates rise monotonically and each is dual feasible, whatever the
+    caps, so sum lambda - sum mu q bounds the full program from below.
 
     Where lambda has not settled within UPLINK_MAX_ITERS, the last round's
     beams are formed all the same: its lambda is still dual feasible.  No
-    beams are formed where a QoS user has no positive gain, sum lambda exceeds
-    the power of every antenna at its cap (no feasible point costs that much,
-    so the targets are infeasible), or M is singular or gives a negative power.
+    beams are formed where a QoS user has no positive gain, or sum lambda
+    exceeds the weighted power sum_{j,l} (rho_j + mu_jl) q_j of every antenna
+    at its cap (no feasible point costs that much, so the targets are
+    infeasible), or _form_beams finds no powers.
     """
-    ch, hw, gt = problem.channels, problem.hw, problem.gtilde
-    K, T = ch.num_users, ch.num_transmitters
-    users, txs = problem.qos_users(), problem.active_transmitters()
-    sigma2 = np.asarray(ch.sigma2, dtype=float)
-    G, F = _uplink_grams(problem, [np.zeros(n) for n in ch.antenna_counts])
+    ch, hw = problem.channels, problem.hw
+    txs = problem.active_transmitters()
+    mu = [np.zeros(n) for n in ch.antenna_counts] if mu is None else mu
+    lam = np.zeros(ch.num_users) if lam is None else lam
+    G, F = _uplink_grams(problem, mu)
     ceiling = sum(hw.rho[j] * ch.antennas(j) * hw.per_antenna_limit[j] for j in txs)
-    lam = np.zeros(K)
+    ceiling += sum(hw.per_antenna_limit[j] * mu[j].sum() for j in txs)
     for _ in range(UPLINK_MAX_ITERS):
         step = _uplink_round(problem, lam, F)
         if step is None:
@@ -409,41 +433,80 @@ def _solve_uplink(problem: CoordinationProblem):
         lam = new
         if settled:
             break
+    w = _form_beams(problem, mu, G, Y, gain)
+    return None if w is None else _UplinkPoint(mu, lam, G, Y, gain, w)
 
+
+def _form_beams(problem: CoordinationProblem, mu: list, G: list, Y: np.ndarray,
+                gain: np.ndarray, split: tuple | None = None) -> list | None:
+    """Beamformer stacks along the directions of one uplink round at cap
+    multipliers mu, with the powers that meet every target with equality, or
+    None where those powers are not all finite and nonnegative.
+
+    By uplink-downlink duality user k's beam at transmitter t is parallel to
+    C_t^-1 h_kt = D_t^-1 G_t Y[t][:, k], and by complementary slackness only
+    a transmitter whose dual row is tight may serve k; user k takes the one
+    with the largest gain[k, t], and only that direction is formed.  With
+    unit directions u_c and gains g[i, c] = |h_{i,t_c}^H u_c|^2 of each link
+    c = (k_c, t_c), the powers solve M p = sigma^2 over the QoS users, with
+    M[i, c] = g[i, c] / gt_i on user i's own links and -g[i, c] on the others'.
+
+    split = (k, t, (j, l)) adds a second link of user k, at transmitter t
+    (an index into the active transmitters), and the row that meets cap
+    (j, l) with equality: at a tie between two transmitters, both dual rows of
+    k are tight, and the binding cap sets how k's power splits between them
+    (the (K+1) x (K+1) system of a multiflow user).
+    """
+    ch, hw, gt = problem.channels, problem.hw, problem.gtilde
+    K, T = ch.num_users, ch.num_transmitters
+    users, txs = problem.qos_users(), problem.active_transmitters()
+    links = [(k, int(np.argmax(gain[k]))) for k in users]
+    if split is not None:
+        links.append(split[:2])
     U = [np.zeros((ch.antennas(j), K), dtype=complex) for j in range(T)]
-    for k in users:
-        t = int(np.argmax(gain[k]))
-        u = G[t] @ Y[t][:, k]
-        U[txs[t]][:, k] = u / np.linalg.norm(u)
-    g = link_gains(ch.H, U).sum(axis=2)
-    M = -g[np.ix_(users, users)]
-    M[np.diag_indices_from(M)] = g[users, users] / gt[users]
+    for k, t in links:
+        j = txs[t]
+        u = G[t] @ Y[t][:, k] / (1.0 + mu[j] / hw.rho[j])
+        U[j][:, k] = u / np.linalg.norm(u)
+    k_of = [k for k, _ in links]
+    j_of = [txs[t] for _, t in links]
+    rows = np.array(users, dtype=int)[:, None]
+    g = link_gains(ch.H, U)[rows, k_of, j_of]
+    M = np.where(rows == k_of, g / gt[rows], -g)
+    rhs = np.asarray(ch.sigma2, dtype=float)[users]
+    if split is not None:
+        j, l = split[2]
+        cap_row = [abs(U[j_c][l, k_c]) ** 2 if j_c == j else 0.0 for k_c, j_c in zip(k_of, j_of)]
+        M, rhs = np.vstack([M, cap_row]), np.append(rhs, hw.per_antenna_limit[j])
     try:
-        p = np.linalg.solve(M, sigma2[users])
+        p = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(p) & (p >= 0.0)):
         return None
-    amplitude = np.zeros(K)
-    amplitude[users] = np.sqrt(p)
-    return [U_j * amplitude for U_j in U], lam
+    amplitude = np.zeros((T, K))
+    amplitude[j_of, k_of] = np.sqrt(p)
+    return [U_j * amplitude[j] for j, U_j in enumerate(U)]
 
 
 def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, DualCertificate]:
     """Exact minimum-power coordination with dual certificates: the first
     candidate answer that _finish accepts against its own lower bound.
 
-    The candidates (_candidates) come in order: the uplink fixed point's beams
-    against sum lambda; the relaxation seeded with the caps those beams leave
-    active or violated (one round of Kelley's cutting planes, 1960), its
-    blocks taken to rank one by repair_rank, against its optimum; and the full
-    relaxation, with every cap, against its optimum.  Each bound is valid for
-    the full program: every round's lambda with mu = 0 is dual feasible, and
+    The candidates (_candidates) come in order: the fast path, the uplink
+    fixed point's beams against sum lambda; the cap ascent (_cap_ascent) on
+    the one cap those beams break most, against g(mu) = sum lambda - mu q; the
+    relaxation seeded with the caps the fast path's beams leave active or
+    violated (one round of Kelley's cutting planes, 1960), its blocks taken to
+    rank one by repair_rank, against its optimum; and the full relaxation,
+    with every cap, against its optimum.  Each bound is valid for the full
+    program: every round's lambda at any mu >= 0 is dual feasible, and
     leaving caps out relaxes the program.  So an answer within every target
     and cap and within CERT_GAP of its bound is optimal, and _finish is the
-    only test.  A refused candidate, or a seeded solve that does not end
-    optimal, gives way to the next; where the fixed point formed no beams, or
-    its beams touch every cap, the first relaxation is already the full one.
+    only test.  A refused candidate, an ascent that forms none, or a seeded
+    solve that does not end optimal, gives way to the next; where the fixed
+    point formed no beams, or its beams touch every cap, neither the ascent
+    nor a seeded program runs and the first relaxation is the full one.
 
     Raises InfeasibleProblemError when a relaxation (hence the original
     problem) is infeasible, with one certificate entry per QoS row and then
@@ -462,17 +525,23 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
 
 def _candidates(problem: CoordinationProblem):
     """The candidate answers (w, bound, certificate) of solve_optimal, each
-    formed only once the one before it has been refused."""
+    formed only once the one before it has been refused: fast path, cap
+    ascent, seeded relaxation, full relaxation.  The ascent runs only where
+    the fast path's beams touch some caps but not all; where they touch none
+    (a fast path refused on its gap alone), the seeded program holds only
+    the QoS rows."""
     ch = problem.channels
     every_cap = set(antenna_caps(problem))
     programs = [every_cap]
-    uplink = _solve_uplink(problem)
-    if uplink is not None:
-        w, lam = uplink
-        yield w, float(lam.sum()), DualCertificate(lam, [np.zeros(n) for n in ch.antenna_counts])
-        seed = binding_caps(w, problem.hw)
+    fast = _solve_uplink(problem)
+    if fast is not None:
+        yield fast.w, float(fast.lam.sum()), DualCertificate(fast.lam, fast.mu)
+        seed = binding_caps(fast.w, problem.hw)
         if seed != every_cap:
             programs = [seed, every_cap]
+            ascent = _cap_ascent(problem, fast, seed) if seed else None
+            if ascent is not None:
+                yield ascent
     if not problem.active_transmitters():
         # The relaxation would hold only QoS rows, each reading 0 >= 1; a unit
         # multiplier on every row is its infeasibility ray.
@@ -505,10 +574,125 @@ def _candidates(problem: CoordinationProblem):
                DualCertificate(lam, mu))
 
 
+def _cap_ascent(problem: CoordinationProblem, fast: _UplinkPoint, seed: set):
+    """The cap ascent's candidate (w, bound, certificate), or None where it
+    forms none; fast is the refused fast path, whose beams break or meet the
+    caps in seed.
+
+    It maximizes the dual g(mu) = sum lambda(mu) - mu q over the multiplier mu
+    of one cap (j, l), the seeded cap with the largest used / q, all others at
+    0.  g is concave, and by Danskin's theorem its slope is the cap's usage by
+    the beams of _solve_uplink at mu, minus q: positive at mu = 0 where the
+    beams break the cap.  The search runs in x = log(1 + mu / rho_j).  It
+    doubles x from log 2 until the slope turns nonpositive, then shrinks the
+    bracket [lo, hi] (slope positive at lo, not at hi) by Brent's method
+    (1973): inverse quadratic or secant steps through the points evaluated,
+    and the midpoint wherever such a step leaves the bracket or shrinks the
+    last step by less than half.  Each evaluation starts warm from lambda at
+    lo, below the fixed point it seeks, so its every round is dual feasible.
+
+    Where one user is served from transmitter a at lo and b at hi, the slope
+    jumps between them, and the steps follow that user's tie
+    log(gain_a / gain_b) = 0 instead, a smooth function of mu; where several
+    users switch, the search bisects.  It stops once the last point's slope
+    is within UPLINK_TOL * q of zero, or its tie within UPLINK_TOL, or the
+    bracket no longer shrinks in floating point.  The answer is formed at the
+    end of the bracket nearer that root, against the larger g of the two ends:
+    the beams of _solve_uplink there, or at a tie both of the user's links,
+    with powers that meet the cap with equality (_form_beams' split).
+
+    None where a zero cap leads (its root lies at mu = infinity), an
+    evaluation forms no beams (with the targets out of reach of the cap,
+    sum lambda passes the ceiling of _solve_uplink), or the bracket closes
+    with several users switching.
+    """
+    ch, hw = problem.channels, problem.hw
+    users = problem.qos_users()
+    used = [u for u, _, _, _ in cap_usage(fast.w, hw)]
+    j, l = max(sorted(seed), key=lambda c: used[c[0]][c[1]] / hw.per_antenna_limit[c[0]]
+               if hw.per_antenna_limit[c[0]] > 0 else np.inf)
+    q, rho = hw.per_antenna_limit[j], hw.rho[j]
+    if not (q > 0 and used[j][l] > q):
+        return None
+
+    def slope(point):
+        return float(np.sum(np.abs(point.w[j][l]) ** 2)) - q
+
+    def bound(point):
+        return float(point.lam.sum() - point.mu[j][l] * q)
+
+    def at(x, lam):
+        mu = [np.zeros(n) for n in ch.antenna_counts]
+        mu[j][l] = rho * np.expm1(x)
+        return _solve_uplink(problem, mu, lam)
+
+    lo, x_lo, x_hi = fast, 0.0, float(np.log(2.0))
+    while (hi := at(x_hi, lo.lam)) is not None and slope(hi) > 0.0:
+        lo, x_lo, x_hi = hi, x_hi, 2.0 * x_hi
+    if hi is None:
+        return None
+
+    track = None
+    while True:
+        served_lo, served_hi = lo.gain[users].argmax(axis=1), hi.gain[users].argmax(axis=1)
+        moved = np.flatnonzero(served_lo != served_hi)
+        if len(moved) == 1:
+            k = users[moved[0]]
+            key, tol = (k, int(served_lo[moved[0]]), int(served_hi[moved[0]])), UPLINK_TOL
+
+            def f(point, k=k, a=key[1], b=key[2]):
+                return float(np.log(point.gain[k, a] / point.gain[k, b]))
+        else:
+            key, f, tol = ((), slope, UPLINK_TOL * q) if len(moved) == 0 else (None, None, None)
+        if key != track:
+            track, seen = key, [(x_lo, f(lo)), (x_hi, f(hi))] if f else []
+        elif f and abs(seen[-1][1]) <= tol:
+            break
+        x = _root_estimate(seen) if f else np.nan
+        if not (x_lo < x < x_hi and (len(seen) < 3 or abs(x - seen[-1][0])
+                                      < 0.5 * abs(seen[-2][0] - seen[-3][0]))):
+            x = 0.5 * (x_lo + x_hi)
+            if not x_lo < x < x_hi:
+                break
+        point = at(x, lo.lam)
+        if point is None:
+            return None
+        if f:
+            seen.append((x, f(point)))
+        if slope(point) > 0.0:
+            lo, x_lo = point, x
+        else:
+            hi, x_hi = point, x
+
+    if track is None:
+        return None
+    end = lo if abs(f(lo)) <= abs(f(hi)) else hi
+    w = end.w
+    if track:
+        k, a, b = track
+        w = _form_beams(problem, end.mu, end.G, end.Y, end.gain, (k, b if end is lo else a, (j, l)))
+        if w is None:
+            return None
+    return w, max(bound(lo), bound(hi)), DualCertificate(end.lam, end.mu)
+
+
+def _root_estimate(seen: list) -> float:
+    """The root of the inverse quadratic through the last three points
+    (x, f(x)) of seen where their values differ, else of the secant through
+    the last two, nan where those have one value."""
+    (b, fb), (c, fc) = seen[-2:]
+    if len(seen) > 2:
+        a, fa = seen[-3]
+        if fa != fb and fa != fc and fb != fc:
+            return (a * fb * fc / ((fa - fb) * (fa - fc)) + b * fa * fc / ((fb - fa) * (fb - fc))
+                    + c * fa * fb / ((fc - fa) * (fc - fb)))
+    return c - fc * (c - b) / (fc - fb) if fc != fb else np.nan
+
+
 def binding_caps(w: list, hw: HardwareProfile) -> set:
     """The caps (j, l) that the beams w meet within power.CAP_TOL or break."""
-    return {(s.transmitter, s.antenna) for s in check_power_constraints(w, hw)
-            if s.active or s.violated}
+    return {(j, int(l)) for j, (_, _, active, violated) in enumerate(cap_usage(w, hw))
+            for l in np.flatnonzero(active | violated)}
 
 
 def _finish(w: list, problem: CoordinationProblem, **meta) -> BeamformingSolution:

@@ -100,13 +100,13 @@ def circuit_power(hw: HardwareProfile, antennas) -> float:
     return sum(eta * n for eta, n in zip(hw.eta, antennas)) / hw.subcarriers
 
 
-def check_power_constraints(w: list, hw: HardwareProfile) -> list[ConstraintSlack]:
-    """Per-antenna usage vs. cap for every antenna of the beamformer stacks w[j].
+def cap_usage(w: list, hw: HardwareProfile) -> list:
+    """Per transmitter j of the beamformer stacks w[j], four arrays over its
+    antennas l: (used, slack, active, violated), the emitted power
+    sum_k |w_{k,j}[l]|^2, the slack q_j - used and the two flags.
 
-    A constraint is active when |slack| <= CAP_TOL*q and violated when
+    A cap is active when |slack| <= CAP_TOL*q and violated when
     slack < -CAP_TOL*q; with q = 0 the comparisons fall back to absolute CAP_TOL.
-    Usage, slack and both flags are computed per transmitter as arrays, and
-    the records are built from their Python values.
     """
     report = []
     for j, w_j in enumerate(w):
@@ -114,9 +114,18 @@ def check_power_constraints(w: list, hw: HardwareProfile) -> list[ConstraintSlac
         margin = CAP_TOL * q if q > 0 else CAP_TOL
         used = (np.abs(w_j) ** 2).sum(axis=1)
         slack = q - used
+        report.append((used, slack, np.abs(slack) <= margin, slack < -margin))
+    return report
+
+
+def check_power_constraints(w: list, hw: HardwareProfile) -> list[ConstraintSlack]:
+    """Per-antenna usage vs. cap for every antenna of the beamformer stacks w[j]:
+    one record per antenna, built from the Python values of cap_usage."""
+    report = []
+    for j, (used, slack, active, violated) in enumerate(cap_usage(w, hw)):
         report.extend(map(ConstraintSlack, repeat(j), range(len(used)), used.tolist(),
-                          repeat(q), slack.tolist(), (abs(slack) <= margin).tolist(),
-                          (slack < -margin).tolist()))
+                          repeat(hw.per_antenna_limit[j]), slack.tolist(), active.tolist(),
+                          violated.tolist()))
     return report
 
 

@@ -467,23 +467,27 @@ def test_rzf_power_lp_residue_is_not_counted_as_multiflow():
 
 
 @pytest.mark.parametrize("qos,trial,algorithm,fallback", [
-    (2.0, 0, "optimal", False), (2.0, 4, "optimal", True), (2.0, 0, "rzf", False)])
+    (2.0, 0, "optimal", False), (2.0, 4, "optimal", True), (1.0, 3, "optimal", True),
+    (2.0, 0, "rzf", False)])
 def test_finish_evaluates_each_returned_solution_once(monkeypatch, qos, trial, algorithm,
                                                       fallback):
-    # Fast path, relaxation fallback and rzf all leave the evaluation of their
-    # beams, after the residue rule, to _finish: one per candidate tried (the
-    # refused fast-path beams of a fallback included), and the numbers
-    # returned are those of the last.
+    # Fast path, cap ascent, relaxation fallback and rzf all leave the
+    # evaluation of their beams, after the residue rule, to _finish: one per
+    # candidate tried (the refused fast-path beams of a fallback included, and
+    # the refused ascent answer of QoS 1.0 trial 3), and the numbers returned
+    # are those of the last.
     cfg = replace(desk_config(seed=202), qos_targets=(qos,) * 6)
     prob = CoordinationProblem(realize_scenario(cfg, trial=trial), cfg.hardware, cfg.qos_targets)
     seen = []
     evaluate_ = coordination.evaluate
     monkeypatch.setattr(coordination, "evaluate",
                         lambda w, *args: (lambda r: seen.append((w, r)) or r)(evaluate_(w, *args)))
-    relaxations = _recording_builds(monkeypatch)
+    relaxations, ascents = _recording_builds(monkeypatch), _recording_ascents(monkeypatch)
     sol = rzf_solve(prob) if algorithm == "rzf" else solve_optimal(prob)[0]
-    assert len(relaxations) == int(fallback)
-    assert len(seen) == 1 + len(relaxations)
+    if algorithm == "optimal":
+        assert _answered_by(prob, relaxations, ascents) == (
+            DESK_FALLBACKS[(qos, trial)] if fallback else "fast")
+    assert len(seen) == 1 + sum(ascents) + len(relaxations)
     w, report = seen[-1]
     assert all(np.array_equal(a, b) for a, b in zip(w, sol.w))
     assert (sol.objective_dynamic, sol.objective_total) == (report.p_dynamic_mw,
@@ -719,13 +723,33 @@ def test_a_binding_cap_falls_back_to_the_relaxation(monkeypatch):
     # The tight-cap instance of the multiflow test: at mu = 0 the cheap
     # transmitter alone would carry 3 mW through its 2 mW cap.
     ch = make_channels([[np.array([1.0 + 0j]), np.array([1.0 + 0j])]], [1.0])
+    # With the cap ascent switched off, the seeded relaxation answers.
     tight = HardwareProfile(rho=(2.0, 4.0), eta=(0.0, 0.0), per_antenna_limit=(2.0, 50.0))
     prob = CoordinationProblem(ch, tight, (2.0,))
+    _without_ascent(monkeypatch)
     built = _recording_builds(monkeypatch)
     sol, cert = solve_optimal(prob)
     assert built
     assert cert.mu[0][0] > 0
     assert sol.serving[0] == (0, 1)
+
+
+def test_a_binding_cap_splits_the_tied_user_on_the_cap_ascent(monkeypatch):
+    # The same instance on the cap ascent: the user ties between both
+    # transmitters at mu = rho_1 - rho_0 = 2, and the cap's row splits its
+    # 3 mW of received power into 2 mW from the capped transmitter and 1 mW
+    # from the other, 2 * 2 + 4 * 1 = 8 mW, with no relaxation built.
+    ch = make_channels([[np.array([1.0 + 0j]), np.array([1.0 + 0j])]], [1.0])
+    tight = HardwareProfile(rho=(2.0, 4.0), eta=(0.0, 0.0), per_antenna_limit=(2.0, 50.0))
+    prob = CoordinationProblem(ch, tight, (2.0,))
+    monkeypatch.setattr(coordination, "build_relaxation", _refuse_relaxation)
+    sol, cert = solve_optimal(prob)
+    assert sol.serving[0] == (0, 1)
+    assert sol.p[0] == pytest.approx([2.0, 1.0], rel=1e-12)
+    assert sol.objective_dynamic == pytest.approx(8.0, rel=1e-12)
+    assert sol.objective_relaxation == pytest.approx(8.0, rel=1e-12)
+    assert cert.mu[0][0] == pytest.approx(2.0, rel=1e-12) and cert.mu[1][0] == 0.0
+    assert verify_duality(sol, cert, prob).max_residual <= 1e-12
 
 
 def test_a_cap_met_exactly_certifies_on_the_fast_path(monkeypatch):
@@ -899,6 +923,40 @@ def _recording_builds(monkeypatch):
     return built
 
 
+def _recording_ascents(monkeypatch):
+    """Whether each cap ascent solve_optimal runs forms a candidate."""
+    formed = []
+    ascent = coordination._cap_ascent
+    monkeypatch.setattr(coordination, "_cap_ascent",
+                        lambda *args: (lambda c: formed.append(c is not None) or c)(ascent(*args)))
+    return formed
+
+
+def _without_ascent(monkeypatch):
+    """Switch the cap ascent off, so that the relaxations answer every fallback."""
+    monkeypatch.setattr(coordination, "_cap_ascent", lambda *args: None)
+
+
+def _answered_by(problem, built, formed):
+    """The candidate that answered solve_optimal(problem), read from the
+    relaxations it built and whether its ascents formed a candidate: "fast",
+    "ascent", "seeded" or "full"."""
+    if built:
+        return "full" if built[-1][0] == set(coordination.antenna_caps(problem)) else "seeded"
+    return "ascent" if any(formed) else "fast"
+
+
+# The candidate that answers each desk fallback (seed 202, QoS 1-3, trials
+# 0-15).  The cap ascent answers where one cap binds.  On QoS 1.0 trials 3 and
+# 9 both seeded caps bind, so the ascent's answer breaks the other one and the
+# seeded relaxation answers.  On QoS 2.0 trial 6 the seeded relaxation's
+# answer breaks a cap the seed left out, and the full program answers.
+DESK_FALLBACKS = {(1.0, 3): "seeded", (1.0, 9): "seeded", (2.0, 4): "ascent",
+                  (2.0, 6): "full", (2.0, 9): "ascent", (2.0, 14): "ascent",
+                  (3.0, 4): "ascent", (3.0, 6): "ascent", (3.0, 9): "ascent",
+                  (3.0, 14): "ascent"}
+
+
 def test_a_cap_the_seed_misses_sends_the_relaxation_to_every_cap(monkeypatch):
     # One user needs 3 mW of received power over three unit channels.  The
     # fixed point puts all 3 mW on the cheapest transmitter, over its 2 mW cap,
@@ -952,13 +1010,15 @@ def test_a_left_out_cap_has_a_zero_entry_in_the_infeasibility_ray(monkeypatch):
 
 
 def test_a_reduced_precision_seeded_answer_certifies_near_a_tight_reference(monkeypatch):
-    # Criterion 7's N_BS=8 sweep without small cells, trial 46: the seeded
-    # program (the QoS rows and one cap) stops at reduced precision, and its
-    # repaired beams meet every cap and its optimum within CERT_GAP, so they
-    # answer, within 1.4e-8 relative of the optimum of the full program
-    # solved to targets 1e-13/1e-12.
+    # Criterion 7's N_BS=8 sweep without small cells, trial 46, with the cap
+    # ascent switched off (it answers this trial): the seeded program (the QoS
+    # rows and one cap) stops at reduced precision, and its repaired beams
+    # meet every cap and its optimum within CERT_GAP, so they answer, within
+    # 1.4e-8 relative of the optimum of the full program solved to targets
+    # 1e-13/1e-12.
     cfg = with_axis_value(replace(desk_config(seed=101), n_bs=8), "n_sca", 0)
     prob = CoordinationProblem(realize_scenario(cfg, trial=46), cfg.hardware, cfg.qos_targets)
+    _without_ascent(monkeypatch)
     built, messages = _recording_builds(monkeypatch), []
     solve = cs.solve
     monkeypatch.setattr(cs, "solve", lambda p: (lambda s: messages.append(s.message) or s)(solve(p)))
@@ -974,10 +1034,12 @@ def test_a_reduced_precision_seeded_answer_certifies_near_a_tight_reference(monk
 
 
 def test_a_failed_seeded_solve_gives_way_to_every_cap(monkeypatch):
-    # Desk seed 202, QoS 2.0, trial 4 falls back with a seeded program; when
-    # that solve ends as a numerical failure, the full program answers.
+    # Desk seed 202, QoS 2.0, trial 4, with the cap ascent switched off,
+    # falls back with a seeded program; when that solve ends as a numerical
+    # failure, the full program answers.
     cfg = replace(desk_config(seed=202), qos_targets=(2.0,) * 6)
     prob = CoordinationProblem(realize_scenario(cfg, trial=4), cfg.hardware, cfg.qos_targets)
+    _without_ascent(monkeypatch)
     built = _recording_builds(monkeypatch)
     solve = cs.solve
     monkeypatch.setattr(cs, "solve", lambda p: replace(solve(p), status=cs.NUMERICAL_FAILURE)
@@ -1012,8 +1074,9 @@ def _near_the_ipm_lambda(cert_lam, ipm_lam):
 
 def test_a_paper_scale_seeded_fallback_solves_ten_by_ten_bs_blocks(monkeypatch):
     # The paper's setup with the small-cell caps x0.1, QoS 3, trial 5: the
-    # fixed point's beams break a small-cell cap, and the relaxation seeded
-    # with that cap answers.  Its BS blocks live in the span of the ten users'
+    # fixed point's beams break a small-cell cap, and with the cap ascent
+    # switched off (it answers this trial) the relaxation seeded with that
+    # cap answers.  Its BS blocks live in the span of the ten users'
     # channels: 10 x 10 instead of 100 x 100, 1,040 coordinates instead of
     # 100,040, about 0.03 s instead of 2.2 s on a 2-vCPU Xeon.
     cfg = replace(full_paper_config(), qos_targets=(3.0,) * 10)
@@ -1021,6 +1084,7 @@ def test_a_paper_scale_seeded_fallback_solves_ten_by_ten_bs_blocks(monkeypatch):
     caps = hw.per_antenna_limit[:1] + tuple(0.1 * q for q in hw.per_antenna_limit[1:])
     cfg = replace(cfg, hardware=HardwareProfile(hw.rho, hw.eta, caps, hw.subcarriers))
     prob = CoordinationProblem(realize_scenario(cfg, trial=5), cfg.hardware, cfg.qos_targets)
+    _without_ascent(monkeypatch)
     built = _recording_builds(monkeypatch)
     last_round = _recording_rounds(monkeypatch)
     sol, cert = solve_optimal(prob)
@@ -1054,25 +1118,27 @@ def test_a_small_multiplier_is_priced_on_its_own_dual_row(monkeypatch):
 
 
 def test_desk_fallbacks_keep_the_all_caps_optimum(monkeypatch):
-    # Every desk fallback (seed 202, QoS 1-3, trials 0-15) first solves fewer
-    # rows than the full program.  Nine of the ten answer there, at a dynamic
-    # power within 1e-9 relative of the full optimum solved to TOL_FEAS 1e-13 /
-    # TOL_GAP 1e-12 (5.4e-10 at most); QoS 2.0 trial 6 breaks a small-cell cap
-    # the seed left out and answers from the full program.
-    built = _recording_builds(monkeypatch)
-    rounds = {}
+    # Every desk fallback (seed 202, QoS 1-3, trials 0-15) answers from the
+    # candidate DESK_FALLBACKS names, at a dynamic power within 1e-9 relative
+    # of the full optimum solved to TOL_FEAS 1e-13 / TOL_GAP 1e-12 (the cap
+    # ascent's within 7.6e-12, the relaxations' within 5.4e-10).  Each seeded
+    # program holds fewer rows than the full one.
+    built, formed = _recording_builds(monkeypatch), _recording_ascents(monkeypatch)
+    answered = {}
     for qos in (1.0, 2.0, 3.0):
         cfg = replace(desk_config(seed=202), qos_targets=(qos,) * 6)
         for trial in range(16):
             prob = CoordinationProblem(realize_scenario(cfg, trial=trial), cfg.hardware,
                                        cfg.qos_targets)
             built.clear()
+            formed.clear()
             sol, cert = solve_optimal(prob)
-            if not built:
+            if not (built or formed):
                 continue
-            rounds[(qos, trial)] = len(built)
+            answered[(qos, trial)] = _answered_by(prob, built, formed)
             full = full_relaxation(prob).conic
-            assert built[0][1].conic.num_constraints < full.num_constraints
+            if built:
+                assert built[0][1].conic.num_constraints < full.num_constraints
             with monkeypatch.context() as tight:
                 tight.setattr(cs, "TOL_FEAS", 1e-13)
                 tight.setattr(cs, "TOL_GAP", 1e-12)
@@ -1080,8 +1146,54 @@ def test_desk_fallbacks_keep_the_all_caps_optimum(monkeypatch):
             assert reference.status == cs.OPTIMAL
             assert sol.objective_dynamic == pytest.approx(reference.primal_objective, rel=1e-9)
             assert verify_duality(sol, cert, prob).ok()
-    assert len(rounds) == 10
-    assert {key for key, n in rounds.items() if n > 1} == {(2.0, 6)}
+    assert answered == DESK_FALLBACKS
+
+
+def _desk_problem(cfg, qos, trial):
+    cfg = replace(cfg, qos_targets=(qos,) * 6)
+    return CoordinationProblem(realize_scenario(cfg, trial=trial), cfg.hardware, cfg.qos_targets)
+
+
+def test_the_cap_ascent_splits_a_tied_user_over_its_binding_cap(monkeypatch):
+    # Desk QoS 2.0, trial 4: the fast path's beams put 1.21 times the cap on
+    # antenna 1 of small cell 2.  At the multiplier that relieves it, user 1
+    # ties between the BS and that small cell, and the cap's row splits its
+    # power: a multiflow user licensed by the one binding cap.
+    prob = _desk_problem(desk_config(seed=202), 2.0, 4)
+    monkeypatch.setattr(coordination, "build_relaxation", _refuse_relaxation)
+    sol, cert = solve_optimal(prob)
+    assert coordination.binding_caps(sol.w, prob.hw) == {(2, 1)}
+    assert [(j, l) for j, mu_j in enumerate(cert.mu) for l in np.flatnonzero(mu_j)] == [(2, 1)]
+    multiflow = [a for a in classify_assignment(sol, prob.hw).assignments if a.case == MULTIFLOW]
+    assert [(a.user, a.serving, a.licensed_by) for a in multiflow] == [(1, (0, 2), ((2, 1),))]
+    assert verify_duality(sol, cert, prob).max_residual <= 1e-11
+
+
+def test_the_cap_ascent_answers_without_a_tie(monkeypatch):
+    # Desk QoS 2.0, trial 14: the cap's slope crosses zero where every user
+    # keeps its transmitter, so the beams of _solve_uplink at the root answer
+    # and meet the cap, with every user served by one transmitter.
+    prob = _desk_problem(desk_config(seed=202), 2.0, 14)
+    monkeypatch.setattr(coordination, "build_relaxation", _refuse_relaxation)
+    sol, cert = solve_optimal(prob)
+    assert all(len(serving) == 1 for serving in sol.serving)
+    assert coordination.binding_caps(sol.w, prob.hw) == {(2, 1)}
+    assert [(j, l) for j, mu_j in enumerate(cert.mu) for l in np.flatnonzero(mu_j)] == [(2, 1)]
+    assert verify_duality(sol, cert, prob).max_residual <= 1e-11
+
+
+def test_the_cap_ascent_prices_the_seeded_cap_used_most(monkeypatch):
+    # Desk QoS 3.0, trial 6: the fast path's beams break both caps of small
+    # cell 1, antenna 0 by 1.45 times and antenna 1 by 3.72 times.  The ascent
+    # prices antenna 1 alone, and relieving it relieves antenna 0 too.
+    prob = _desk_problem(desk_config(seed=202), 3.0, 6)
+    fast = coordination._solve_uplink(prob)
+    assert coordination.binding_caps(fast.w, prob.hw) == {(1, 0), (1, 1)}
+    monkeypatch.setattr(coordination, "build_relaxation", _refuse_relaxation)
+    sol, cert = solve_optimal(prob)
+    assert [(j, l) for j, mu_j in enumerate(cert.mu) for l in np.flatnonzero(mu_j)] == [(1, 1)]
+    assert coordination.binding_caps(sol.w, prob.hw) == {(1, 1)}
+    assert verify_duality(sol, cert, prob).ok()
 
 
 # ---------------------------------------------------------------------------
@@ -1205,14 +1317,37 @@ def _scaled_desk(noise_db, cap_factor):
 @pytest.mark.parametrize("gamma,trial", [(1.0, 3), (1.0, 9), (2.0, 6), (2.0, 9)])
 def test_sub_mw_fallbacks_certify_at_scaled_power(monkeypatch, gamma, trial):
     # Noise 40 dB lower and caps x1e-4 scale every power by 1e-4: these
-    # cap-bound trials take the relaxation at about 1e-3 mW and must land on
-    # the scaled optimum, not merely within the absolute 1e-6 mW gap.
+    # cap-bound trials answer from the candidate that answers them unscaled,
+    # at about 1e-3 mW, and must land on the scaled optimum, not merely within
+    # the absolute 1e-6 mW gap.  QoS 2.0 trial 9 answers from the cap ascent,
+    # the others from a relaxation.
     reference = run_trial(desk_config(seed=202), "qos", gamma, "optimal", trial)
-    built = _recording_builds(monkeypatch)
+    built, formed = _recording_builds(monkeypatch), _recording_ascents(monkeypatch)
     scaled = run_trial(_scaled_desk(40.0, 1e-4), "qos", gamma, "optimal", trial)
-    assert built
+    prob = _desk_problem(_scaled_desk(40.0, 1e-4), gamma, trial)
+    assert _answered_by(prob, built, formed) == DESK_FALLBACKS[(gamma, trial)]
     assert scaled.status == reference.status == "optimal"
     assert scaled.p_dynamic_mw == pytest.approx(1e-4 * reference.p_dynamic_mw, rel=1e-6)
+
+
+@pytest.mark.parametrize("s", range(7))
+def test_cap_ascent_answers_scale_with_noise_and_caps(monkeypatch, s):
+    # Noise 10 s dB lower and caps x10^-s scale every power by 10^-s: each
+    # desk trial the ascent answers still answers from it, at the scaled
+    # power within 1e-9 (7.7e-13 at most, measured).
+    built, formed = _recording_builds(monkeypatch), _recording_ascents(monkeypatch)
+    for (qos, trial), candidate in DESK_FALLBACKS.items():
+        if candidate != "ascent":
+            continue
+        reference = solve_optimal(_desk_problem(desk_config(seed=202), qos, trial))[0]
+        built.clear()
+        formed.clear()
+        prob = _desk_problem(_scaled_desk(10.0 * s, 10.0 ** -s), qos, trial)
+        sol, cert = solve_optimal(prob)
+        assert _answered_by(prob, built, formed) == "ascent"
+        assert sol.objective_dynamic == pytest.approx(10.0 ** -s * reference.objective_dynamic,
+                                                      rel=1e-9)
+        assert verify_duality(sol, cert, prob).ok()
 
 
 @pytest.mark.parametrize("gamma", [

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softcell.coordination import binding_caps
 from softcell.exceptions import InvalidInputError
-from softcell.power import (CAP_TOL, ConstraintSlack, HardwareProfile,
+from softcell.power import (CAP_TOL, ConstraintSlack, HardwareProfile, cap_usage,
                             check_power_constraints, circuit_power, dbm_to_mw,
                             dynamic_power, mw_to_dbm)
 
@@ -106,11 +107,11 @@ def _loop_slacks(w, hw):
     return report
 
 
-def test_array_slacks_are_the_per_antenna_loop_bit_for_bit():
-    # Usage around every cap: well inside, within CAP_TOL either side, and
-    # beyond it; a zero cap read at the absolute tolerance, one of its
-    # antennas exactly on it, and a transmitter without antennas.  repr
-    # tells apart -0.0, numpy scalars and numpy bools.
+def _slack_corpus():
+    """Beams w and caps hw with usage around every cap: well inside, within
+    CAP_TOL either side, and beyond it; a zero cap read at the absolute
+    tolerance, one of its antennas exactly on it, and a transmitter without
+    antennas."""
     rng = np.random.default_rng(5)
     caps = (66.0, 0.08, 0.0, 0.08, 3.0)
     antennas, K = (40, 3, 4, 0, 2), 6
@@ -126,6 +127,13 @@ def test_array_slacks_are_the_per_antenna_loop_bit_for_bit():
     w[2][1] *= np.sqrt(1e-9 / (np.abs(w[2][1]) ** 2).sum())
     w[2][3] = 0.0
     w[2][3, 0] = 1e-3               # usage exactly CAP_TOL: active, on the boundary
+    return w, hw
+
+
+def test_array_slacks_are_the_per_antenna_loop_bit_for_bit():
+    # repr tells apart -0.0, numpy scalars and numpy bools.
+    w, hw = _slack_corpus()
+    antennas = tuple(len(w_j) for w_j in w)
     report = check_power_constraints(w, hw)
     reference = _loop_slacks(w, hw)
     assert repr(report) == repr(reference) and report == reference
@@ -136,6 +144,24 @@ def test_array_slacks_are_the_per_antenna_loop_bit_for_bit():
     assert [(s.active, s.violated) for s in zero_cap] == [(True, False), (True, False),
                                                           (False, True), (True, False)]
     assert zero_cap[3].slack_mw == -CAP_TOL
+
+
+def test_binding_caps_read_the_record_flags_bit_for_bit():
+    # binding_caps reads cap_usage's flags without building records: the same
+    # caps as the active or violated records, and the arrays hold the records'
+    # values bitwise.
+    w, hw = _slack_corpus()
+    report = check_power_constraints(w, hw)
+    usage = cap_usage(w, hw)
+    assert binding_caps(w, hw) == {(s.transmitter, s.antenna) for s in report
+                                   if s.active or s.violated}
+    for j, (used, slack, active, violated) in enumerate(usage):
+        records = [s for s in report if s.transmitter == j]
+        assert [s.antenna for s in records] == list(range(len(used)))
+        assert [s.used_mw for s in records] == used.tolist()
+        assert [s.slack_mw for s in records] == slack.tolist()
+        assert [s.active for s in records] == active.tolist()
+        assert [s.violated for s in records] == violated.tolist()
 
 
 @settings(max_examples=40, deadline=None)
