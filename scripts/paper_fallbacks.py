@@ -4,9 +4,12 @@
 Runs full_paper_config() (N_BS=100, K=10, four single-antenna small cells)
 at QoS 3, trials 0-23, with the small-cell caps x0.1, so that the uplink fixed
 point's beams break a small-cell cap and a fallback answers: the cap ascent on
-that cap's multiplier, or the relaxation seeded with the caps the beams touch.
-Prints one line per trial that fell back: the candidate that answered, the
-ascent's evaluations of the uplink fixed point, the BS block size,
+that cap's multiplier (its one-cap answer, or its two-cap step where that
+answer breaks one more cap of the same transmitter), or the relaxation seeded
+with the caps the beams touch.  Each small cell has one antenna here, so the
+two-cap step never runs.  Prints one line per trial that fell back: the
+candidate that answered, the ascent's evaluations of the uplink fixed point
+(its two-cap step's included), the BS block size,
 coordinates, IPM iterations and seconds of each program solved, then the
 trial's total power and its certificate's duality residual.  Exits 1 on any
 uncertified status or any duality residual above DUALITY_TOL.
@@ -35,9 +38,10 @@ QOS, TRIALS, CAP_FACTOR = 3.0, 24, 0.1      # the declared corpus
 
 def recorded_solves(problem):
     """solve_optimal(problem) with its fallbacks recorded: the uplink fixed
-    points the cap ascent evaluated, whether it formed a candidate (None where
-    it did not run), and each relaxation solved as (BS block size,
-    coordinates, iterations, seconds)."""
+    points the cap ascent evaluated, how many candidates it formed (1 for the
+    one-cap answer, 2 once the two-cap step forms one; None where it did not
+    run), and each relaxation solved as (BS block size, coordinates,
+    iterations, seconds)."""
     solves, ascent = [], {"evaluations": 0, "formed": None}
     build, solve = coordination.build_relaxation, cs.solve
     cap_ascent, solve_uplink = coordination._cap_ascent, coordination._solve_uplink
@@ -55,9 +59,10 @@ def recorded_solves(problem):
         return relax
 
     def counted_ascent(*args):
-        candidate = cap_ascent(*args)
-        ascent["formed"] = candidate is not None
-        return candidate
+        ascent["formed"] = 0
+        for candidate in cap_ascent(*args):
+            ascent["formed"] += 1
+            yield candidate
 
     def counted_uplink(p, mu=None, lam=None):
         ascent["evaluations"] += mu is not None
@@ -96,7 +101,7 @@ def main() -> int:
         fallbacks += 1
         residual = verify_duality(solution, certificate, problem).max_residual
         bad += residual > DUALITY_TOL
-        answer = "relaxation" if solves else "cap ascent"
+        answer = "relaxation" if solves else ("cap ascent", "two-cap step")[ascent["formed"] - 1]
         steps = [] if ascent["formed"] is None else [f"ascent {ascent['evaluations']} evaluations"]
         steps += [f"BS blocks {bs}x{bs}, {coords} coordinates, {iters} iterations, {seconds:.3f} s"
                   for bs, coords, iters, seconds in solves]

@@ -19,15 +19,19 @@ prices the one cap broken most: a one-dimensional search for the root of
 g's slope, the cap's usage minus q (Yu and Lan, 2007; Dahrouj and Yu, 2010).
 Where a user switches transmitter on the way, it stops at that user's tie and
 splits the user's power over both links so that the cap binds: the multiflow
-user that a binding cap licenses.  Every point it evaluates is dual feasible,
-so its answer is checked against g like any other.
+user that a binding cap licenses.  Where that answer breaks one more cap of
+the same transmitter, a two-cap step (_two_caps) prices both, solving their
+two stationarity conditions by Newton's method from that answer on.  Every
+point either answers from is dual feasible, so its answer is checked against
+g like any other.
 
-Relaxations last, for every case neither certifies (a second cap that binds,
-infeasible targets, a cost left beyond the gap): build the relaxed
-program in the per-link matrices W_{k,j} (one PSD block per served user and
-transmitter), solve it with the conic engine, take every block to rank one in
-closed form (repair_rank: w = W h / sqrt(h^H W h), which keeps every relaxed
-row at no higher cost), and extract beamforming vectors and dual certificates.
+Relaxations last, for every case none of these certifies (more binding caps
+than the ascent prices, infeasible targets, a cost left beyond the gap):
+build the relaxed program in the per-link matrices W_{k,j} (one PSD block per
+served user and transmitter), solve it with the conic engine, take every
+block to rank one in closed form (repair_rank: w = W h / sqrt(h^H W h), which
+keeps every relaxed row at no higher cost), and extract beamforming vectors
+and dual certificates.
 
 The optimum promotes exclusive assignment, so almost every per-antenna cap is
 slack there, and the relaxation first carries only the caps that matter (one
@@ -354,17 +358,17 @@ def _uplink_grams(problem: CoordinationProblem, mu: list) -> tuple[list, np.ndar
     return G, np.array(F, dtype=complex).reshape(len(G), K, K)
 
 
-def _uplink_round(problem: CoordinationProblem, lam: np.ndarray, F: np.ndarray):
-    """One round of the uplink interference map at the QoS users' lambda over
-    F = _uplink_grams(problem, mu)[1]: (lambda', Y, gain), or None where a QoS
-    user has no positive gain.  lambda'_k = gt_k / max_t gain[k, t] (0 without
-    a target), gain[k, t] = g^H B^-1 g for g = h_kt / sigma_k and
+def _uplink_round(lam: np.ndarray, F: np.ndarray, users: np.ndarray, targets: np.ndarray):
+    """One round of the uplink interference map at lambda over
+    F = _uplink_grams(problem, mu)[1], for the QoS users (an index array) and
+    their SINR targets gt[users] (_uplink_targets): (lambda', Y, gain), or None
+    where a QoS user has no positive gain.  lambda'_k = gt_k / max_t gain[k, t]
+    (0 without a target), gain[k, t] = g^H B^-1 g for g = h_kt / sigma_k and
     B = D_t + sum_{i != k} lambda_i g_it g_it^H.  By the push-through identity
     (D + G L G^H)^-1 G = D^-1 G (L F + I)^-1, Y = regularized_inverse(F, lambda, 1)
     gives C_t^-1 G_t = D_t^-1 G_t Y[t] for C = B + lambda_k g g^H, x = g^H C^-1 g
     is the diagonal of F Y, and by Sherman-Morrison g^H B^-1 g = x / (1 - lambda_k x).
     """
-    users = problem.qos_users()
     Y = regularized_inverse(F, lam, 1.0)
     x = np.einsum("tki,tik->kt", F, Y).real
     gain = x / (1.0 - lam[:, None] * x)
@@ -372,8 +376,15 @@ def _uplink_round(problem: CoordinationProblem, lam: np.ndarray, F: np.ndarray):
     if np.any(best <= 0.0):
         return None
     new = np.zeros_like(lam)
-    new[users] = problem.gtilde[users] / best
+    new[users] = targets / best
     return new, Y, gain
+
+
+def _uplink_targets(problem: CoordinationProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The QoS users as an index array and their SINR targets gt[users], the
+    fixed arguments of _uplink_round."""
+    users = np.array(problem.qos_users(), dtype=int)
+    return users, problem.gtilde[users]
 
 
 class _UplinkPoint(NamedTuple):
@@ -420,10 +431,11 @@ def _solve_uplink(problem: CoordinationProblem, mu: list | None = None,
     mu = [np.zeros(n) for n in ch.antenna_counts] if mu is None else mu
     lam = np.zeros(ch.num_users) if lam is None else lam
     G, F = _uplink_grams(problem, mu)
+    users, targets = _uplink_targets(problem)
     ceiling = sum(hw.rho[j] * ch.antennas(j) * hw.per_antenna_limit[j] for j in txs)
     ceiling += sum(hw.per_antenna_limit[j] * mu[j].sum() for j in txs)
     for _ in range(UPLINK_MAX_ITERS):
-        step = _uplink_round(problem, lam, F)
+        step = _uplink_round(lam, F, users, targets)
         if step is None:
             return None
         new, Y, gain = step
@@ -495,7 +507,9 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
 
     The candidates (_candidates) come in order: the fast path, the uplink
     fixed point's beams against sum lambda; the cap ascent (_cap_ascent) on
-    the one cap those beams break most, against g(mu) = sum lambda - mu q; the
+    the one cap those beams break most, against g(mu) = sum lambda - mu q;
+    where that answer breaks one more cap of the same transmitter, the
+    ascent's two-cap step on both, against g at their two multipliers; the
     relaxation seeded with the caps the fast path's beams leave active or
     violated (one round of Kelley's cutting planes, 1960), its blocks taken to
     rank one by repair_rank, against its optimum; and the full relaxation,
@@ -526,7 +540,8 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
 def _candidates(problem: CoordinationProblem):
     """The candidate answers (w, bound, certificate) of solve_optimal, each
     formed only once the one before it has been refused: fast path, cap
-    ascent, seeded relaxation, full relaxation.  The ascent runs only where
+    ascent (its one-cap answer, then its two-cap step's), seeded relaxation,
+    full relaxation.  The ascent runs only where
     the fast path's beams touch some caps but not all; where they touch none
     (a fast path refused on its gap alone), the seeded program holds only
     the QoS rows."""
@@ -539,9 +554,8 @@ def _candidates(problem: CoordinationProblem):
         seed = binding_caps(fast.w, problem.hw)
         if seed != every_cap:
             programs = [seed, every_cap]
-            ascent = _cap_ascent(problem, fast, seed) if seed else None
-            if ascent is not None:
-                yield ascent
+            if seed:
+                yield from _cap_ascent(problem, fast, seed)
     if not problem.active_transmitters():
         # The relaxation would hold only QoS rows, each reading 0 >= 1; a unit
         # multiplier on every row is its infeasibility ray.
@@ -569,15 +583,16 @@ def _candidates(problem: CoordinationProblem):
         mu = [np.zeros(n) for n in ch.antenna_counts]
         for (j, l), row in relax.power_row.items():
             mu[j][l] = max(conic_sol.duals[row], 0.0)
-        lam, _, _ = _uplink_round(problem, lam, _uplink_grams(problem, mu)[1])
+        lam, _, _ = _uplink_round(lam, _uplink_grams(problem, mu)[1], *_uplink_targets(problem))
         yield (repair_rank(relax, conic_sol.block_values, problem), conic_sol.primal_objective,
                DualCertificate(lam, mu))
 
 
 def _cap_ascent(problem: CoordinationProblem, fast: _UplinkPoint, seed: set):
-    """The cap ascent's candidate (w, bound, certificate), or None where it
-    forms none; fast is the refused fast path, whose beams break or meet the
-    caps in seed.
+    """The cap ascent's candidates (w, bound, certificate), each formed only
+    once the one before it has been refused: the one-cap answer, then the
+    two-cap step's (_two_caps); none where the ascent forms none.  fast is the
+    refused fast path, whose beams break or meet the caps in seed.
 
     It maximizes the dual g(mu) = sum lambda(mu) - mu q over the multiplier mu
     of one cap (j, l), the seeded cap with the largest used / q, all others at
@@ -601,10 +616,12 @@ def _cap_ascent(problem: CoordinationProblem, fast: _UplinkPoint, seed: set):
     the beams of _solve_uplink there, or at a tie both of the user's links,
     with powers that meet the cap with equality (_form_beams' split).
 
-    None where a zero cap leads (its root lies at mu = infinity), an
-    evaluation forms no beams (with the targets out of reach of the cap,
-    sum lambda passes the ceiling of _solve_uplink), or the bracket closes
-    with several users switching.
+    Where _finish refuses that answer and its beams break exactly one other
+    cap, of the same transmitter, the two-cap step (_two_caps) prices both
+    caps, from that answer on.  The ascent forms nothing where a zero cap
+    leads (its root lies at mu = infinity), an evaluation forms no beams
+    (with the targets out of reach of the cap, sum lambda passes the ceiling
+    of _solve_uplink), or the bracket closes with several users switching.
     """
     ch, hw = problem.channels, problem.hw
     users = problem.qos_users()
@@ -613,7 +630,7 @@ def _cap_ascent(problem: CoordinationProblem, fast: _UplinkPoint, seed: set):
                if hw.per_antenna_limit[c[0]] > 0 else np.inf)
     q, rho = hw.per_antenna_limit[j], hw.rho[j]
     if not (q > 0 and used[j][l] > q):
-        return None
+        return
 
     def slope(point):
         return float(np.sum(np.abs(point.w[j][l]) ** 2)) - q
@@ -630,7 +647,7 @@ def _cap_ascent(problem: CoordinationProblem, fast: _UplinkPoint, seed: set):
     while (hi := at(x_hi, lo.lam)) is not None and slope(hi) > 0.0:
         lo, x_lo, x_hi = hi, x_hi, 2.0 * x_hi
     if hi is None:
-        return None
+        return
 
     track = None
     while True:
@@ -656,7 +673,7 @@ def _cap_ascent(problem: CoordinationProblem, fast: _UplinkPoint, seed: set):
                 break
         point = at(x, lo.lam)
         if point is None:
-            return None
+            return
         if f:
             seen.append((x, f(point)))
         if slope(point) > 0.0:
@@ -665,15 +682,112 @@ def _cap_ascent(problem: CoordinationProblem, fast: _UplinkPoint, seed: set):
             hi, x_hi = point, x
 
     if track is None:
-        return None
+        return
     end = lo if abs(f(lo)) <= abs(f(hi)) else hi
     w = end.w
     if track:
         k, a, b = track
         w = _form_beams(problem, end.mu, end.G, end.Y, end.gain, (k, b if end is lo else a, (j, l)))
         if w is None:
+            return
+    yield w, max(bound(lo), bound(hi)), DualCertificate(end.lam, end.mu)
+
+    broken = {(t, int(m)) for t, (_, _, _, violated) in enumerate(cap_usage(w, hw))
+              for m in np.flatnonzero(violated)} - {(j, l)}
+    if len(broken) == 1 and (other := broken.pop())[0] == j:
+        candidate = _two_caps(problem, fast.lam, end, x_lo if end is lo else x_hi,
+                              (j, l, other[1]), track)
+        if candidate is not None:
+            yield candidate
+
+
+def _two_caps(problem: CoordinationProblem, floor: np.ndarray, start: _UplinkPoint,
+              x_start: float, caps: tuple, tie: tuple):
+    """The two-cap step's candidate (w, bound, certificate), or None.
+
+    start is the refused one-cap answer's fixed point, at x = x_start on cap
+    (j, l) of caps = (j, l, l2), whose beams break cap (j, l2) of the same
+    transmitter.  The step prices both caps, x = log(1 + mu / rho_j) per cap
+    from (x_start, 0), and solves their two stationarity conditions:
+
+    - with tie = (k, a, b), user k tied between transmitters a and b at start:
+      the tie log(gain_a / gain_b) = 0, and cap (j, l2)'s usage = q_j by the
+      split beams of _form_beams, whose K + 1 powers meet cap (j, l) with
+      equality (the multiflow user);
+    - without a tie (tie = ()): both caps' usages = q_j, by the beams of
+      _solve_uplink.
+
+    Newton's method takes a forward-difference Jacobian (steps of
+    sqrt(UPLINK_TOL) in x), cuts each step to keep mu >= 0 and halves it
+    until the residual's norm falls, until both residuals are within
+    UPLINK_TOL (the usages relative to q_j).  Each step's evaluation starts
+    from floor, the fast path's lambda, below the fixed point at every
+    mu >= 0, and each forward difference from the last accepted point's, below
+    the fixed point at its higher mu.  So every round rises, _solve_uplink's
+    settle test holds, and every accepted point is dual feasible: the answer
+    is the last one, against g = sum lambda - sum mu q there.
+
+    None where an evaluation forms no beams, moves a user other than k to
+    another transmitter (or k to neither a nor b: the conditions assume the
+    links of start), the Jacobian is singular, or halving no longer moves x.
+    """
+    j, l, l2 = caps
+    ch, q, rho = problem.channels, problem.hw.per_antenna_limit[j], problem.hw.rho[j]
+    k, a, b = tie or (-1, -1, -1)
+    users = np.array(problem.qos_users(), dtype=int)
+    others = users != k                 # every QoS user but the tied one
+    links = start.gain[users[others]].argmax(axis=1)
+
+    def split(point):
+        """point, its beams and their two residuals, or None."""
+        if not np.array_equal(point.gain[users[others]].argmax(axis=1), links):
             return None
-    return w, max(bound(lo), bound(hi)), DualCertificate(end.lam, end.mu)
+        w = point.w
+        if tie:
+            served = int(np.argmax(point.gain[k]))
+            if served not in (a, b):
+                return None
+            w = _form_beams(problem, point.mu, point.G, point.Y, point.gain,
+                            (k, b if served == a else a, (j, l)))
+            if w is None:
+                return None
+        r = np.sum(np.abs(w[j][[l, l2]]) ** 2, axis=1) / q - 1.0
+        if tie:                         # the split meets cap (j, l): the tie is its condition
+            r[0] = np.log(point.gain[k, a] / point.gain[k, b])
+        return point, w, r
+
+    def at(x, lam):
+        mu = [np.zeros(n) for n in ch.antenna_counts]
+        with np.errstate(over="ignore"):            # mu = inf: the antenna is priced out
+            mu[j][[l, l2]] = rho * np.expm1(x)
+        point = _solve_uplink(problem, mu, lam)
+        return None if point is None else split(point)
+
+    x, h = np.array([x_start, 0.0]), np.sqrt(UPLINK_TOL)
+    point, w, r = split(start)
+    while np.abs(r).max() > UPLINK_TOL:
+        J = np.empty((2, 2))
+        for i in range(2):
+            moved = at(x + h * np.eye(2)[i], point.lam)
+            if moved is None:
+                return None
+            J[:, i] = (moved[2] - r) / h
+        try:
+            d = np.linalg.solve(J, -r)
+        except np.linalg.LinAlgError:
+            return None
+        t = min(1.0, np.min(x[d < 0.0] / -d[d < 0.0], initial=np.inf))    # mu stays >= 0
+        while not np.array_equal(step := np.maximum(x + t * d, 0.0), x):
+            trial = at(step, floor)
+            if trial is None:
+                return None
+            if np.linalg.norm(trial[2]) < np.linalg.norm(r):
+                break
+            t *= 0.5
+        else:
+            return None
+        x, (point, w, r) = step, trial
+    return w, float(point.lam.sum() - point.mu[j].sum() * q), DualCertificate(point.lam, point.mu)
 
 
 def _root_estimate(seen: list) -> float:

@@ -468,14 +468,16 @@ def test_rzf_power_lp_residue_is_not_counted_as_multiflow():
 
 @pytest.mark.parametrize("qos,trial,algorithm,fallback", [
     (2.0, 0, "optimal", False), (2.0, 4, "optimal", True), (1.0, 3, "optimal", True),
-    (2.0, 0, "rzf", False)])
+    (2.0, 0, "rzf", False), (1.0, 56, "optimal", True)])
 def test_finish_evaluates_each_returned_solution_once(monkeypatch, qos, trial, algorithm,
                                                       fallback):
     # Fast path, cap ascent, relaxation fallback and rzf all leave the
     # evaluation of their beams, after the residue rule, to _finish: one per
-    # candidate tried (the refused fast-path beams of a fallback included, and
-    # the refused ascent answer of QoS 1.0 trial 3), and the numbers returned
-    # are those of the last.
+    # candidate tried (the refused fast-path beams of a fallback included, the
+    # refused one-cap answer of QoS 1.0 trial 3 before its two-cap answer, and
+    # that of QoS 1.0 trial 56, beyond the benchmark corpus, whose two-cap
+    # step forms none before the seeded relaxation answers), and the numbers
+    # returned are those of the last.
     cfg = replace(desk_config(seed=202), qos_targets=(qos,) * 6)
     prob = CoordinationProblem(realize_scenario(cfg, trial=trial), cfg.hardware, cfg.qos_targets)
     seen = []
@@ -486,7 +488,7 @@ def test_finish_evaluates_each_returned_solution_once(monkeypatch, qos, trial, a
     sol = rzf_solve(prob) if algorithm == "rzf" else solve_optimal(prob)[0]
     if algorithm == "optimal":
         assert _answered_by(prob, relaxations, ascents) == (
-            DESK_FALLBACKS[(qos, trial)] if fallback else "fast")
+            DESK_FALLBACKS.get((qos, trial), "seeded") if fallback else "fast")
     assert len(seen) == 1 + sum(ascents) + len(relaxations)
     w, report = seen[-1]
     assert all(np.array_equal(a, b) for a, b in zip(w, sol.w))
@@ -638,7 +640,8 @@ def test_one_uplink_round_matches_the_antenna_domain_map(caps):
     mu = [rng.uniform(0.0, 3.0, size=n) * (rng.random(n) < 0.5) for n in antennas]
     if caps == "fast_path":
         mu = [np.zeros(n) for n in antennas]
-    new, Y, gain = coordination._uplink_round(prob, lam, coordination._uplink_grams(prob, mu)[1])
+    new, Y, gain = coordination._uplink_round(lam, coordination._uplink_grams(prob, mu)[1],
+                                              *coordination._uplink_targets(prob))
     G = [H_j / np.sqrt(prob.channels.sigma2) for H_j in prob.channels.H]
     reference = np.zeros((4, len(antennas)))
     for j in range(len(antennas)):
@@ -674,12 +677,12 @@ def test_uplink_rounds_are_the_broadcast_to_form_bit_for_bit(cfg, monkeypatch):
     zero = [np.zeros(n) for n in antennas]
     mu = [rng.uniform(0.0, 3.0, size=n) * (rng.random(n) < 0.5) for n in antennas]
     F0, F = coordination._uplink_grams(prob, zero)[1], coordination._uplink_grams(prob, mu)[1]
-    lam = np.zeros(prob.channels.num_users)
+    lam, targets = np.zeros(prob.channels.num_users), coordination._uplink_targets(prob)
     for grams in [F0] * 8 + [F]:
-        step = coordination._uplink_round(prob, lam, grams)
+        step = coordination._uplink_round(lam, grams, *targets)
         with monkeypatch.context() as m:
             m.setattr(coordination, "regularized_inverse", _broadcast_inverse)
-            reference = coordination._uplink_round(prob, lam, grams)
+            reference = coordination._uplink_round(lam, grams, *targets)
         for got, ref in zip(step, reference):
             assert got.tobytes() == ref.tobytes()
         lam = step[0]
@@ -924,37 +927,46 @@ def _recording_builds(monkeypatch):
 
 
 def _recording_ascents(monkeypatch):
-    """Whether each cap ascent solve_optimal runs forms a candidate."""
+    """The candidates each cap ascent solve_optimal runs yields: 0 where it
+    forms none, 1 for the one-cap answer, 2 once the two-cap step forms one."""
     formed = []
     ascent = coordination._cap_ascent
-    monkeypatch.setattr(coordination, "_cap_ascent",
-                        lambda *args: (lambda c: formed.append(c is not None) or c)(ascent(*args)))
+
+    def counted(*args):
+        formed.append(0)
+        for candidate in ascent(*args):
+            formed[-1] += 1
+            yield candidate
+    monkeypatch.setattr(coordination, "_cap_ascent", counted)
     return formed
 
 
 def _without_ascent(monkeypatch):
-    """Switch the cap ascent off, so that the relaxations answer every fallback."""
-    monkeypatch.setattr(coordination, "_cap_ascent", lambda *args: None)
+    """Switch the cap ascent off, its one-cap and its two-cap step, so that the
+    relaxations answer every fallback."""
+    monkeypatch.setattr(coordination, "_cap_ascent", lambda *args: iter(()))
 
 
 def _answered_by(problem, built, formed):
     """The candidate that answered solve_optimal(problem), read from the
-    relaxations it built and whether its ascents formed a candidate: "fast",
-    "ascent", "seeded" or "full"."""
+    relaxations it built and the candidates its ascents formed: "fast",
+    "one-cap", "two-cap", "seeded" or "full"."""
     if built:
         return "full" if built[-1][0] == set(coordination.antenna_caps(problem)) else "seeded"
-    return "ascent" if any(formed) else "fast"
+    return {0: "fast", 1: "one-cap", 2: "two-cap"}[max(formed, default=0)]
 
 
 # The candidate that answers each desk fallback (seed 202, QoS 1-3, trials
-# 0-15).  The cap ascent answers where one cap binds.  On QoS 1.0 trials 3 and
-# 9 both seeded caps bind, so the ascent's answer breaks the other one and the
-# seeded relaxation answers.  On QoS 2.0 trial 6 the seeded relaxation's
-# answer breaks a cap the seed left out, and the full program answers.
-DESK_FALLBACKS = {(1.0, 3): "seeded", (1.0, 9): "seeded", (2.0, 4): "ascent",
-                  (2.0, 6): "full", (2.0, 9): "ascent", (2.0, 14): "ascent",
-                  (3.0, 4): "ascent", (3.0, 6): "ascent", (3.0, 9): "ascent",
-                  (3.0, 14): "ascent"}
+# 0-15).  The one-cap ascent answers where one cap binds.  On QoS 1.0 trials 3
+# and 9 and QoS 2.0 trial 6 both caps of one small cell bind: the one-cap
+# answer splits a user between the BS and that small cell and breaks the
+# cell's other cap, and the two-cap step answers.  With the ascent switched
+# off, the seeded relaxation answers QoS 1.0 trials 3 and 9, and the full
+# program QoS 2.0 trial 6, whose seeded answer breaks a cap the seed left out.
+DESK_FALLBACKS = {(1.0, 3): "two-cap", (1.0, 9): "two-cap", (2.0, 4): "one-cap",
+                  (2.0, 6): "two-cap", (2.0, 9): "one-cap", (2.0, 14): "one-cap",
+                  (3.0, 4): "one-cap", (3.0, 6): "one-cap", (3.0, 9): "one-cap",
+                  (3.0, 14): "one-cap"}
 
 
 def test_a_cap_the_seed_misses_sends_the_relaxation_to_every_cap(monkeypatch):
@@ -1058,8 +1070,8 @@ def _recording_rounds(monkeypatch):
     last = []
     uplink_round = coordination._uplink_round
 
-    def record(problem, lam, F):
-        step = uplink_round(problem, lam, F)
+    def record(lam, *args):
+        step = uplink_round(lam, *args)
         last[:] = [lam.copy(), None if step is None else step[0]]
         return step
     monkeypatch.setattr(coordination, "_uplink_round", record)
@@ -1099,14 +1111,15 @@ def test_a_paper_scale_seeded_fallback_solves_ten_by_ten_bs_blocks(monkeypatch):
 
 
 def test_a_small_multiplier_is_priced_on_its_own_dual_row(monkeypatch):
-    # Desk seed 202, QoS 1.0, trial 9 answers from its seeded program.  The
-    # IPM bounds each multiplier's error relative to the largest one, and here
-    # lambda_4 is 9.1e-7 against lambda_0 = 83: with the IPM's own lambda the
-    # duality residual is 2.2e-5.  The certificate's lambda is one round of
-    # the uplink map at the IPM's (lambda, mu), which prices each user on its
-    # own dual row.
+    # Desk seed 202, QoS 1.0, trial 9 answers from its seeded program once the
+    # cap ascent (which answers it) is switched off.  The IPM bounds each
+    # multiplier's error relative to the largest one, and here lambda_4 is
+    # 9.1e-7 against lambda_0 = 83: with the IPM's own lambda the duality
+    # residual is 2.2e-5.  The certificate's lambda is one round of the uplink
+    # map at the IPM's (lambda, mu), which prices each user on its own dual row.
     cfg = replace(desk_config(seed=202), qos_targets=(1.0,) * 6)
     prob = CoordinationProblem(realize_scenario(cfg, trial=9), cfg.hardware, cfg.qos_targets)
+    _without_ascent(monkeypatch)
     built = _recording_builds(monkeypatch)
     last_round = _recording_rounds(monkeypatch)
     sol, cert = solve_optimal(prob)
@@ -1120,9 +1133,9 @@ def test_a_small_multiplier_is_priced_on_its_own_dual_row(monkeypatch):
 def test_desk_fallbacks_keep_the_all_caps_optimum(monkeypatch):
     # Every desk fallback (seed 202, QoS 1-3, trials 0-15) answers from the
     # candidate DESK_FALLBACKS names, at a dynamic power within 1e-9 relative
-    # of the full optimum solved to TOL_FEAS 1e-13 / TOL_GAP 1e-12 (the cap
-    # ascent's within 7.6e-12, the relaxations' within 5.4e-10).  Each seeded
-    # program holds fewer rows than the full one.
+    # of the full optimum solved to TOL_FEAS 1e-13 / TOL_GAP 1e-12 (the
+    # one-cap answers within 7.6e-12, the two-cap answers within 1.3e-11).
+    # A seeded program, where one is built, holds fewer rows than the full one.
     built, formed = _recording_builds(monkeypatch), _recording_ascents(monkeypatch)
     answered = {}
     for qos in (1.0, 2.0, 3.0):
@@ -1152,6 +1165,95 @@ def test_desk_fallbacks_keep_the_all_caps_optimum(monkeypatch):
 def _desk_problem(cfg, qos, trial):
     cfg = replace(cfg, qos_targets=(qos,) * 6)
     return CoordinationProblem(realize_scenario(cfg, trial=trial), cfg.hardware, cfg.qos_targets)
+
+
+# The desk trials (seed 202, QoS 1-3, trials 0-99) that the two-cap step
+# answers.  In each, the one-cap answer breaks the other cap of the priced
+# cap's transmitter.  In all but QoS 3.0 trials 90 and 94 it splits a user
+# between two transmitters, and the step follows that user's tie; in those
+# two every user keeps one transmitter, and both caps' usages meet q.
+DESK_TWO_CAP = [(1.0, 3), (1.0, 9), (1.0, 63), (2.0, 6), (2.0, 20), (2.0, 62), (2.0, 63),
+                (2.0, 66), (2.0, 84), (3.0, 50), (3.0, 52), (3.0, 62), (3.0, 63), (3.0, 84),
+                (3.0, 90), (3.0, 94)]
+
+
+def test_two_cap_answers_meet_the_relaxation_optimum(monkeypatch):
+    # Each two-cap answer lies within 1e-9 relative of the relaxation's answer
+    # with the cap ascent switched off (6.9e-10 at most, measured), prices
+    # exactly the two caps it meets, and passes the duality check.
+    for qos, trial in DESK_TWO_CAP:
+        prob = _desk_problem(desk_config(seed=202), qos, trial)
+        with monkeypatch.context() as m:
+            built, formed = _recording_builds(m), _recording_ascents(m)
+            sol, cert = solve_optimal(prob)
+            assert _answered_by(prob, built, formed) == "two-cap"
+        with monkeypatch.context() as m:
+            _without_ascent(m)
+            reference = solve_optimal(prob)[0]
+        assert sol.objective_dynamic == pytest.approx(reference.objective_dynamic, rel=1e-9)
+        priced = [(j, l) for j, mu_j in enumerate(cert.mu) for l in np.flatnonzero(mu_j)]
+        assert len(priced) == 2 and priced[0][0] == priced[1][0]
+        assert set(priced) <= coordination.binding_caps(sol.w, prob.hw)
+        assert verify_duality(sol, cert, prob).ok()
+        multiflow = classify_assignment(sol, prob.hw).count(MULTIFLOW)
+        assert multiflow == (0 if (qos, trial) in [(3.0, 90), (3.0, 94)] else 1)
+
+
+def test_each_two_cap_evaluation_starts_below_its_fixed_point(monkeypatch):
+    # The two-cap step starts each evaluation at a lambda below the fixed point
+    # it seeks: a Newton step from the fast path's lambda, a forward
+    # difference (mu one step higher) from the last accepted point's.  So
+    # lambda rises through every round, _solve_uplink's settle test (no
+    # lambda_k rising by more than UPLINK_TOL of itself) holds only at the
+    # fixed point, and every point the step accepts is dual feasible.
+    # Rounding lets lambda fall by a few 1e-12 of itself near the fixed point.
+    prob = _desk_problem(desk_config(seed=202), 1.0, 9)
+    starts = []
+    solve_uplink, two_caps = coordination._solve_uplink, coordination._two_caps
+
+    def recorded(problem, mu=None, lam=None):
+        point = solve_uplink(problem, mu, lam)
+        starts.append((lam, point.lam))
+        return point
+
+    def stepped(*args):
+        monkeypatch.setattr(coordination, "_solve_uplink", recorded)
+        return two_caps(*args)
+    monkeypatch.setattr(coordination, "_two_caps", stepped)
+    sol, cert = solve_optimal(prob)
+    assert len(starts) == 21
+    assert all(np.all(end >= (1.0 - 1e-9) * start) for start, end in starts)
+    assert cert.lam.tobytes() == starts[-1][1].tobytes()
+    assert np.array_equal(starts[-1][0], solve_uplink(prob).lam)
+
+
+def test_a_two_cap_step_whose_links_move_gives_way(monkeypatch):
+    # Criterion 7's sweep at N_BS=8 with two small cells, trial 21: the
+    # one-cap answer serves every user from one transmitter and breaks the
+    # other cap of its small cell.  On the way to both caps' usages, user 3
+    # moves between the BS and small cell 1 at every step, where the optimum
+    # splits it, and Newton's method would crawl against that kink (263
+    # evaluations, measured).  The step gives way at the first evaluation that
+    # moves a user's link, after 3, and the full program answers.
+    cfg = with_axis_value(replace(desk_config(seed=101), n_bs=8), "n_sca", 2)
+    prob = CoordinationProblem(realize_scenario(cfg, trial=21), cfg.hardware, cfg.qos_targets)
+    evaluations, steps = [], []
+    solve_uplink, two_caps = coordination._solve_uplink, coordination._two_caps
+    monkeypatch.setattr(coordination, "_solve_uplink",
+                        lambda *args: evaluations.append(args) or solve_uplink(*args))
+
+    def stepped(*args):
+        evaluations.clear()
+        steps.append(two_caps(*args))
+        steps.append(len(evaluations))
+        return steps[0]
+    monkeypatch.setattr(coordination, "_two_caps", stepped)
+    built = _recording_builds(monkeypatch)
+    sol, cert = solve_optimal(prob)
+    assert steps == [None, 3]
+    assert _answered_by(prob, built, []) == "full"
+    assert classify_assignment(sol, prob.hw).count(MULTIFLOW) == 1
+    assert verify_duality(sol, cert, prob).ok()
 
 
 def test_the_cap_ascent_splits_a_tied_user_over_its_binding_cap(monkeypatch):
@@ -1319,8 +1421,8 @@ def test_sub_mw_fallbacks_certify_at_scaled_power(monkeypatch, gamma, trial):
     # Noise 40 dB lower and caps x1e-4 scale every power by 1e-4: these
     # cap-bound trials answer from the candidate that answers them unscaled,
     # at about 1e-3 mW, and must land on the scaled optimum, not merely within
-    # the absolute 1e-6 mW gap.  QoS 2.0 trial 9 answers from the cap ascent,
-    # the others from a relaxation.
+    # the absolute 1e-6 mW gap.  QoS 2.0 trial 9 answers from the one-cap
+    # ascent, the others from its two-cap step.
     reference = run_trial(desk_config(seed=202), "qos", gamma, "optimal", trial)
     built, formed = _recording_builds(monkeypatch), _recording_ascents(monkeypatch)
     scaled = run_trial(_scaled_desk(40.0, 1e-4), "qos", gamma, "optimal", trial)
@@ -1333,32 +1435,28 @@ def test_sub_mw_fallbacks_certify_at_scaled_power(monkeypatch, gamma, trial):
 @pytest.mark.parametrize("s", range(7))
 def test_cap_ascent_answers_scale_with_noise_and_caps(monkeypatch, s):
     # Noise 10 s dB lower and caps x10^-s scale every power by 10^-s: each
-    # desk trial the ascent answers still answers from it, at the scaled
-    # power within 1e-9 (7.7e-13 at most, measured).
+    # desk fallback, all answered by the cap ascent, still answers from the
+    # step that answers it unscaled (the one-cap answer or the two-cap step),
+    # at the scaled power within 1e-9 (7.7e-13 at most, measured).
     built, formed = _recording_builds(monkeypatch), _recording_ascents(monkeypatch)
     for (qos, trial), candidate in DESK_FALLBACKS.items():
-        if candidate != "ascent":
-            continue
         reference = solve_optimal(_desk_problem(desk_config(seed=202), qos, trial))[0]
         built.clear()
         formed.clear()
         prob = _desk_problem(_scaled_desk(10.0 * s, 10.0 ** -s), qos, trial)
         sol, cert = solve_optimal(prob)
-        assert _answered_by(prob, built, formed) == "ascent"
+        assert _answered_by(prob, built, formed) == candidate
         assert sol.objective_dynamic == pytest.approx(10.0 ** -s * reference.objective_dynamic,
                                                       rel=1e-9)
         assert verify_duality(sol, cert, prob).ok()
 
 
 @pytest.mark.parametrize("gamma", [
-    # With the 8 rows its answer needs, not all 26, the QoS 1.0 relaxation
-    # certifies and meets the cap: 5.0774 mW in total.
+    # The two-cap step answers: 5.0774 mW in total, its tightest cap 5.7e-13
+    # relative over the limit.
     1.0,
-    # 60 dB lower noise and caps x1e-6: the seeded program in the channel
-    # subspace answers, 4.2e-9 relative from the full program solved to
-    # targets 1e-13/1e-12, with its tightest cap 3.9e-7 relative over the
-    # limit, inside CAP_TOL.  On full 16 x 16 BS blocks the repaired beams of
-    # the seeded and of the full program broke that cap by 3.6e-6 and 5.1e-6.
+    # 60 dB lower noise and caps x1e-6: the one-cap ascent answers, within its
+    # cap.
     2.0])
 def test_sub_mw_fallback_meets_a_1e_minus_7_mw_cap(gamma):
     assert run_trial(_scaled_desk(60.0, 1e-6), "qos", gamma, "optimal", 9).status == "optimal"
@@ -1367,11 +1465,35 @@ def test_sub_mw_fallback_meets_a_1e_minus_7_mw_cap(gamma):
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
 def test_sub_mw_fallback_certificate_meets_the_duality_check(gamma):
     # The twins of the 1e-7 mW cap test: both certify optimal, and the
-    # duality identity must hold on their certificates as well.  They read
-    # 1.1e-5 and 4.1e-6.  The cap multipliers are still certified only through
-    # the row floor of conic_solver._relres (ROADMAP item 9), but no trial
-    # 0-49 of this family at QoS 1.0 or 2.0 fails this check.
+    # duality identity must hold on their certificates as well.  The two-cap
+    # step answers QoS 1.0 and the one-cap ascent QoS 2.0, at residuals 2.9e-13
+    # and 2.8e-14.
     cfg = replace(_scaled_desk(60.0, 1e-6), qos_targets=(gamma,) * 6)
     prob = CoordinationProblem(realize_scenario(cfg, trial=9), cfg.hardware, cfg.qos_targets)
     sol, cert = solve_optimal(prob)
+    assert verify_duality(sol, cert, prob).ok()
+
+
+@pytest.mark.parametrize("gamma", [
+    # The relaxation with the 8 rows its answer needs, not all 26, certifies
+    # and meets the cap; its certificate reads 1.1e-5.
+    1.0,
+    # The seeded program in the channel subspace answers, 4.2e-9 relative from
+    # the full program solved to targets 1e-13/1e-12, with its tightest cap
+    # 3.9e-7 relative over the limit, inside CAP_TOL; its certificate reads
+    # 4.1e-6.  On full 16 x 16 BS blocks the repaired beams of the seeded and
+    # of the full program broke that cap by 3.6e-6 and 5.1e-6.
+    2.0])
+def test_sub_mw_relaxation_meets_the_cap_and_the_duality_check(monkeypatch, gamma):
+    # The 1e-7 mW cap twins above with the cap ascent switched off, so that a
+    # relaxation answers; _finish, which returns it, checks every target and
+    # cap.  Its cap multipliers are still certified only through the row
+    # floor of conic_solver._relres (ROADMAP item 9), but no trial 0-49 of
+    # this family at QoS 1.0 or 2.0 fails the duality check.
+    _without_ascent(monkeypatch)
+    built = _recording_builds(monkeypatch)
+    cfg = replace(_scaled_desk(60.0, 1e-6), qos_targets=(gamma,) * 6)
+    prob = CoordinationProblem(realize_scenario(cfg, trial=9), cfg.hardware, cfg.qos_targets)
+    sol, cert = solve_optimal(prob)
+    assert len(built) == 1
     assert verify_duality(sol, cert, prob).ok()
