@@ -4,15 +4,15 @@
 Runs full_paper_config() (N_BS=100, K=10, four single-antenna small cells)
 at QoS 3, trials 0-23, with the small-cell caps x0.1, so that the uplink fixed
 point's beams break a small-cell cap and a fallback answers: the cap ascent on
-that cap's multiplier (its one-cap answer, or its two-cap step where that
+that cap's multiplier (its one-cap answer, or its two-cap answer where that
 answer breaks one more cap of the same transmitter), or the relaxation seeded
 with the caps the beams touch.  Each small cell has one antenna here, so the
 two-cap step never runs.  Prints one line per trial that fell back: the
-candidate that answered, the ascent's evaluations of the uplink fixed point
-(its two-cap step's included), the BS block size,
-coordinates, IPM iterations and seconds of each program solved, then the
-trial's total power and its certificate's duality residual.  Exits 1 on any
-uncertified status or any duality residual above DUALITY_TOL.
+candidate that answered (the solution's path), the ascent's evaluations of
+the uplink fixed point, the BS block size, coordinates, IPM iterations and
+seconds of each program solved, then the trial's total power and its
+certificate's duality residual.  Exits 1 on any uncertified status or any
+duality residual above DUALITY_TOL.
 
     python3 scripts/paper_fallbacks.py
 """
@@ -37,14 +37,12 @@ QOS, TRIALS, CAP_FACTOR = 3.0, 24, 0.1      # the declared corpus
 
 
 def recorded_solves(problem):
-    """solve_optimal(problem) with its fallbacks recorded: the uplink fixed
-    points the cap ascent evaluated, how many candidates it formed (1 for the
-    one-cap answer, 2 once the two-cap step forms one; None where it did not
-    run), and each relaxation solved as (BS block size, coordinates,
-    iterations, seconds)."""
-    solves, ascent = [], {"evaluations": 0, "formed": None}
+    """solve_optimal(problem) with its fallbacks recorded: the number of
+    uplink fixed points the cap ascent evaluated, and each relaxation solved
+    as (BS block size, coordinates, iterations, seconds)."""
+    solves, evaluations = [], [0]
     build, solve = coordination.build_relaxation, cs.solve
-    cap_ascent, solve_uplink = coordination._cap_ascent, coordination._solve_uplink
+    solve_uplink = coordination._solve_uplink
 
     def timed_solve(conic):
         t0 = time.perf_counter()
@@ -58,23 +56,17 @@ def recorded_solves(problem):
         solves.append((bs, sum(b.svec_dim for b in relax.conic.blocks)))
         return relax
 
-    def counted_ascent(*args):
-        ascent["formed"] = 0
-        for candidate in cap_ascent(*args):
-            ascent["formed"] += 1
-            yield candidate
-
     def counted_uplink(p, mu=None, lam=None):
-        ascent["evaluations"] += mu is not None
+        evaluations[0] += mu is not None
         return solve_uplink(p, mu, lam)
 
     coordination.build_relaxation, cs.solve = recorded_build, timed_solve
-    coordination._cap_ascent, coordination._solve_uplink = counted_ascent, counted_uplink
+    coordination._solve_uplink = counted_uplink
     try:
-        return solve_optimal(problem), ascent, solves
+        return solve_optimal(problem), evaluations[0], solves
     finally:
         coordination.build_relaxation, cs.solve = build, solve
-        coordination._cap_ascent, coordination._solve_uplink = cap_ascent, solve_uplink
+        coordination._solve_uplink = solve_uplink
 
 
 def main() -> int:
@@ -88,7 +80,7 @@ def main() -> int:
         problem = CoordinationProblem(realize_scenario(cfg, trial=trial), cfg.hardware,
                                       cfg.qos_targets)
         try:
-            (solution, certificate), ascent, solves = recorded_solves(problem)
+            (solution, certificate), evaluations, solves = recorded_solves(problem)
         except InfeasibleProblemError:
             print(f"trial {trial}: infeasible (certified)")
             continue
@@ -96,16 +88,15 @@ def main() -> int:
             print(f"trial {trial}: numerical failure: {exc}")
             bad += 1
             continue
-        if ascent["formed"] is None and not solves:
+        if solution.path == "uplink":
             continue
         fallbacks += 1
         residual = verify_duality(solution, certificate, problem).max_residual
         bad += residual > DUALITY_TOL
-        answer = "relaxation" if solves else ("cap ascent", "two-cap step")[ascent["formed"] - 1]
-        steps = [] if ascent["formed"] is None else [f"ascent {ascent['evaluations']} evaluations"]
+        steps = [f"ascent {evaluations} evaluations"] if evaluations else []
         steps += [f"BS blocks {bs}x{bs}, {coords} coordinates, {iters} iterations, {seconds:.3f} s"
                   for bs, coords, iters, seconds in solves]
-        print(f"trial {trial}: {answer}; {'; '.join(steps)}; "
+        print(f"trial {trial}: {solution.path}; {'; '.join(steps)}; "
               f"total {solution.objective_total:.6f} mW, duality residual {residual:.2g}")
     print(f"{fallbacks} fallbacks in {TRIALS} trials, {bad} uncertified or above "
           f"DUALITY_TOL {DUALITY_TOL:g}")

@@ -20,10 +20,10 @@ g's slope, the cap's usage minus q (Yu and Lan, 2007; Dahrouj and Yu, 2010).
 Where a user switches transmitter on the way, it stops at that user's tie and
 splits the user's power over both links so that the cap binds: the multiflow
 user that a binding cap licenses.  Where that answer breaks one more cap of
-the same transmitter, a two-cap step (_two_caps) prices both, solving their
-two stationarity conditions by Newton's method from that answer on.  Every
-point either answers from is dual feasible, so its answer is checked against
-g like any other.
+the same transmitter, the ascent prices both, solving their two
+stationarity conditions by Newton's method from that answer on.  Every point
+it answers from is dual feasible, so its answer is checked against g like
+any other.
 
 Relaxations last, for every case none of these certifies (more binding caps
 than the ascent prices, infeasible targets, a cost left beyond the gap):
@@ -66,7 +66,8 @@ become a solution: it alone zeroes residue (links below SERVING_SHARE of their
 user's signal), and one evaluate of the result gives the power reported,
 verifies every target and cap, and lets _finish refuse a cost beyond CERT_GAP
 of the candidate's bound (sum lambda on the fast path, g on the ascent, the
-relaxed optimum on a relaxation).
+relaxed optimum on a relaxation), and names the candidate that answered in
+BeamformingSolution.path.
 
 The relaxation is exact: a rank-one optimal solution always exists, so an
 infeasible relaxation certifies infeasibility of the original problem and the
@@ -147,6 +148,9 @@ class BeamformingSolution:
     objective_dynamic: float        # mW
     objective_static: float         # mW
     objective_total: float          # mW
+    # The candidate that answered: "uplink", "one_cap", "two_cap", "seeded" or
+    # "full" from solve_optimal, "rzf_lp" from rzf_solve.
+    path: str
     exchanged_scalars: dict | None = None   # per-SCA backhaul scalar counts
     # Relaxed optimum (dynamic, mW): the IPM's value before repair, or on the
     # fast path the certified dual bound sum lambda.
@@ -316,14 +320,6 @@ def repair_rank(relax: Relaxation, blocks: list, problem: CoordinationProblem) -
     return w
 
 
-def scaled_channels(channels: ChannelSet, txs: list) -> tuple[list, np.ndarray]:
-    """Noise-scaled stacks G_t = H_t / sigma (column k over sigma_k) of the
-    transmitters txs, and the (T, K, K) stack of their Grams G_t^H G_t."""
-    K = channels.num_users
-    G = [channels.H[j] / np.sqrt(np.asarray(channels.sigma2, dtype=float)) for j in txs]
-    return G, np.array([G_t.conj().T @ G_t for G_t in G], dtype=complex).reshape(len(G), K, K)
-
-
 def regularized_inverse(gram: np.ndarray, a, r) -> np.ndarray:
     """Y[t] = (diag(a) gram[t] + r[t] I)^{-1} for a (T, K, K) stack of Grams
     gram[t] = G_t^H G_t, in one batched K x K inverse.
@@ -352,10 +348,11 @@ def _uplink_grams(problem: CoordinationProblem, mu: list) -> tuple[list, np.ndar
     """Noise-scaled stacks G_t = H_t / sigma of the active transmitters and the
     (T, K, K) stack F_t = G_t^H D_t^-1 G_t of the uplink noise
     D_t = rho_t I + diag mu_t (mu[j] over the antennas of transmitter j)."""
-    txs, K = problem.active_transmitters(), problem.channels.num_users
-    G, _ = scaled_channels(problem.channels, txs)
+    ch, txs = problem.channels, problem.active_transmitters()
+    sigma = np.sqrt(np.asarray(ch.sigma2, dtype=float))
+    G = [ch.H[j] / sigma for j in txs]
     F = [G_t.conj().T @ (G_t / (problem.hw.rho[j] + mu[j])[:, None]) for j, G_t in zip(txs, G)]
-    return G, np.array(F, dtype=complex).reshape(len(G), K, K)
+    return G, np.array(F, dtype=complex).reshape(len(G), ch.num_users, ch.num_users)
 
 
 def _uplink_round(lam: np.ndarray, F: np.ndarray, users: np.ndarray, targets: np.ndarray):
@@ -389,11 +386,13 @@ def _uplink_targets(problem: CoordinationProblem) -> tuple[np.ndarray, np.ndarra
 
 class _UplinkPoint(NamedTuple):
     """The uplink fixed point at cap multipliers mu (mu[j] over the antennas
-    of transmitter j): its lambda, the noise-scaled stacks G, the last round's
-    Y and gain, and the beams w formed from them."""
+    of transmitter j): its lambda, the dual value
+    g = sum lambda - sum_{j,l} mu_jl q_j, the noise-scaled stacks G, the last
+    round's Y and gain, and the beams w formed from them."""
 
     mu: list
     lam: np.ndarray
+    g: float
     G: list
     Y: np.ndarray
     gain: np.ndarray
@@ -417,7 +416,7 @@ def _solve_uplink(problem: CoordinationProblem, mu: list | None = None,
     here by _uplink_round over Grams formed once.  From lambda = 0, or from the
     fixed point at any mu' <= mu (the fixed point rises with the uplink noise),
     the iterates rise monotonically and each is dual feasible, whatever the
-    caps, so sum lambda - sum mu q bounds the full program from below.
+    caps, so g = sum lambda - sum mu q bounds the full program from below.
 
     Where lambda has not settled within UPLINK_MAX_ITERS, the last round's
     beams are formed all the same: its lambda is still dual feasible.  No
@@ -432,8 +431,8 @@ def _solve_uplink(problem: CoordinationProblem, mu: list | None = None,
     lam = np.zeros(ch.num_users) if lam is None else lam
     G, F = _uplink_grams(problem, mu)
     users, targets = _uplink_targets(problem)
-    ceiling = sum(hw.rho[j] * ch.antennas(j) * hw.per_antenna_limit[j] for j in txs)
-    ceiling += sum(hw.per_antenna_limit[j] * mu[j].sum() for j in txs)
+    priced = sum(hw.per_antenna_limit[j] * mu[j].sum() for j in txs)
+    ceiling = sum(hw.rho[j] * ch.antennas(j) * hw.per_antenna_limit[j] for j in txs) + priced
     for _ in range(UPLINK_MAX_ITERS):
         step = _uplink_round(lam, F, users, targets)
         if step is None:
@@ -446,7 +445,7 @@ def _solve_uplink(problem: CoordinationProblem, mu: list | None = None,
         if settled:
             break
     w = _form_beams(problem, mu, G, Y, gain)
-    return None if w is None else _UplinkPoint(mu, lam, G, Y, gain, w)
+    return None if w is None else _UplinkPoint(mu, lam, float(lam.sum() - priced), G, Y, gain, w)
 
 
 def _form_beams(problem: CoordinationProblem, mu: list, G: list, Y: np.ndarray,
@@ -503,16 +502,17 @@ def _form_beams(problem: CoordinationProblem, mu: list, G: list, Y: np.ndarray,
 
 def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, DualCertificate]:
     """Exact minimum-power coordination with dual certificates: the first
-    candidate answer that _finish accepts against its own lower bound.
+    candidate answer that _finish accepts against its own lower bound, named
+    in the solution's path.
 
     The candidates (_candidates) come in order: the fast path, the uplink
     fixed point's beams against sum lambda; the cap ascent (_cap_ascent) on
     the one cap those beams break most, against g(mu) = sum lambda - mu q;
     where that answer breaks one more cap of the same transmitter, the
-    ascent's two-cap step on both, against g at their two multipliers; the
-    relaxation seeded with the caps the fast path's beams leave active or
-    violated (one round of Kelley's cutting planes, 1960), its blocks taken to
-    rank one by repair_rank, against its optimum; and the full relaxation,
+    ascent on both, against g at their two multipliers; the relaxation
+    seeded with the caps the fast path's beams leave active or violated (one
+    round of Kelley's cutting planes, 1960), its blocks taken to rank one by
+    repair_rank, against its optimum; and the full relaxation,
     with every cap, against its optimum.  Each bound is valid for the full
     program: every round's lambda at any mu >= 0 is dual feasible, and
     leaving caps out relaxes the program.  So an answer within every target
@@ -529,28 +529,28 @@ def solve_optimal(problem: CoordinationProblem) -> tuple[BeamformingSolution, Du
     _finish refuses its repaired beams (a missed target or cap, or a cost
     beyond CERT_GAP of the relaxed optimum).
     """
-    for w, bound, certificate in _candidates(problem):
+    for path, w, bound, certificate in _candidates(problem):
         try:
-            return _finish(w, problem, objective_relaxation=bound), certificate
+            return _finish(w, problem, path, objective_relaxation=bound), certificate
         except NumericalFailureError as refusal:
             error = refusal
     raise error
 
 
 def _candidates(problem: CoordinationProblem):
-    """The candidate answers (w, bound, certificate) of solve_optimal, each
-    formed only once the one before it has been refused: fast path, cap
-    ascent (its one-cap answer, then its two-cap step's), seeded relaxation,
-    full relaxation.  The ascent runs only where
-    the fast path's beams touch some caps but not all; where they touch none
-    (a fast path refused on its gap alone), the seeded program holds only
-    the QoS rows."""
+    """The candidate answers (path, w, bound, certificate) of solve_optimal,
+    each formed only once the one before it has been refused: the fast path
+    ("uplink"), the cap ascent ("one_cap", then "two_cap"), the seeded
+    relaxation ("seeded") and the full one ("full").  The ascent runs only
+    where the fast path's beams touch some caps but not all; where they touch
+    none (a fast path refused on its gap alone), the seeded program holds
+    only the QoS rows."""
     ch = problem.channels
     every_cap = set(antenna_caps(problem))
     programs = [every_cap]
     fast = _solve_uplink(problem)
     if fast is not None:
-        yield fast.w, float(fast.lam.sum()), DualCertificate(fast.lam, fast.mu)
+        yield "uplink", fast.w, fast.g, DualCertificate(fast.lam, fast.mu)
         seed = binding_caps(fast.w, problem.hw)
         if seed != every_cap:
             programs = [seed, every_cap]
@@ -584,44 +584,64 @@ def _candidates(problem: CoordinationProblem):
         for (j, l), row in relax.power_row.items():
             mu[j][l] = max(conic_sol.duals[row], 0.0)
         lam, _, _ = _uplink_round(lam, _uplink_grams(problem, mu)[1], *_uplink_targets(problem))
-        yield (repair_rank(relax, conic_sol.block_values, problem), conic_sol.primal_objective,
+        yield ("full" if caps is every_cap else "seeded",
+               repair_rank(relax, conic_sol.block_values, problem), conic_sol.primal_objective,
                DualCertificate(lam, mu))
 
 
 def _cap_ascent(problem: CoordinationProblem, fast: _UplinkPoint, seed: set):
-    """The cap ascent's candidates (w, bound, certificate), each formed only
-    once the one before it has been refused: the one-cap answer, then the
-    two-cap step's (_two_caps); none where the ascent forms none.  fast is the
+    """The cap ascent's candidates (path, w, bound, certificate), each formed
+    only once the one before it has been refused: the one-cap answer, then
+    the two-cap answer; none where the ascent forms none.  fast is the
     refused fast path, whose beams break or meet the caps in seed.
 
-    It maximizes the dual g(mu) = sum lambda(mu) - mu q over the multiplier mu
-    of one cap (j, l), the seeded cap with the largest used / q, all others at
-    0.  g is concave, and by Danskin's theorem its slope is the cap's usage by
-    the beams of _solve_uplink at mu, minus q: positive at mu = 0 where the
-    beams break the cap.  The search runs in x = log(1 + mu / rho_j).  It
-    doubles x from log 2 until the slope turns nonpositive, then shrinks the
-    bracket [lo, hi] (slope positive at lo, not at hi) by Brent's method
-    (1973): inverse quadratic or secant steps through the points evaluated,
-    and the midpoint wherever such a step leaves the bracket or shrinks the
-    last step by less than half.  Each evaluation starts warm from lambda at
-    lo, below the fixed point it seeks, so its every round is dual feasible.
+    It maximizes the dual g = sum lambda(mu) - sum mu q over the multipliers
+    mu of the priced caps of one transmitter j, all other multipliers at 0,
+    in x = log(1 + mu / rho_j) per priced cap: each point is the fixed point
+    of _solve_uplink there, and its g (_UplinkPoint.g) bounds the full
+    program from below.  Where one user k ties between transmitters a and b,
+    its beams are split: k keeps the link that serves it and adds the other,
+    with powers that meet the first priced cap with equality (_form_beams'
+    split), the multiflow user that a binding cap licenses.
 
-    Where one user is served from transmitter a at lo and b at hi, the slope
-    jumps between them, and the steps follow that user's tie
-    log(gain_a / gain_b) = 0 instead, a smooth function of mu; where several
-    users switch, the search bisects.  It stops once the last point's slope
-    is within UPLINK_TOL * q of zero, or its tie within UPLINK_TOL, or the
-    bracket no longer shrinks in floating point.  The answer is formed at the
-    end of the bracket nearer that root, against the larger g of the two ends:
-    the beams of _solve_uplink there, or at a tie both of the user's links,
-    with powers that meet the cap with equality (_form_beams' split).
+    One cap first, (j, l), the seeded cap with the largest used / q.  g is
+    concave, and by Danskin's theorem its slope is the cap's usage by the
+    beams of _solve_uplink at mu, minus q: positive at mu = 0 where the
+    beams break the cap.  The search doubles x from log 2 until the slope
+    turns nonpositive, then shrinks the bracket [lo, hi] (slope positive at
+    lo, not at hi) by Brent's method (1973): inverse quadratic or secant
+    steps through the points evaluated, and the midpoint wherever such a
+    step leaves the bracket or shrinks the last step by less than half.
+    Each evaluation starts warm from lambda at lo, below the fixed point it
+    seeks, so its every round is dual feasible.  Where one user is served
+    from transmitter a at lo and b at hi, the slope jumps between them, and
+    the steps follow that user's tie log(gain_a / gain_b) = 0 instead, a
+    smooth function of mu; where several users switch, the search bisects.
+    It stops once the last point's slope is within UPLINK_TOL * q of zero,
+    or its tie within UPLINK_TOL, or the bracket no longer shrinks in
+    floating point.  The answer is formed at the end of the bracket nearer
+    that root, against the larger g of the two ends.
 
-    Where _finish refuses that answer and its beams break exactly one other
-    cap, of the same transmitter, the two-cap step (_two_caps) prices both
-    caps, from that answer on.  The ascent forms nothing where a zero cap
-    leads (its root lies at mu = infinity), an evaluation forms no beams
-    (with the targets out of reach of the cap, sum lambda passes the ceiling
-    of _solve_uplink), or the bracket closes with several users switching.
+    Two caps next, where _finish refuses that answer and its beams break
+    exactly one other cap (j, l2), of the same transmitter.  From that end
+    on, at x = (x_end, 0), Newton's method solves two stationarity
+    conditions within UPLINK_TOL: with a tie, the tie and cap (j, l2)'s
+    usage = q_j by the split beams; without one, both caps' usages = q_j
+    (the usages relative to q_j).  It takes a forward-difference Jacobian
+    (steps of sqrt(UPLINK_TOL) in x), cuts each step to keep mu >= 0 and
+    halves it until the residual's norm falls.  Each step's evaluation starts
+    from the fast path's lambda, below the fixed point at every mu >= 0, and
+    each forward difference from the last accepted point's, below the fixed
+    point at its higher mu, so every accepted point is dual feasible: the
+    answer is the last one, against its g.
+
+    The ascent forms nothing more where a zero cap leads (its root lies at
+    mu = infinity), an evaluation forms no beams (with the targets out of
+    reach of the caps, sum lambda passes the ceiling of _solve_uplink), the
+    bracket closes with several users switching, or a Newton evaluation
+    moves a user other than k to another transmitter (or k to neither a nor
+    b: the conditions assume the links of the one-cap answer), the Jacobian
+    is singular, or halving no longer moves x.
     """
     ch, hw = problem.channels, problem.hw
     users = problem.qos_users()
@@ -631,17 +651,28 @@ def _cap_ascent(problem: CoordinationProblem, fast: _UplinkPoint, seed: set):
     q, rho = hw.per_antenna_limit[j], hw.rho[j]
     if not (q > 0 and used[j][l] > q):
         return
+    caps = [l]                          # the priced caps of transmitter j
+
+    def at(x, lam):
+        mu = [np.zeros(n) for n in ch.antenna_counts]
+        with np.errstate(over="ignore"):            # mu = inf: the antenna is priced out
+            mu[j][caps] = rho * np.expm1(x)
+        return _solve_uplink(problem, mu, lam)
 
     def slope(point):
         return float(np.sum(np.abs(point.w[j][l]) ** 2)) - q
 
-    def bound(point):
-        return float(point.lam.sum() - point.mu[j][l] * q)
-
-    def at(x, lam):
-        mu = [np.zeros(n) for n in ch.antenna_counts]
-        mu[j][l] = rho * np.expm1(x)
-        return _solve_uplink(problem, mu, lam)
+    def beams(point):
+        """point's beams, split at the tie track = (k, a, b) where there is
+        one; None where k is served by neither a nor b, or no powers form."""
+        if not track:
+            return point.w
+        k, a, b = track
+        served = int(np.argmax(point.gain[k]))
+        if served not in (a, b):
+            return None
+        return _form_beams(problem, point.mu, point.G, point.Y, point.gain,
+                           (k, b if served == a else a, (j, l)))
 
     lo, x_lo, x_hi = fast, 0.0, float(np.log(2.0))
     while (hi := at(x_hi, lo.lam)) is not None and slope(hi) > 0.0:
@@ -684,110 +715,53 @@ def _cap_ascent(problem: CoordinationProblem, fast: _UplinkPoint, seed: set):
     if track is None:
         return
     end = lo if abs(f(lo)) <= abs(f(hi)) else hi
-    w = end.w
-    if track:
-        k, a, b = track
-        w = _form_beams(problem, end.mu, end.G, end.Y, end.gain, (k, b if end is lo else a, (j, l)))
-        if w is None:
-            return
-    yield w, max(bound(lo), bound(hi)), DualCertificate(end.lam, end.mu)
+    if (w := beams(end)) is None:
+        return
+    yield "one_cap", w, max(lo.g, hi.g), DualCertificate(end.lam, end.mu)
 
     broken = {(t, int(m)) for t, (_, _, _, violated) in enumerate(cap_usage(w, hw))
               for m in np.flatnonzero(violated)} - {(j, l)}
-    if len(broken) == 1 and (other := broken.pop())[0] == j:
-        candidate = _two_caps(problem, fast.lam, end, x_lo if end is lo else x_hi,
-                              (j, l, other[1]), track)
-        if candidate is not None:
-            yield candidate
+    if len(broken) != 1 or (other := broken.pop())[0] != j:
+        return
+    caps.append(other[1])
+    others = [u for u in users if not track or u != track[0]]  # every QoS user but the tied one
+    links = end.gain[others].argmax(axis=1)
 
-
-def _two_caps(problem: CoordinationProblem, floor: np.ndarray, start: _UplinkPoint,
-              x_start: float, caps: tuple, tie: tuple):
-    """The two-cap step's candidate (w, bound, certificate), or None.
-
-    start is the refused one-cap answer's fixed point, at x = x_start on cap
-    (j, l) of caps = (j, l, l2), whose beams break cap (j, l2) of the same
-    transmitter.  The step prices both caps, x = log(1 + mu / rho_j) per cap
-    from (x_start, 0), and solves their two stationarity conditions:
-
-    - with tie = (k, a, b), user k tied between transmitters a and b at start:
-      the tie log(gain_a / gain_b) = 0, and cap (j, l2)'s usage = q_j by the
-      split beams of _form_beams, whose K + 1 powers meet cap (j, l) with
-      equality (the multiflow user);
-    - without a tie (tie = ()): both caps' usages = q_j, by the beams of
-      _solve_uplink.
-
-    Newton's method takes a forward-difference Jacobian (steps of
-    sqrt(UPLINK_TOL) in x), cuts each step to keep mu >= 0 and halves it
-    until the residual's norm falls, until both residuals are within
-    UPLINK_TOL (the usages relative to q_j).  Each step's evaluation starts
-    from floor, the fast path's lambda, below the fixed point at every
-    mu >= 0, and each forward difference from the last accepted point's, below
-    the fixed point at its higher mu.  So every round rises, _solve_uplink's
-    settle test holds, and every accepted point is dual feasible: the answer
-    is the last one, against g = sum lambda - sum mu q there.
-
-    None where an evaluation forms no beams, moves a user other than k to
-    another transmitter (or k to neither a nor b: the conditions assume the
-    links of start), the Jacobian is singular, or halving no longer moves x.
-    """
-    j, l, l2 = caps
-    ch, q, rho = problem.channels, problem.hw.per_antenna_limit[j], problem.hw.rho[j]
-    k, a, b = tie or (-1, -1, -1)
-    users = np.array(problem.qos_users(), dtype=int)
-    others = users != k                 # every QoS user but the tied one
-    links = start.gain[users[others]].argmax(axis=1)
-
-    def split(point):
+    def residuals(point):
         """point, its beams and their two residuals, or None."""
-        if not np.array_equal(point.gain[users[others]].argmax(axis=1), links):
+        if (point is None or not np.array_equal(point.gain[others].argmax(axis=1), links)
+                or (w := beams(point)) is None):
             return None
-        w = point.w
-        if tie:
-            served = int(np.argmax(point.gain[k]))
-            if served not in (a, b):
-                return None
-            w = _form_beams(problem, point.mu, point.G, point.Y, point.gain,
-                            (k, b if served == a else a, (j, l)))
-            if w is None:
-                return None
-        r = np.sum(np.abs(w[j][[l, l2]]) ** 2, axis=1) / q - 1.0
-        if tie:                         # the split meets cap (j, l): the tie is its condition
-            r[0] = np.log(point.gain[k, a] / point.gain[k, b])
+        r = np.sum(np.abs(w[j][caps]) ** 2, axis=1) / q - 1.0
+        if track:                       # the split meets cap (j, l): the tie f is its condition
+            r[0] = f(point)
         return point, w, r
 
-    def at(x, lam):
-        mu = [np.zeros(n) for n in ch.antenna_counts]
-        with np.errstate(over="ignore"):            # mu = inf: the antenna is priced out
-            mu[j][[l, l2]] = rho * np.expm1(x)
-        point = _solve_uplink(problem, mu, lam)
-        return None if point is None else split(point)
-
-    x, h = np.array([x_start, 0.0]), np.sqrt(UPLINK_TOL)
-    point, w, r = split(start)
+    x, h = np.array([x_lo if end is lo else x_hi, 0.0]), np.sqrt(UPLINK_TOL)
+    point, w, r = residuals(end)
     while np.abs(r).max() > UPLINK_TOL:
         J = np.empty((2, 2))
         for i in range(2):
-            moved = at(x + h * np.eye(2)[i], point.lam)
+            moved = residuals(at(x + h * np.eye(2)[i], point.lam))
             if moved is None:
-                return None
+                return
             J[:, i] = (moved[2] - r) / h
         try:
             d = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
-            return None
+            return
         t = min(1.0, np.min(x[d < 0.0] / -d[d < 0.0], initial=np.inf))    # mu stays >= 0
         while not np.array_equal(step := np.maximum(x + t * d, 0.0), x):
-            trial = at(step, floor)
+            trial = residuals(at(step, fast.lam))
             if trial is None:
-                return None
+                return
             if np.linalg.norm(trial[2]) < np.linalg.norm(r):
                 break
             t *= 0.5
         else:
-            return None
+            return
         x, (point, w, r) = step, trial
-    return w, float(point.lam.sum() - point.mu[j].sum() * q), DualCertificate(point.lam, point.mu)
+    yield "two_cap", w, point.g, DualCertificate(point.lam, point.mu)
 
 
 def _root_estimate(seen: list) -> float:
@@ -809,8 +783,9 @@ def binding_caps(w: list, hw: HardwareProfile) -> set:
             for l in np.flatnonzero(active | violated)}
 
 
-def _finish(w: list, problem: CoordinationProblem, **meta) -> BeamformingSolution:
-    """The certified solution for the beamformer stacks w of any solver.
+def _finish(w: list, problem: CoordinationProblem, path: str, **meta) -> BeamformingSolution:
+    """The certified solution for the beamformer stacks w of any solver,
+    answered by the candidate path (BeamformingSolution.path).
 
     Residue: link (k, j) serves user k only when its own signal
     |h_{k,j}^H w_{k,j}|^2 exceeds SERVING_SHARE of the user's received own
@@ -840,7 +815,7 @@ def _finish(w: list, problem: CoordinationProblem, **meta) -> BeamformingSolutio
                 f"at transmitter {slack.transmitter}",
                 {"used": slack.used_mw, "limit": slack.limit_mw})
     p_dyn = report.p_dynamic_mw
-    solution = BeamformingSolution(w, p_dyn, report.p_static_mw, report.p_total_mw, **meta)
+    solution = BeamformingSolution(w, p_dyn, report.p_static_mw, report.p_total_mw, path, **meta)
     bound = solution.objective_relaxation
     if not np.isnan(bound) and abs(p_dyn - bound) > cs.CERT_GAP * max(1.0, abs(p_dyn), abs(bound)):
         raise NumericalFailureError("solution cost strays from its certified bound",

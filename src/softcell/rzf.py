@@ -27,8 +27,7 @@ import numpy as np
 
 from . import conic_solver as cs
 from .conic_problem import NONNEG, Block, ConicProblem
-from .coordination import (BeamformingSolution, CoordinationProblem, _finish,
-                           regularized_inverse, scaled_channels)
+from .coordination import BeamformingSolution, CoordinationProblem, _finish, regularized_inverse
 from .evaluation import link_gains
 from .exceptions import NumericalFailureError, RzfInfeasibleError
 from .scenario import ChannelSet
@@ -127,7 +126,9 @@ def rzf_directions(channels: ChannelSet, hw, gtilde) -> Directions:
     U = [np.zeros((n, K), dtype=complex) for n in channels.antenna_counts]
     # A transmitter with a zero cap can carry no power: it forms no directions.
     txs = [j for j, n in enumerate(channels.antenna_counts) if n and hw.per_antenna_limit[j] > 0]
-    G, gram = scaled_channels(channels, txs)
+    # Noise-scaled stacks G_t = H_t / sigma (column k over sigma_k) and their Grams.
+    G = [channels.H[j] / np.sqrt(np.asarray(channels.sigma2, dtype=float)) for j in txs]
+    gram = np.array([G_t.conj().T @ G_t for G_t in G], dtype=complex).reshape(len(G), K, K)
     q = np.array([hw.per_antenna_limit[j] for j in txs], dtype=float)
     for target in np.unique(gtilde[gtilde > 0]):
         users = gtilde == target
@@ -145,4 +146,4 @@ def rzf_solve(problem: CoordinationProblem) -> BeamformingSolution:
     gt = problem.gtilde
     inter = rzf_directions(ch, problem.hw, gt)
     p = allocate_power(inter, problem.hw, gt, ch.sigma2)
-    return _finish(inter.beams(p), problem, exchanged_scalars=dict(inter.exchanged))
+    return _finish(inter.beams(p), problem, "rzf_lp", exchanged_scalars=dict(inter.exchanged))

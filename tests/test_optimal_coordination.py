@@ -219,7 +219,7 @@ def test_a_beam_over_a_per_antenna_cap_is_refused():
     prob = rand_instance(np.random.default_rng(12), 1, [2, 2], (0.0,), hw=hw)
     w = [np.zeros((2, 1), dtype=complex), np.array([[0.5], [np.sqrt(2.0)]], dtype=complex)]
     with pytest.raises(NumericalFailureError, match="cap of antenna 1 at transmitter 1"):
-        _finish(w, prob)
+        _finish(w, prob, "uplink")
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,7 @@ def test_a_negligible_relaxed_block_is_repaired_then_dropped_by_finish():
     prob = CoordinationProblem(make_channels([[h0, h1]], [1.0]), loose_hardware(2), (1.0,))
     w = _repair_full(prob, [[2.0 * np.eye(2, dtype=complex), 1e-9 * np.eye(2, dtype=complex)]])
     assert np.linalg.norm(w[1][:, 0]) ** 2 == pytest.approx(1e-9, rel=1e-12)
-    sol = _finish(w, prob)
+    sol = _finish(w, prob, "full")
     assert np.all(sol.w[1] == 0.0)
     assert np.array_equal(sol.w[0], w[0])
     assert sol.serving == [(0,)]
@@ -403,7 +403,7 @@ def test_finish_zeroes_residue_links_in_a_copy(along_channel):
     w = [np.column_stack([np.sqrt(1.5) * e0, np.sqrt(2e3) * e1]),
          np.column_stack([extra, np.zeros(2)])]
     given = [w_j.copy() for w_j in w]
-    sol = _finish(w, prob)
+    sol = _finish(w, prob, "uplink")
     assert all(np.array_equal(a, b) for a, b in zip(w, given))
     if along_channel:
         assert sol.serving[0] == (0, 1)
@@ -429,7 +429,7 @@ def test_a_link_serves_by_its_share_of_the_received_signal(main, extra, served):
         loose_hardware(2), (1.0,))
     w = [np.sqrt(main[1]) * e0[:, None], np.sqrt(extra[1]) * e0[:, None]]
     assert evaluate(w, prob.channels, prob.hw, prob.gamma).serving == [served]
-    sol = _finish(w, prob)
+    sol = _finish(w, prob, "uplink")
     assert sol.serving == [served]
     assert evaluate(sol, prob.channels, prob.hw, prob.gamma).serving == [served]
     if served == (0,):
@@ -477,19 +477,18 @@ def test_finish_evaluates_each_returned_solution_once(monkeypatch, qos, trial, a
     # refused one-cap answer of QoS 1.0 trial 3 before its two-cap answer, and
     # that of QoS 1.0 trial 56, beyond the benchmark corpus, whose two-cap
     # step forms none before the seeded relaxation answers), and the numbers
-    # returned are those of the last.
+    # returned are those of the last, whose path the solution names.
     cfg = replace(desk_config(seed=202), qos_targets=(qos,) * 6)
     prob = CoordinationProblem(realize_scenario(cfg, trial=trial), cfg.hardware, cfg.qos_targets)
     seen = []
     evaluate_ = coordination.evaluate
     monkeypatch.setattr(coordination, "evaluate",
                         lambda w, *args: (lambda r: seen.append((w, r)) or r)(evaluate_(w, *args)))
-    relaxations, ascents = _recording_builds(monkeypatch), _recording_ascents(monkeypatch)
     sol = rzf_solve(prob) if algorithm == "rzf" else solve_optimal(prob)[0]
-    if algorithm == "optimal":
-        assert _answered_by(prob, relaxations, ascents) == (
-            DESK_FALLBACKS.get((qos, trial), "seeded") if fallback else "fast")
-    assert len(seen) == 1 + sum(ascents) + len(relaxations)
+    path = "rzf_lp" if algorithm == "rzf" else (
+        DESK_FALLBACKS.get((qos, trial), "seeded") if fallback else "uplink")
+    assert sol.path == path
+    assert len(seen) == {"rzf_lp": 1, "uplink": 1, "one_cap": 2, "two_cap": 3, "seeded": 3}[path]
     w, report = seen[-1]
     assert all(np.array_equal(a, b) for a, b in zip(w, sol.w))
     assert (sol.objective_dynamic, sol.objective_total) == (report.p_dynamic_mw,
@@ -926,34 +925,10 @@ def _recording_builds(monkeypatch):
     return built
 
 
-def _recording_ascents(monkeypatch):
-    """The candidates each cap ascent solve_optimal runs yields: 0 where it
-    forms none, 1 for the one-cap answer, 2 once the two-cap step forms one."""
-    formed = []
-    ascent = coordination._cap_ascent
-
-    def counted(*args):
-        formed.append(0)
-        for candidate in ascent(*args):
-            formed[-1] += 1
-            yield candidate
-    monkeypatch.setattr(coordination, "_cap_ascent", counted)
-    return formed
-
-
 def _without_ascent(monkeypatch):
     """Switch the cap ascent off, its one-cap and its two-cap step, so that the
     relaxations answer every fallback."""
     monkeypatch.setattr(coordination, "_cap_ascent", lambda *args: iter(()))
-
-
-def _answered_by(problem, built, formed):
-    """The candidate that answered solve_optimal(problem), read from the
-    relaxations it built and the candidates its ascents formed: "fast",
-    "one-cap", "two-cap", "seeded" or "full"."""
-    if built:
-        return "full" if built[-1][0] == set(coordination.antenna_caps(problem)) else "seeded"
-    return {0: "fast", 1: "one-cap", 2: "two-cap"}[max(formed, default=0)]
 
 
 # The candidate that answers each desk fallback (seed 202, QoS 1-3, trials
@@ -963,10 +938,10 @@ def _answered_by(problem, built, formed):
 # cell's other cap, and the two-cap step answers.  With the ascent switched
 # off, the seeded relaxation answers QoS 1.0 trials 3 and 9, and the full
 # program QoS 2.0 trial 6, whose seeded answer breaks a cap the seed left out.
-DESK_FALLBACKS = {(1.0, 3): "two-cap", (1.0, 9): "two-cap", (2.0, 4): "one-cap",
-                  (2.0, 6): "two-cap", (2.0, 9): "one-cap", (2.0, 14): "one-cap",
-                  (3.0, 4): "one-cap", (3.0, 6): "one-cap", (3.0, 9): "one-cap",
-                  (3.0, 14): "one-cap"}
+DESK_FALLBACKS = {(1.0, 3): "two_cap", (1.0, 9): "two_cap", (2.0, 4): "one_cap",
+                  (2.0, 6): "two_cap", (2.0, 9): "one_cap", (2.0, 14): "one_cap",
+                  (3.0, 4): "one_cap", (3.0, 6): "one_cap", (3.0, 9): "one_cap",
+                  (3.0, 14): "one_cap"}
 
 
 def test_a_cap_the_seed_misses_sends_the_relaxation_to_every_cap(monkeypatch):
@@ -1136,7 +1111,7 @@ def test_desk_fallbacks_keep_the_all_caps_optimum(monkeypatch):
     # of the full optimum solved to TOL_FEAS 1e-13 / TOL_GAP 1e-12 (the
     # one-cap answers within 7.6e-12, the two-cap answers within 1.3e-11).
     # A seeded program, where one is built, holds fewer rows than the full one.
-    built, formed = _recording_builds(monkeypatch), _recording_ascents(monkeypatch)
+    built = _recording_builds(monkeypatch)
     answered = {}
     for qos in (1.0, 2.0, 3.0):
         cfg = replace(desk_config(seed=202), qos_targets=(qos,) * 6)
@@ -1144,11 +1119,10 @@ def test_desk_fallbacks_keep_the_all_caps_optimum(monkeypatch):
             prob = CoordinationProblem(realize_scenario(cfg, trial=trial), cfg.hardware,
                                        cfg.qos_targets)
             built.clear()
-            formed.clear()
             sol, cert = solve_optimal(prob)
-            if not (built or formed):
+            if sol.path == "uplink":
                 continue
-            answered[(qos, trial)] = _answered_by(prob, built, formed)
+            answered[(qos, trial)] = sol.path
             full = full_relaxation(prob).conic
             if built:
                 assert built[0][1].conic.num_constraints < full.num_constraints
@@ -1167,6 +1141,24 @@ def _desk_problem(cfg, qos, trial):
     return CoordinationProblem(realize_scenario(cfg, trial=trial), cfg.hardware, cfg.qos_targets)
 
 
+def test_every_solution_names_the_candidate_that_answered():
+    # Desk seed 202 with the cap ascent on shows every path once: the fast
+    # path, the one-cap and the two-cap answers of the ascent, the seeded
+    # relaxation (QoS 1.0 trial 56, whose two-cap step forms none), the full
+    # one (QoS 1.0 trial 58, whose two-cap step forms none and whose seeded
+    # answer breaks a cap the seed left out) and the rzf heuristic's power
+    # LP.  An infeasible problem raises and names none.
+    desk = desk_config(seed=202)
+    for (qos, trial), path in {(2.0, 0): "uplink", (2.0, 4): "one_cap", (1.0, 3): "two_cap",
+                               (1.0, 56): "seeded", (1.0, 58): "full"}.items():
+        assert solve_optimal(_desk_problem(desk, qos, trial))[0].path == path
+    assert rzf_solve(_desk_problem(desk, 2.0, 0)).path == "rzf_lp"
+    ch = make_channels([[np.array([1.0 + 0j])]], [1.0])
+    hw = HardwareProfile(rho=(2.0,), eta=(0.0,), per_antenna_limit=(1.0,))
+    with pytest.raises(InfeasibleProblemError):
+        solve_optimal(CoordinationProblem(ch, hw, (2.0,)))
+
+
 # The desk trials (seed 202, QoS 1-3, trials 0-99) that the two-cap step
 # answers.  In each, the one-cap answer breaks the other cap of the priced
 # cap's transmitter.  In all but QoS 3.0 trials 90 and 94 it splits a user
@@ -1183,10 +1175,8 @@ def test_two_cap_answers_meet_the_relaxation_optimum(monkeypatch):
     # exactly the two caps it meets, and passes the duality check.
     for qos, trial in DESK_TWO_CAP:
         prob = _desk_problem(desk_config(seed=202), qos, trial)
-        with monkeypatch.context() as m:
-            built, formed = _recording_builds(m), _recording_ascents(m)
-            sol, cert = solve_optimal(prob)
-            assert _answered_by(prob, built, formed) == "two-cap"
+        sol, cert = solve_optimal(prob)
+        assert sol.path == "two_cap"
         with monkeypatch.context() as m:
             _without_ascent(m)
             reference = solve_optimal(prob)[0]
@@ -1207,9 +1197,10 @@ def test_each_two_cap_evaluation_starts_below_its_fixed_point(monkeypatch):
     # lambda_k rising by more than UPLINK_TOL of itself) holds only at the
     # fixed point, and every point the step accepts is dual feasible.
     # Rounding lets lambda fall by a few 1e-12 of itself near the fixed point.
+    # Its evaluations are those after the ascent yields the one-cap answer.
     prob = _desk_problem(desk_config(seed=202), 1.0, 9)
     starts = []
-    solve_uplink, two_caps = coordination._solve_uplink, coordination._two_caps
+    solve_uplink, ascent = coordination._solve_uplink, coordination._cap_ascent
 
     def recorded(problem, mu=None, lam=None):
         point = solve_uplink(problem, mu, lam)
@@ -1217,10 +1208,12 @@ def test_each_two_cap_evaluation_starts_below_its_fixed_point(monkeypatch):
         return point
 
     def stepped(*args):
-        monkeypatch.setattr(coordination, "_solve_uplink", recorded)
-        return two_caps(*args)
-    monkeypatch.setattr(coordination, "_two_caps", stepped)
+        for candidate in ascent(*args):
+            monkeypatch.setattr(coordination, "_solve_uplink", recorded)
+            yield candidate
+    monkeypatch.setattr(coordination, "_cap_ascent", stepped)
     sol, cert = solve_optimal(prob)
+    assert sol.path == "two_cap"
     assert len(starts) == 21
     assert all(np.all(end >= (1.0 - 1e-9) * start) for start, end in starts)
     assert cert.lam.tobytes() == starts[-1][1].tobytes()
@@ -1238,20 +1231,20 @@ def test_a_two_cap_step_whose_links_move_gives_way(monkeypatch):
     cfg = with_axis_value(replace(desk_config(seed=101), n_bs=8), "n_sca", 2)
     prob = CoordinationProblem(realize_scenario(cfg, trial=21), cfg.hardware, cfg.qos_targets)
     evaluations, steps = [], []
-    solve_uplink, two_caps = coordination._solve_uplink, coordination._two_caps
+    solve_uplink, ascent = coordination._solve_uplink, coordination._cap_ascent
     monkeypatch.setattr(coordination, "_solve_uplink",
                         lambda *args: evaluations.append(args) or solve_uplink(*args))
 
     def stepped(*args):
-        evaluations.clear()
-        steps.append(two_caps(*args))
+        for path, *candidate in ascent(*args):
+            steps.append(path)
+            evaluations.clear()
+            yield path, *candidate
         steps.append(len(evaluations))
-        return steps[0]
-    monkeypatch.setattr(coordination, "_two_caps", stepped)
-    built = _recording_builds(monkeypatch)
+    monkeypatch.setattr(coordination, "_cap_ascent", stepped)
     sol, cert = solve_optimal(prob)
-    assert steps == [None, 3]
-    assert _answered_by(prob, built, []) == "full"
+    assert steps == ["one_cap", 3]
+    assert sol.path == "full"
     assert classify_assignment(sol, prob.hw).count(MULTIFLOW) == 1
     assert verify_duality(sol, cert, prob).ok()
 
@@ -1417,35 +1410,31 @@ def _scaled_desk(noise_db, cap_factor):
 
 
 @pytest.mark.parametrize("gamma,trial", [(1.0, 3), (1.0, 9), (2.0, 6), (2.0, 9)])
-def test_sub_mw_fallbacks_certify_at_scaled_power(monkeypatch, gamma, trial):
+def test_sub_mw_fallbacks_certify_at_scaled_power(gamma, trial):
     # Noise 40 dB lower and caps x1e-4 scale every power by 1e-4: these
     # cap-bound trials answer from the candidate that answers them unscaled,
     # at about 1e-3 mW, and must land on the scaled optimum, not merely within
     # the absolute 1e-6 mW gap.  QoS 2.0 trial 9 answers from the one-cap
     # ascent, the others from its two-cap step.
     reference = run_trial(desk_config(seed=202), "qos", gamma, "optimal", trial)
-    built, formed = _recording_builds(monkeypatch), _recording_ascents(monkeypatch)
     scaled = run_trial(_scaled_desk(40.0, 1e-4), "qos", gamma, "optimal", trial)
     prob = _desk_problem(_scaled_desk(40.0, 1e-4), gamma, trial)
-    assert _answered_by(prob, built, formed) == DESK_FALLBACKS[(gamma, trial)]
+    assert solve_optimal(prob)[0].path == DESK_FALLBACKS[(gamma, trial)]
     assert scaled.status == reference.status == "optimal"
     assert scaled.p_dynamic_mw == pytest.approx(1e-4 * reference.p_dynamic_mw, rel=1e-6)
 
 
 @pytest.mark.parametrize("s", range(7))
-def test_cap_ascent_answers_scale_with_noise_and_caps(monkeypatch, s):
+def test_cap_ascent_answers_scale_with_noise_and_caps(s):
     # Noise 10 s dB lower and caps x10^-s scale every power by 10^-s: each
     # desk fallback, all answered by the cap ascent, still answers from the
     # step that answers it unscaled (the one-cap answer or the two-cap step),
     # at the scaled power within 1e-9 (7.7e-13 at most, measured).
-    built, formed = _recording_builds(monkeypatch), _recording_ascents(monkeypatch)
-    for (qos, trial), candidate in DESK_FALLBACKS.items():
+    for (qos, trial), path in DESK_FALLBACKS.items():
         reference = solve_optimal(_desk_problem(desk_config(seed=202), qos, trial))[0]
-        built.clear()
-        formed.clear()
         prob = _desk_problem(_scaled_desk(10.0 * s, 10.0 ** -s), qos, trial)
         sol, cert = solve_optimal(prob)
-        assert _answered_by(prob, built, formed) == candidate
+        assert sol.path == path
         assert sol.objective_dynamic == pytest.approx(10.0 ** -s * reference.objective_dynamic,
                                                       rel=1e-9)
         assert verify_duality(sol, cert, prob).ok()
