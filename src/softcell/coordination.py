@@ -77,7 +77,7 @@ repaired rank-one objective matches the relaxed optimum to solver accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -127,10 +127,15 @@ class CoordinationProblem:
         if self.hw.num_transmitters < self.channels.num_transmitters:
             raise InvalidInputError("hardware profile does not cover all transmitters")
 
-    @property
+    @cached_property
     def gtilde(self) -> np.ndarray:
         """SINR targets 2^gamma - 1."""
         return np.exp2(np.asarray(self.gamma)) - 1.0
+
+    @cached_property
+    def _uplink(self) -> _Uplink:
+        """What every uplink evaluation of this problem shares (_uplink_setup)."""
+        return _uplink_setup(self)
 
     def qos_users(self) -> list[int]:
         return [k for k, g in enumerate(self.gamma) if g > 0]
@@ -151,6 +156,9 @@ class BeamformingSolution:
     # The candidate that answered: "uplink", "one_cap", "two_cap", "seeded" or
     # "full" from solve_optimal, "rzf_lp" from rzf_solve.
     path: str
+    # The caps (j, l) that w meets within power.CAP_TOL, in antenna order; w
+    # breaks none (_finish refuses that).
+    active_caps: tuple
     exchanged_scalars: dict | None = None   # per-SCA backhaul scalar counts
     # Relaxed optimum (dynamic, mW): the IPM's value before repair, or on the
     # fast path the certified dual bound sum lambda.
@@ -327,7 +335,8 @@ def regularized_inverse(gram: np.ndarray, a, r) -> np.ndarray:
     By the push-through identity (G diag(a) G^H + r I)^{-1} G = G Y, column k
     of G_t Y[t] is the regularized direction of user k at transmitter t, and
     (gram[t] Y[t])[k, k] is its quadratic form g_k^H (G diag(a) G^H + r I)^{-1} g_k,
-    whatever the antenna count n_t.  Both solvers take their directions from it.
+    whatever the antenna count n_t.  rzf takes its directions from it, and
+    _uplink_round inverts the same system at a = lambda, r = 1.
     a is a scalar or one weight per user, r a scalar or one per transmitter;
     the system is formed by broadcasting against an identity shared per K.
     """
@@ -344,44 +353,76 @@ def _identity(K: int) -> np.ndarray:
     return eye
 
 
+class _Uplink(NamedTuple):
+    """The parts of every uplink evaluation of one problem that do not depend
+    on mu: the active transmitters, the QoS users (an index array) and their
+    SINR targets gt[users], the noise-scaled stacks G_t = H_t / sigma, the
+    (T, K, K) stack F at mu = 0 and the ceiling of _solve_uplink at mu = 0,
+    sum_j rho_j n_j q_j.  CoordinationProblem._uplink forms it once."""
+
+    txs: list
+    users: np.ndarray
+    targets: np.ndarray
+    G: list
+    F: np.ndarray
+    ceiling: float
+
+
+def _uplink_setup(problem: CoordinationProblem) -> _Uplink:
+    ch, hw, txs = problem.channels, problem.hw, problem.active_transmitters()
+    sigma = np.sqrt(np.asarray(ch.sigma2, dtype=float))
+    G = [ch.H[j] / sigma for j in txs]
+    F = np.array([_noise_gram(G_t, np.full(ch.antennas(j), hw.rho[j])) for j, G_t in zip(txs, G)],
+                 dtype=complex).reshape(len(G), ch.num_users, ch.num_users)
+    users = np.array(problem.qos_users(), dtype=int)
+    ceiling = sum(hw.rho[j] * ch.antennas(j) * hw.per_antenna_limit[j] for j in txs)
+    return _Uplink(txs, users, problem.gtilde[users], G, F, ceiling)
+
+
+def _noise_gram(G_t: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """G_t^H D^-1 G_t for the diagonal D = diag(d)."""
+    return G_t.conj().T @ (G_t / d[:, None])
+
+
 def _uplink_grams(problem: CoordinationProblem, mu: list) -> tuple[list, np.ndarray]:
     """Noise-scaled stacks G_t = H_t / sigma of the active transmitters and the
     (T, K, K) stack F_t = G_t^H D_t^-1 G_t of the uplink noise
-    D_t = rho_t I + diag mu_t (mu[j] over the antennas of transmitter j)."""
-    ch, txs = problem.channels, problem.active_transmitters()
-    sigma = np.sqrt(np.asarray(ch.sigma2, dtype=float))
-    G = [ch.H[j] / sigma for j in txs]
-    F = [G_t.conj().T @ (G_t / (problem.hw.rho[j] + mu[j])[:, None]) for j, G_t in zip(txs, G)]
-    return G, np.array(F, dtype=complex).reshape(len(G), ch.num_users, ch.num_users)
+    D_t = rho_t I + diag mu_t (mu[j] over the antennas of transmitter j).
+    Only the F_t of a transmitter with a nonzero mu is formed here; the rest
+    are the problem's own (_Uplink)."""
+    up, rho = problem._uplink, problem.hw.rho
+    priced = [t for t, j in enumerate(up.txs) if mu[j].any()]
+    if not priced:
+        return up.G, up.F
+    F = up.F.copy()
+    for t in priced:
+        j = up.txs[t]
+        F[t] = _noise_gram(up.G[t], rho[j] + mu[j])
+    return up.G, F
 
 
 def _uplink_round(lam: np.ndarray, F: np.ndarray, users: np.ndarray, targets: np.ndarray):
     """One round of the uplink interference map at lambda over
     F = _uplink_grams(problem, mu)[1], for the QoS users (an index array) and
-    their SINR targets gt[users] (_uplink_targets): (lambda', Y, gain), or None
+    their SINR targets gt[users] (_Uplink): (lambda', Y, gain), or None
     where a QoS user has no positive gain.  lambda'_k = gt_k / max_t gain[k, t]
     (0 without a target), gain[k, t] = g^H B^-1 g for g = h_kt / sigma_k and
     B = D_t + sum_{i != k} lambda_i g_it g_it^H.  By the push-through identity
-    (D + G L G^H)^-1 G = D^-1 G (L F + I)^-1, Y = regularized_inverse(F, lambda, 1)
-    gives C_t^-1 G_t = D_t^-1 G_t Y[t] for C = B + lambda_k g g^H, x = g^H C^-1 g
+    (D + G L G^H)^-1 G = D^-1 G (L F + I)^-1, Y = (L F + I)^-1 (the system of
+    regularized_inverse(F, lambda, 1), formed here directly) gives
+    C_t^-1 G_t = D_t^-1 G_t Y[t] for C = B + lambda_k g g^H, x = g^H C^-1 g
     is the diagonal of F Y, and by Sherman-Morrison g^H B^-1 g = x / (1 - lambda_k x).
     """
-    Y = regularized_inverse(F, lam, 1.0)
+    a = lam[:, None]
+    Y = np.linalg.inv(a * F + _identity(F.shape[-1]))
     x = np.einsum("tki,tik->kt", F, Y).real
-    gain = x / (1.0 - lam[:, None] * x)
+    gain = x / (1.0 - a * x)
     best = gain[users].max(axis=1, initial=0.0)     # 0 without any active transmitter
-    if np.any(best <= 0.0):
+    if (best <= 0.0).any():
         return None
-    new = np.zeros_like(lam)
+    new = np.zeros(len(lam))
     new[users] = targets / best
     return new, Y, gain
-
-
-def _uplink_targets(problem: CoordinationProblem) -> tuple[np.ndarray, np.ndarray]:
-    """The QoS users as an index array and their SINR targets gt[users], the
-    fixed arguments of _uplink_round."""
-    users = np.array(problem.qos_users(), dtype=int)
-    return users, problem.gtilde[users]
 
 
 class _UplinkPoint(NamedTuple):
@@ -425,22 +466,20 @@ def _solve_uplink(problem: CoordinationProblem, mu: list | None = None,
     at its cap (no feasible point costs that much, so the targets are
     infeasible), or _form_beams finds no powers.
     """
-    ch, hw = problem.channels, problem.hw
-    txs = problem.active_transmitters()
+    ch, hw, up = problem.channels, problem.hw, problem._uplink
     mu = [np.zeros(n) for n in ch.antenna_counts] if mu is None else mu
     lam = np.zeros(ch.num_users) if lam is None else lam
     G, F = _uplink_grams(problem, mu)
-    users, targets = _uplink_targets(problem)
-    priced = sum(hw.per_antenna_limit[j] * mu[j].sum() for j in txs)
-    ceiling = sum(hw.rho[j] * ch.antennas(j) * hw.per_antenna_limit[j] for j in txs) + priced
+    priced = sum(hw.per_antenna_limit[j] * mu[j].sum() for j in up.txs)
+    ceiling = up.ceiling + priced
     for _ in range(UPLINK_MAX_ITERS):
-        step = _uplink_round(lam, F, users, targets)
+        step = _uplink_round(lam, F, up.users, up.targets)
         if step is None:
             return None
         new, Y, gain = step
-        if not (np.all(np.isfinite(new)) and new.sum() <= ceiling):
+        if not (np.isfinite(new).all() and new.sum() <= ceiling):
             return None
-        settled = np.all(new - lam <= UPLINK_TOL * new)
+        settled = (new - lam <= UPLINK_TOL * new).all()
         lam = new
         if settled:
             break
@@ -468,23 +507,23 @@ def _form_beams(problem: CoordinationProblem, mu: list, G: list, Y: np.ndarray,
     k are tight, and the binding cap sets how k's power splits between them
     (the (K+1) x (K+1) system of a multiflow user).
     """
-    ch, hw, gt = problem.channels, problem.hw, problem.gtilde
+    ch, hw, up = problem.channels, problem.hw, problem._uplink
     K, T = ch.num_users, ch.num_transmitters
-    users, txs = problem.qos_users(), problem.active_transmitters()
-    links = [(k, int(np.argmax(gain[k]))) for k in users]
+    k_of = up.users.tolist()
+    t_of = gain[up.users].argmax(axis=1).tolist() if up.txs else []
     if split is not None:
-        links.append(split[:2])
+        k_of.append(split[0])
+        t_of.append(split[1])
+    j_of = [up.txs[t] for t in t_of]
+    scale = [1.0 + mu[j] / hw.rho[j] for j in up.txs]
     U = [np.zeros((ch.antennas(j), K), dtype=complex) for j in range(T)]
-    for k, t in links:
-        j = txs[t]
-        u = G[t] @ Y[t][:, k] / (1.0 + mu[j] / hw.rho[j])
-        U[j][:, k] = u / np.linalg.norm(u)
-    k_of = [k for k, _ in links]
-    j_of = [txs[t] for _, t in links]
-    rows = np.array(users, dtype=int)[:, None]
+    for k, t, j in zip(k_of, t_of, j_of):
+        u = G[t] @ Y[t][:, k] / scale[t]
+        U[j][:, k] = u / np.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag))   # u / |u|
+    rows = up.users[:, None]
     g = link_gains(ch.H, U)[rows, k_of, j_of]
-    M = np.where(rows == k_of, g / gt[rows], -g)
-    rhs = np.asarray(ch.sigma2, dtype=float)[users]
+    M = np.where(rows == k_of, g / up.targets[:, None], -g)
+    rhs = np.asarray(ch.sigma2, dtype=float)[up.users]
     if split is not None:
         j, l = split[2]
         cap_row = [abs(U[j_c][l, k_c]) ** 2 if j_c == j else 0.0 for k_c, j_c in zip(k_of, j_of)]
@@ -493,7 +532,7 @@ def _form_beams(problem: CoordinationProblem, mu: list, G: list, Y: np.ndarray,
         p = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(p) & (p >= 0.0)):
+    if not (np.isfinite(p) & (p >= 0.0)).all():
         return None
     amplitude = np.zeros((T, K))
     amplitude[j_of, k_of] = np.sqrt(p)
@@ -583,7 +622,8 @@ def _candidates(problem: CoordinationProblem):
         mu = [np.zeros(n) for n in ch.antenna_counts]
         for (j, l), row in relax.power_row.items():
             mu[j][l] = max(conic_sol.duals[row], 0.0)
-        lam, _, _ = _uplink_round(lam, _uplink_grams(problem, mu)[1], *_uplink_targets(problem))
+        up = problem._uplink
+        lam, _, _ = _uplink_round(lam, _uplink_grams(problem, mu)[1], up.users, up.targets)
         yield ("full" if caps is every_cap else "seeded",
                repair_rank(relax, conic_sol.block_values, problem), conic_sol.primal_objective,
                DualCertificate(lam, mu))
@@ -793,7 +833,8 @@ def _finish(w: list, problem: CoordinationProblem, path: str, **meta) -> Beamfor
     is zeroed in a copy of w, so the solution's powered links are its serving
     links.  One evaluate of the copy then gives the solution's power and its
     verdict: every SINR target within FEASIBILITY_TOL (so a drop that cost a
-    target fails), every cap within power.CAP_TOL and, with a finite
+    target fails), every cap within power.CAP_TOL (the caps it meets are the
+    solution's active_caps) and, with a finite
     objective_relaxation (the certified bound), the dynamic power P within
     CERT_GAP * max(1, |P|, |bound|) of it.  Raises NumericalFailureError on a
     missed target or cap or a wider gap.
@@ -808,14 +849,18 @@ def _finish(w: list, problem: CoordinationProblem, path: str, **meta) -> Beamfor
             raise NumericalFailureError(
                 f"solution misses the SINR target of user {k}",
                 {"sinr": report.sinr[k], "target": gt[k]})
+    active = []
     for slack in report.power_slacks:
         if slack.violated:
             raise NumericalFailureError(
                 f"solution violates the cap of antenna {slack.antenna} "
                 f"at transmitter {slack.transmitter}",
                 {"used": slack.used_mw, "limit": slack.limit_mw})
+        if slack.active:
+            active.append((slack.transmitter, slack.antenna))
     p_dyn = report.p_dynamic_mw
-    solution = BeamformingSolution(w, p_dyn, report.p_static_mw, report.p_total_mw, path, **meta)
+    solution = BeamformingSolution(w, p_dyn, report.p_static_mw, report.p_total_mw, path,
+                                   tuple(active), **meta)
     bound = solution.objective_relaxation
     if not np.isnan(bound) and abs(p_dyn - bound) > cs.CERT_GAP * max(1.0, abs(p_dyn), abs(bound)):
         raise NumericalFailureError("solution cost strays from its certified bound",
@@ -880,22 +925,22 @@ def serving_case(serving: tuple) -> str:
     return BS_ONLY if serving[0] == 0 else SINGLE_SCA
 
 
-def classify_assignment(solution: BeamformingSolution, hw: HardwareProfile) -> AssignmentReport:
+def classify_assignment(solution: BeamformingSolution) -> AssignmentReport:
     """Per-user serving case with the active power constraints licensing multiflow.
 
-    A cap is active within power.CAP_TOL of its limit.  A
+    A cap is active within power.CAP_TOL of its limit: the solution's
+    active_caps, which _finish read off its one evaluation.  A
     multiflow user without any active constraint at a serving transmitter is
     reported as a consistency diagnostic (it signals solver inaccuracy or an
     eigenvalue-multiplicity corner), never as an error.
     """
-    active = binding_caps(solution.w, hw)
     assignments, diagnostics = [], []
     for k, serving in enumerate(solution.serving):
         case = serving_case(serving)
         if case != MULTIFLOW:
             assignments.append(UserAssignment(k, case, serving))
             continue
-        licensed = tuple(sorted((j, l) for (j, l) in active if j in serving))
+        licensed = tuple((j, l) for j, l in solution.active_caps if j in serving)
         assignments.append(UserAssignment(k, MULTIFLOW, serving, licensed))
         if not licensed:
             diagnostics.append(

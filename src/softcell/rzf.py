@@ -9,8 +9,8 @@ with the regularizer depending on the target user's SINR requirement gt_k and
 the per-antenna cap q_j.  With G_j the (n_j, K) stack of h_{i,j} / sigma_i,
 the push-through identity (G G^H + r I)^{-1} G = G (G^H G + r I)^{-1} turns the
 n_j x n_j inverse into a K x K one: one batched solve over the transmitters
-per distinct target, through coordination.regularized_inverse, the direction
-rule the exact solver shares.  Only the scalar couplings |h_{i,j}^H u_{k,j}|^2
+per distinct target, through coordination.regularized_inverse, the system
+the exact solver's uplink round inverts.  Only the scalar couplings |h_{i,j}^H u_{k,j}|^2
 and |u_{k,j}[l]|^2 travel over the backhaul; the power split across transmitters
 then solves a small LP in the per-link powers p_{k,j}, first on its K QoS rows
 alone.  Its per-antenna cap rows join in a second solve only when the first

@@ -123,8 +123,9 @@ class ChannelSet:
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """Named, splittable substream of the root seed."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+    """Named, splittable substream of the root seed: the generator that
+    np.random.default_rng builds on this SeedSequence, without its checks."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def drop_users(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -152,16 +153,16 @@ def _disc_points(rng: np.random.Generator, count: int, center, radius: float) ->
 
 
 # The loss constants are those of a 2 GHz carrier.
-def path_loss_db(distance_km: float, link_kind: str) -> float:
-    """Distance-dependent path and penetration loss in dB."""
-    if not distance_km > 0:
+def path_loss_db(distance_km, link_kind):
+    """Distance-dependent path and penetration loss in dB, elementwise over
+    arrays of distances and link kinds of one shape (a float for scalars)."""
+    d, kind = np.asarray(distance_km, dtype=float), np.asarray(link_kind)
+    if not (d > 0).all():
         raise InvalidInputError("distance must be > 0")
-    d = max(distance_km, MIN_DISTANCE_KM)
-    if link_kind == MACRO:
-        return 148.1 + 37.6 * np.log10(d)
-    if link_kind == SCA_NEAR:
-        return 127.0 + 30.0 * np.log10(d)
-    raise InvalidInputError(f"unknown link kind {link_kind!r}")
+    if not np.isin(kind, (MACRO, SCA_NEAR)).all():
+        raise InvalidInputError(f"unknown link kind {link_kind!r}")
+    d = np.maximum(d, MIN_DISTANCE_KM)
+    return np.where(kind == MACRO, 148.1 + 37.6 * np.log10(d), 127.0 + 30.0 * np.log10(d))[()]
 
 
 def build_correlation(config: ScenarioConfig, positions: np.ndarray,
@@ -169,8 +170,10 @@ def build_correlation(config: ScenarioConfig, positions: np.ndarray,
     """The (K, T) link gains and the (K, n, n) BS covariances
     R[k] = gain[k, 0] * (angular model); a small cell's covariance is gain * I.
 
-    The linear gain inverts (path loss - shadowing) dB.  The near-SCA loss
-    formula applies to any (user, SCA) pair within NEAR_SCA_KM of each other.
+    The linear gain inverts (path loss - shadowing) dB, each by the scalar
+    power 10.0 ** x (numpy's array power differs from it in the last bit).
+    The near-SCA loss formula applies to any (user, SCA) pair within
+    NEAR_SCA_KM of each other.
     The BS model S S^H / (2n) averages the half-wavelength ULA steering
     vectors S[a, m] = exp(i pi a sin theta_m) over 2n angles within +-10 deg
     of the user's azimuth.  It is Hermitian Toeplitz: entry (a, b) is t[a - b]
@@ -181,16 +184,11 @@ def build_correlation(config: ScenarioConfig, positions: np.ndarray,
     K = len(positions)
     if shadowing_db.shape != (K, config.num_sca + 1):
         raise InvalidInputError("need one shadowing draw per (user, transmitter) link")
-    sites = [(0.0, 0.0)] + list(config.sca_positions)
-    gains = np.empty((K, len(sites)))
-    for k in range(K):
-        for j, site in enumerate(sites):
-            delta = positions[k] - np.asarray(site)
-            dist = float(np.hypot(delta[0], delta[1]))
-            if dist <= 0:
-                dist = MIN_DISTANCE_KM
-            kind = SCA_NEAR if (j > 0 and dist <= NEAR_SCA_KM) else MACRO
-            gains[k, j] = 10.0 ** (-(path_loss_db(dist, kind) - shadowing_db[k, j]) / 10.0)
+    delta = positions[:, None, :] - np.array([(0.0, 0.0), *config.sca_positions])
+    dist = np.maximum(np.hypot(delta[..., 0], delta[..., 1]), MIN_DISTANCE_KM)
+    near = (dist <= NEAR_SCA_KM) & (np.arange(config.num_sca + 1) > 0)
+    exponent = -(path_loss_db(dist, np.where(near, SCA_NEAR, MACRO)) - shadowing_db) / 10.0
+    gains = np.array([10.0 ** x for x in exponent.ravel()]).reshape(exponent.shape)
     n = config.n_bs
     spread = np.deg2rad(10.0)
     azimuths = np.arctan2(positions[:, 1], positions[:, 0])

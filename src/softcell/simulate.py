@@ -129,7 +129,7 @@ def run_trial(base: ScenarioConfig, axis: str, value, algorithm: str, trial: int
             cases = [serving_case(s) for s in solution.serving]
         else:
             solution, _ = solve_optimal(problem)
-            report = classify_assignment(solution, cfg.hardware)
+            report = classify_assignment(solution)
             cases = [a.case for a in report.assignments]
     except InfeasibleProblemError:
         status, solution = "infeasible", None

@@ -88,7 +88,7 @@ def instance_set():
                 "certificate": cert, "wall_s": wall,
                 "evaluation": evaluate(solution, channels, cfg.hardware, cfg.qos_targets),
                 "duality": verify_duality(solution, cert, problem),
-                "assignment": classify_assignment(solution, cfg.hardware),
+                "assignment": classify_assignment(solution),
                 "rzf": heur, "rzf_status": heur_status,
             })
     return {"records": records, "failures": failures}
@@ -208,7 +208,7 @@ def test_criterion_04_multiflow_is_licensed_by_active_caps(capsys, instance_set)
                                  subcarriers=hw.subcarriers)
         problem = CoordinationProblem(rec["problem"].channels, lifted, rec["problem"].gamma)
         solution, _ = solve_optimal(problem)
-        return classify_assignment(solution, lifted)
+        return classify_assignment(solution)
 
     retest = [rec for rec in records if rec["assignment"].count("multiflow")]
     chosen = {id(rec) for rec in retest}

@@ -434,7 +434,7 @@ def test_a_link_serves_by_its_share_of_the_received_signal(main, extra, served):
     assert evaluate(sol, prob.channels, prob.hw, prob.gamma).serving == [served]
     if served == (0,):
         assert np.all(sol.w[1] == 0.0)
-        assert classify_assignment(sol, prob.hw).count(MULTIFLOW) == 0
+        assert classify_assignment(sol).count(MULTIFLOW) == 0
     else:
         assert np.array_equal(sol.w[1], w[1])
 
@@ -451,7 +451,7 @@ def test_a_sub_share_signal_link_is_not_counted_as_multiflow():
     prob = CoordinationProblem(realize_scenario(cfg, trial=13), cfg.hardware, cfg.qos_targets)
     sol, _ = solve_optimal(prob)
     assert sol.serving[1] == (2,)
-    assert not classify_assignment(sol, cfg.hardware).diagnostics
+    assert not classify_assignment(sol).diagnostics
 
 
 def test_rzf_power_lp_residue_is_not_counted_as_multiflow():
@@ -522,7 +522,7 @@ def test_fallback_cost_is_certified_within_the_gap(monkeypatch, excess, certifie
 def test_lone_macro_user_is_bs_only(single_user_unit_channel):
     prob = CoordinationProblem(single_user_unit_channel, loose_hardware(1), (2.0,))
     sol, _ = solve_optimal(prob)
-    report = classify_assignment(sol, prob.hw)
+    report = classify_assignment(sol)
     assert report.assignments[0].case == BS_ONLY
     assert report.count(BS_ONLY) == 1
     assert not report.diagnostics
@@ -535,7 +535,7 @@ def test_hotspot_user_prefers_its_small_cell():
     prob = CoordinationProblem(ch, loose_hardware(2), (1.0,))
     sol, _ = solve_optimal(prob)
     assert sol.serving[0] == (1,)
-    report = classify_assignment(sol, prob.hw)
+    report = classify_assignment(sol)
     assert report.assignments[0].case == SINGLE_SCA
 
 
@@ -550,7 +550,7 @@ def test_multiflow_requires_an_active_cap_and_vanishes_without_it():
     assert sol.serving[0] == (0, 1)
     assert sol.p[0, 0] == pytest.approx(2.0, rel=1e-5)
     assert sol.p[0, 1] == pytest.approx(1.0, rel=1e-5)
-    report = classify_assignment(sol, prob.hw)
+    report = classify_assignment(sol)
     assert report.assignments[0].case == MULTIFLOW
     assert (0, 0) in report.assignments[0].licensed_by
     assert not report.diagnostics
@@ -559,7 +559,7 @@ def test_multiflow_requires_an_active_cap_and_vanishes_without_it():
     loose = HardwareProfile(rho=(2.0, 4.0), eta=(0.0, 0.0), per_antenna_limit=(200.0, 5000.0))
     sol2, _ = solve_optimal(CoordinationProblem(ch, loose, (2.0,)))
     assert sol2.serving[0] == (0,)
-    report2 = classify_assignment(sol2, loose)
+    report2 = classify_assignment(sol2)
     assert report2.count(MULTIFLOW) == 0
 
 
@@ -640,7 +640,7 @@ def test_one_uplink_round_matches_the_antenna_domain_map(caps):
     if caps == "fast_path":
         mu = [np.zeros(n) for n in antennas]
     new, Y, gain = coordination._uplink_round(lam, coordination._uplink_grams(prob, mu)[1],
-                                              *coordination._uplink_targets(prob))
+                                              prob._uplink.users, prob._uplink.targets)
     G = [H_j / np.sqrt(prob.channels.sigma2) for H_j in prob.channels.H]
     reference = np.zeros((4, len(antennas)))
     for j in range(len(antennas)):
@@ -664,8 +664,22 @@ def _broadcast_inverse(gram, a, r):
     return np.linalg.inv(a[:, None] * gram + r[:, None, None] * np.eye(K))
 
 
+def _general_round(lam, F, users, targets):
+    """_uplink_round with its system formed by the general inverse,
+    _broadcast_inverse(F, lambda, 1)."""
+    Y = _broadcast_inverse(F, lam, 1.0)
+    x = np.einsum("tki,tik->kt", F, Y).real
+    gain = x / (1.0 - lam[:, None] * x)
+    best = gain[users].max(axis=1, initial=0.0)
+    if np.any(best <= 0.0):
+        return None
+    new = np.zeros_like(lam)
+    new[users] = targets / best
+    return new, Y, gain
+
+
 @pytest.mark.parametrize("cfg", [desk_config(seed=202), full_paper_config()])
-def test_uplink_rounds_are_the_broadcast_to_form_bit_for_bit(cfg, monkeypatch):
+def test_uplink_rounds_are_the_broadcast_to_form_bit_for_bit(cfg):
     # Eight rounds of the fast path's fixed point from lambda = 0, then a
     # round at a random mu as the certificate's, each against the same round
     # through the broadcast_to inverse; and rzf's form, a scalar a with one
@@ -676,17 +690,50 @@ def test_uplink_rounds_are_the_broadcast_to_form_bit_for_bit(cfg, monkeypatch):
     zero = [np.zeros(n) for n in antennas]
     mu = [rng.uniform(0.0, 3.0, size=n) * (rng.random(n) < 0.5) for n in antennas]
     F0, F = coordination._uplink_grams(prob, zero)[1], coordination._uplink_grams(prob, mu)[1]
-    lam, targets = np.zeros(prob.channels.num_users), coordination._uplink_targets(prob)
+    lam, up = np.zeros(prob.channels.num_users), prob._uplink
     for grams in [F0] * 8 + [F]:
-        step = coordination._uplink_round(lam, grams, *targets)
-        with monkeypatch.context() as m:
-            m.setattr(coordination, "regularized_inverse", _broadcast_inverse)
-            reference = coordination._uplink_round(lam, grams, *targets)
-        for got, ref in zip(step, reference):
+        step = coordination._uplink_round(lam, grams, up.users, up.targets)
+        reference = _general_round(lam, grams, up.users, up.targets)
+        for got, ref in zip(step, reference, strict=True):
             assert got.tobytes() == ref.tobytes()
         lam = step[0]
     r = rng.uniform(0.5, 2.0, size=len(F))
     assert regularized_inverse(F, 1.0, r).tobytes() == _broadcast_inverse(F, 1.0, r).tobytes()
+
+
+def _scratch_grams(problem, mu):
+    """G = H / sigma and the stack F_t = G_t^H D_t^-1 G_t of the active
+    transmitters, all formed at mu."""
+    ch, txs = problem.channels, problem.active_transmitters()
+    sigma = np.sqrt(np.asarray(ch.sigma2, dtype=float))
+    G = [ch.H[j] / sigma for j in txs]
+    F = [G_t.conj().T @ (G_t / (problem.hw.rho[j] + mu[j])[:, None]) for j, G_t in zip(txs, G)]
+    return G, np.array(F, dtype=complex).reshape(len(G), ch.num_users, ch.num_users)
+
+
+@pytest.mark.parametrize("cfg", [desk_config(seed=202), full_paper_config()])
+def test_per_problem_uplink_grams_are_formed_at_mu_bit_for_bit(cfg):
+    # _uplink_grams reads G and every F_t of an unpriced transmitter from the
+    # problem and forms only the priced ones: at mu = 0, and priced on each
+    # transmitter in turn (on the antennas the ascent could price), its G and
+    # F are those formed from scratch at mu, byte for byte, and pricing leaves
+    # the problem's own stack unchanged.
+    rng = np.random.default_rng(34)
+    prob = CoordinationProblem(realize_scenario(cfg, 2), cfg.hardware, cfg.qos_targets)
+    antennas = prob.channels.antenna_counts
+    zero = [np.zeros(n) for n in antennas]
+    F0 = coordination._uplink_grams(prob, zero)[1].tobytes()
+    for j in [None, *range(len(antennas))]:
+        mu = [m.copy() for m in zero]
+        if j is not None:
+            mu[j][: min(2, antennas[j])] = rng.uniform(0.1, 5.0, size=min(2, antennas[j]))
+        G, F = coordination._uplink_grams(prob, mu)
+        G_ref, F_ref = _scratch_grams(prob, mu)
+        assert [G_t.tobytes() for G_t in G] == [G_t.tobytes() for G_t in G_ref]
+        assert F.tobytes() == F_ref.tobytes()
+        assert coordination._uplink_grams(prob, zero)[1].tobytes() == F0
+    assert prob._uplink.users.tolist() == prob.qos_users()
+    assert prob._uplink.targets.tobytes() == prob.gtilde[prob.qos_users()].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +835,7 @@ def test_fast_path_serves_a_pool_user_from_one_transmitter_only(monkeypatch):
     monkeypatch.setattr(coordination, "build_relaxation", _refuse_relaxation)
     sol, _ = solve_optimal(prob)
     assert all(len(serving) == 1 for serving in sol.serving)
-    assert not classify_assignment(sol, lifted).diagnostics
+    assert not classify_assignment(sol).diagnostics
 
 
 @pytest.mark.parametrize("targets", [(2.0, 2.0), (1.0, 1.0)], ids=["sinr3", "sinr1"])
@@ -1185,7 +1232,7 @@ def test_two_cap_answers_meet_the_relaxation_optimum(monkeypatch):
         assert len(priced) == 2 and priced[0][0] == priced[1][0]
         assert set(priced) <= coordination.binding_caps(sol.w, prob.hw)
         assert verify_duality(sol, cert, prob).ok()
-        multiflow = classify_assignment(sol, prob.hw).count(MULTIFLOW)
+        multiflow = classify_assignment(sol).count(MULTIFLOW)
         assert multiflow == (0 if (qos, trial) in [(3.0, 90), (3.0, 94)] else 1)
 
 
@@ -1245,7 +1292,7 @@ def test_a_two_cap_step_whose_links_move_gives_way(monkeypatch):
     sol, cert = solve_optimal(prob)
     assert steps == ["one_cap", 3]
     assert sol.path == "full"
-    assert classify_assignment(sol, prob.hw).count(MULTIFLOW) == 1
+    assert classify_assignment(sol).count(MULTIFLOW) == 1
     assert verify_duality(sol, cert, prob).ok()
 
 
@@ -1259,7 +1306,7 @@ def test_the_cap_ascent_splits_a_tied_user_over_its_binding_cap(monkeypatch):
     sol, cert = solve_optimal(prob)
     assert coordination.binding_caps(sol.w, prob.hw) == {(2, 1)}
     assert [(j, l) for j, mu_j in enumerate(cert.mu) for l in np.flatnonzero(mu_j)] == [(2, 1)]
-    multiflow = [a for a in classify_assignment(sol, prob.hw).assignments if a.case == MULTIFLOW]
+    multiflow = [a for a in classify_assignment(sol).assignments if a.case == MULTIFLOW]
     assert [(a.user, a.serving, a.licensed_by) for a in multiflow] == [(1, (0, 2), ((2, 1),))]
     assert verify_duality(sol, cert, prob).max_residual <= 1e-11
 

@@ -126,6 +126,36 @@ def test_near_rule_switches_the_loss_model_at_the_boundary():
     assert gains[1, 1] == pytest.approx(far_gain, rel=1e-12)
 
 
+def test_link_gains_are_the_per_link_scalar_formula_bit_for_bit():
+    # build_correlation forms distances, link kinds and losses as arrays, and
+    # each gain by the scalar power of the per-link formula; the paper's setup
+    # puts users within NEAR_SCA_KM of their small cell, so both kinds occur.
+    cfg = full_paper_config()
+    sites = [(0.0, 0.0), *cfg.sca_positions]
+    kinds = set()
+    for trial in range(4):
+        pos = drop_users(cfg, stream(cfg.seed, trial, 0))
+        shadowing = cfg.shadowing_stddev * stream(cfg.seed, trial, 1).normal(
+            size=(cfg.num_users, cfg.num_sca + 1))
+        gains, _ = build_correlation(cfg, pos, shadowing)
+        for k in range(cfg.num_users):
+            for j, site in enumerate(sites):
+                dist = float(np.hypot(*(pos[k] - np.asarray(site))))
+                kind = SCA_NEAR if j > 0 and dist <= 0.04 else MACRO
+                kinds.add(kind)
+                gain = 10.0 ** (-(path_loss_db(dist, kind) - shadowing[k, j]) / 10.0)
+                assert gains[k, j].tobytes() == np.float64(gain).tobytes()
+    assert kinds == {MACRO, SCA_NEAR}
+    # The array form of the loss is the scalar form, element by element.
+    dist = np.array([[1e-7, 0.04], [0.2, 1.3]])
+    kind = np.array([[SCA_NEAR, SCA_NEAR], [MACRO, MACRO]])
+    loss = path_loss_db(dist, kind)
+    assert [[path_loss_db(float(d), str(c)) for d, c in zip(*row)]
+            for row in zip(dist, kind)] == loss.tolist()
+    with pytest.raises(InvalidInputError):
+        path_loss_db(np.array([0.1, 0.0]), MACRO)
+
+
 def test_shadowing_shape_is_validated():
     cfg = small_config()
     pos = drop_users(cfg, stream(cfg.seed, 0, 0))
@@ -318,6 +348,19 @@ def test_array_draw_is_the_per_link_loop_bit_for_bit(cfg, n_sca):
 # ---------------------------------------------------------------------------
 # Reproducibility
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("key", [(0, 0), (5, 1), (3, 2, 0, 0), (17, 2, 9, 4)])
+@pytest.mark.parametrize("seed", [202, 2 ** 64 - 1])
+def test_a_stream_is_default_rng_on_its_seed_sequence(seed, key):
+    # stream builds the Generator on PCG64 itself; the numbers are those of
+    # default_rng on the same SeedSequence: drops, shadowing and a fading key
+    # (trial, 2, k, j).
+    ours = stream(seed, *key)
+    ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    assert type(ours.bit_generator) is type(ref.bit_generator)
+    for draw in ("normal", "uniform"):
+        assert getattr(ours, draw)(size=(2, 7)).tobytes() == getattr(ref, draw)(size=(2, 7)).tobytes()
+
 
 def test_realizations_are_bitwise_reproducible():
     cfg = small_config()
